@@ -45,7 +45,6 @@ from .core import (
     DSMConfig,
     LayoutStrategy,
     LoserTree,
-    MERGERS,
     MergeJob,
     MergeScheduler,
     ScheduleStats,
@@ -104,7 +103,6 @@ __all__ = [
     "DSMConfig",
     "LayoutStrategy",
     "LoserTree",
-    "MERGERS",
     "MergeJob",
     "MergeScheduler",
     "ScheduleStats",

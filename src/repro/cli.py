@@ -13,7 +13,6 @@ Usage::
     python -m repro cluster-sort --n 100000 --nodes 4 [--check] [--lose-node 1]
     python -m repro inspect run.jsonl [--check] [--attribution]
     python -m repro trace run.jsonl [--out run.trace.json]
-    python -m repro bench [--quick] [--out BENCH_sort_throughput.json]
     python -m repro chaos [--quick] [--check] [--out chaos.jsonl]
     python -m repro cliff [--quick] [--check] [--out cliff_grid.jsonl]
     python -m repro demo
@@ -114,6 +113,10 @@ def _cmd_sort(args: argparse.Namespace) -> int:
             print("error: --workdir requires --backend mmap", file=sys.stderr)
             return 2
         backend = f"mmap:{args.workdir}"
+    if args.workers < 1:
+        print(f"error: --workers must be >= 1, got {args.workers}",
+              file=sys.stderr)
+        return 2
     if args.workers > 1 and args.backend != "mmap":
         print("error: --workers > 1 requires --backend mmap "
               "(worker processes share the backend's disk files)",
@@ -553,19 +556,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import main as bench_main
-
-    argv = ["--out", args.out]
-    if args.quick:
-        argv.append("--quick")
-    if args.min_merge_speedup is not None:
-        argv += ["--min-merge-speedup", str(args.min_merge_speedup)]
-    if args.min_rs_speedup is not None:
-        argv += ["--min-rs-speedup", str(args.min_rs_speedup)]
-    return bench_main(argv)
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro",
@@ -728,20 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("demo", help="quick SRM-vs-DSM comparison")
     d.set_defaults(func=_cmd_demo)
-
-    be = sub.add_parser(
-        "bench",
-        help="hot-path perf harness: vectorized vs reference data planes",
-    )
-    be.add_argument("--quick", action="store_true",
-                    help="reduced scale (CI smoke)")
-    be.add_argument("--out", default="BENCH_sort_throughput.json",
-                    help="JSON report path (default: %(default)s)")
-    be.add_argument("--min-merge-speedup", type=float, default=None,
-                    help="fail unless losertree/heapq >= this ratio")
-    be.add_argument("--min-rs-speedup", type=float, default=None,
-                    help="fail unless block/record >= this ratio")
-    be.set_defaults(func=_cmd_bench)
 
     sv = sub.add_parser(
         "serve",

@@ -187,7 +187,6 @@ def cluster_sort(
     strategy: LayoutStrategy = LayoutStrategy.RANDOMIZED,
     rng: RngLike = None,
     run_length: int | None = None,
-    merger: str = "auto",
     timing: DiskTimingModel | None = DISK_1996,
     telemetry=None,
     node_loss: Optional[NodeLoss] = None,
@@ -486,7 +485,6 @@ def cluster_sort(
             res,
             strategy=strategy,
             rng=merge_rngs[node.index],
-            merger=merger,
             timing=timing,
             telemetry=telemetry,
             next_run_id=10_000 * (node.index + 1),

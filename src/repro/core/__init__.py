@@ -19,7 +19,7 @@ from .forecasting import INF, INF_I64, ForecastStructure
 from .job import MergeJob
 from .layout import LayoutStrategy, choose_start_disks
 from .losertree import LoserTree
-from .merge import MERGERS, MergeResult, merge_runs
+from .merge import MergeResult, merge_runs
 from .mergesort import (
     PassStats,
     SortResult,
@@ -41,11 +41,7 @@ from .partial_striping import (
     merge_order_profile,
     partial_striping_sort,
 )
-from .run_formation import (
-    RS_ENGINES,
-    form_runs_load_sort,
-    form_runs_replacement_selection,
-)
+from .run_formation import form_runs_load_sort, form_runs_replacement_selection
 from .schedule import MergeScheduler, ScheduleStats
 from .simulator import build_event_stream, simulate_merge
 from .sort_simulator import SimPassStats, SimSortResult, simulate_mergesort
@@ -67,7 +63,6 @@ __all__ = [
     "LayoutStrategy",
     "choose_start_disks",
     "LoserTree",
-    "MERGERS",
     "MergeResult",
     "merge_runs",
     "PassStats",
@@ -85,7 +80,6 @@ __all__ = [
     "PartialStriping",
     "merge_order_profile",
     "partial_striping_sort",
-    "RS_ENGINES",
     "form_runs_load_sort",
     "form_runs_replacement_selection",
     "MergeScheduler",

@@ -1,8 +1,8 @@
 """Loser-tree (tournament) merger and the batched merge data plane.
 
-Two replacements for the ``heapq`` loop in :mod:`repro.core.merge`, both
+The two internal-merge loops of :mod:`repro.core.merge`, both
 producing bit-identical scheduler behaviour (same ``ParRead`` stream,
-same flushes, same output records):
+same flushes, same output records) to a textbook ``heapq`` merge:
 
 * :class:`LoserTree` — a classic tournament tree over the runs' current
   keys.  Where a binary heap pays a pop *and* a push per key-range
@@ -20,7 +20,7 @@ same flushes, same output records):
   ``argsort`` interleaves whole block slices instead of one Python heap
   cycle per key-range switch.
 
-Ordering contract (shared with the heapq reference): records are emitted
+Ordering contract (shared with a heapq merge): records are emitted
 in ``(key, run index, position in run)`` order.  Ties across runs go to
 the smaller run index — the heap's ``(key, run)`` tie-break — which the
 batched path reproduces by concatenating run slices in run order and
@@ -143,7 +143,7 @@ class LoserTree:
 
 
 # ---------------------------------------------------------------------------
-# Cycle-granular loser-tree loop (overlap-engine and eager-prefetch paths).
+# Cycle-granular loser-tree loop (overlap-engine path).
 # ---------------------------------------------------------------------------
 
 
@@ -155,17 +155,15 @@ def merge_loop_cycles(
     system: "ParallelDiskSystem",
     free_inputs: bool,
     validate: bool,
-    eng: "OverlapEngine | None",
-    prefetch: bool,
+    eng: "OverlapEngine",
     telemetry=None,
 ) -> int:
-    """One key range per cycle, exactly like the heapq loop.
+    """One key range per cycle, exactly like a heapq merge loop.
 
-    Used when an :class:`~repro.core.events.OverlapEngine` or the legacy
-    eager-prefetch mode paces the merge: those need per-key-range
-    ``compute``/``pump`` hooks, so the batched drain cannot be used.
-    The chunk sequence (and therefore every engine clock advance) is
-    identical to the heapq reference.
+    Used when an :class:`~repro.core.events.OverlapEngine` paces the
+    merge: it needs per-key-range ``compute``/``pump`` hooks, so the
+    batched drain cannot be used.  The chunk sequence (and therefore
+    every engine clock advance) is identical to a heapq merge's.
     """
     job = sched.job
     R = job.n_runs
@@ -184,8 +182,7 @@ def merge_loop_cycles(
         limit = tree.runner_up_key()
         b = sched.leading[r]
         sched.ensure_resident(r, b)
-        if eng is not None:
-            eng.wait_for(r, b)
+        eng.wait_for(r, b)
         data, pay = block_data[(r, b)]
         off = offsets[r]
         if validate and int(data[off]) != key:
@@ -203,8 +200,7 @@ def merge_loop_cycles(
                 hi = int(np.searchsorted(data, key, side="right"))
         writer.append(data[off:hi], None if pay is None else pay[off:hi])
         h_batch.observe(hi - off)
-        if eng is not None:
-            eng.compute(hi - off)
+        eng.compute(hi - off)
 
         if hi == data.size:
             del block_data[(r, b)]
@@ -229,10 +225,7 @@ def merge_loop_cycles(
             offsets[r] = hi
             tree.replace(int(data[hi]))
 
-        if eng is not None:
-            eng.pump(sched)
-        elif prefetch:
-            sched.maybe_prefetch()
+        eng.pump(sched)
     m_cycles.inc(cycles)
     return cycles
 
@@ -260,7 +253,7 @@ def merge_loop_batched(
     resident record ordered before that bound in one stable merge.  When
     nothing is emittable the bound's block is demand-fetched, exactly
     where the cycle loop would have stalled, so the ``ParRead``/flush
-    stream is bit-identical to the reference merger.
+    stream is bit-identical to a heapq merge's.
 
     Returns the number of consumed key ranges (block slices), the
     batched analogue of heap cycles.
@@ -300,7 +293,7 @@ def merge_loop_batched(
                 data, pay = block_data[(r, b)]
                 if validate and new_off == 0:
                     # First touch of this block: the counterpart of the
-                    # heapq loop's per-cycle desync check.
+                    # cycle loop's per-cycle desync check.
                     if int(data[0]) != int(job.first_keys[r][b]) or bool(
                         np.any(data[1:] < data[:-1])
                     ):

@@ -26,8 +26,6 @@ write-behind overlap I/O with computation instead of stalling on every
 
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +35,7 @@ from ..disks.counters import IOStats
 from ..disks.files import StripedRun
 from ..disks.system import ParallelDiskSystem
 from ..disks.timing import DISK_1996, DiskTimingModel
-from ..errors import ConfigError, DataError, ScheduleError
+from ..errors import DataError, ScheduleError
 from ..telemetry import TELEMETRY_OFF
 from ..telemetry.schema import SPAN_MERGE
 from .config import OverlapConfig
@@ -46,9 +44,6 @@ from .job import MergeJob
 from .losertree import merge_loop_batched, merge_loop_cycles
 from .schedule import MergeScheduler, ScheduleStats
 from .writer import RunWriter
-
-#: Recognized internal-merge implementations (see :func:`merge_runs`).
-MERGERS = ("auto", "losertree", "heapq")
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,11 +80,9 @@ def merge_runs(
     output_run_id: int,
     output_start_disk: int,
     validate: bool = False,
-    prefetch: bool = False,
     free_inputs: bool = True,
     overlap: OverlapConfig | None = None,
     timing: DiskTimingModel | None = None,
-    merger: str = "auto",
     telemetry=None,
 ) -> MergeResult:
     """Merge *runs* into one striped run on *system*.
@@ -106,9 +99,6 @@ def merge_runs(
     validate:
         Enable scheduler invariant checks plus forecast-implant
         verification on every block read.
-    prefetch:
-        Issue eager case-2a reads after each block switch (the legacy
-        untimed overlap mode; superseded by *overlap*).
     free_inputs:
         Release each input block's disk slot once fully consumed.
     overlap:
@@ -125,17 +115,12 @@ def merge_runs(
         (for engine-driven merges) the overlap report, and the hot-path
         histograms (read width, flush occupancy, drain batch size) fill
         the shared registry.  ``None`` uses the zero-overhead null layer.
-    merger:
-        Internal-merge implementation.  ``"losertree"`` (and the
-        ``"auto"`` default) use the vectorized data plane of
-        :mod:`repro.core.losertree`: block-slice batching on the pure
-        demand path, a cycle-granular loser tree when an overlap engine
-        or eager prefetch paces the merge.  ``"heapq"`` is the original
-        heap loop, kept as the reference/baseline.  All mergers produce
-        identical I/O schedules and identical output records.
+
+    The internal merge is the vectorized data plane of
+    :mod:`repro.core.losertree`: block-slice batching on the pure demand
+    path, a cycle-granular loser tree when an overlap engine paces the
+    merge.  Both produce identical I/O schedules and output records.
     """
-    if merger not in MERGERS:
-        raise ConfigError(f"merger must be one of {MERGERS}, got {merger!r}")
     if len(runs) < 2:
         raise DataError(f"a merge needs at least 2 runs, got {len(runs)}")
     job = MergeJob.from_striped_runs(runs, system.n_disks)
@@ -215,15 +200,10 @@ def merge_runs(
         telemetry=telemetry,
     )
 
-    if merger == "heapq":
-        heap_cycles = _merge_loop_heapq(
-            sched, writer, block_data, runs, system, free_inputs, validate,
-            eng, prefetch,
-        )
-    elif eng is not None or prefetch:
+    if eng is not None:
         heap_cycles = merge_loop_cycles(
             sched, writer, block_data, runs, system, free_inputs, validate,
-            eng, prefetch, telemetry=telemetry,
+            eng, telemetry=telemetry,
         )
     else:
         heap_cycles = merge_loop_batched(
@@ -281,87 +261,6 @@ def merge_runs(
         heap_cycles=heap_cycles,
         overlap=report,
     )
-
-
-def _merge_loop_heapq(
-    sched: MergeScheduler,
-    writer: RunWriter,
-    block_data: dict,
-    runs: list[StripedRun],
-    system: ParallelDiskSystem,
-    free_inputs: bool,
-    validate: bool,
-    eng: OverlapEngine | None,
-    prefetch: bool,
-) -> int:
-    """The original heap-driven merge loop (reference/baseline merger)."""
-    job = sched.job
-    R = job.n_runs
-    offsets = [0] * R
-    heap: list[tuple[int, int]] = [
-        (int(job.first_keys[r][0]), r) for r in range(R)
-    ]
-    heapq.heapify(heap)
-
-    heap_cycles = 0
-    while heap:
-        heap_cycles += 1
-        key, r = heapq.heappop(heap)
-        limit = heap[0][0] if heap else None
-        b = sched.leading[r]
-        sched.ensure_resident(r, b)
-        if eng is not None:
-            eng.wait_for(r, b)
-        data, pay = block_data[(r, b)]
-        off = offsets[r]
-        if validate and int(data[off]) != key:
-            raise ScheduleError(
-                f"merge heap desync: expected key {key}, found {int(data[off])}"
-            )
-        if limit is None:
-            hi = data.size
-        else:
-            hi = int(np.searchsorted(data, limit, side="left"))
-            if hi <= off:
-                # Duplicate keys across runs (key == limit): every record
-                # equal to *key* in this block may be emitted now, and the
-                # heap's run-index tie-break would hand the turn straight
-                # back to this run anyway.  Consume the whole equal-key
-                # prefix in one step instead of one record per heap cycle.
-                hi = int(np.searchsorted(data, key, side="right"))
-        writer.append(data[off:hi], None if pay is None else pay[off:hi])
-        if eng is not None:
-            eng.compute(hi - off)
-
-        if hi == data.size:
-            del block_data[(r, b)]
-            if free_inputs:
-                system.free(runs[r].addresses[b])
-            sched.on_leading_depleted(r)
-            offsets[r] = 0
-            if not sched.run_exhausted(r):
-                nb = sched.leading[r]
-                if sched.is_resident(r, nb):
-                    nxt = int(block_data[(r, nb)][0][0])
-                else:
-                    # Forecast knowledge: min_i H_i[r] is the first key
-                    # of the run's earliest on-disk (= leading) block.
-                    fk = sched.fds.next_block_key_of_run(r)
-                    if fk == NO_KEY or math.isinf(fk):
-                        raise ScheduleError(
-                            f"run {r} not exhausted but FDS sees no block"
-                        )
-                    nxt = int(fk)
-                heapq.heappush(heap, (nxt, r))
-        else:
-            offsets[r] = hi
-            heapq.heappush(heap, (int(data[hi]), r))
-
-        if eng is not None:
-            eng.pump(sched)
-        elif prefetch:
-            sched.maybe_prefetch()
-    return heap_cycles
 
 
 def _check_forecast(

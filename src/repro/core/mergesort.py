@@ -114,10 +114,8 @@ def run_merge_passes(
     strategy: LayoutStrategy = LayoutStrategy.RANDOMIZED,
     rng: RngLike = None,
     validate: bool = False,
-    prefetch: bool = False,
     overlap: OverlapConfig | None = None,
     timing: DiskTimingModel | None = None,
-    merger: str = "auto",
     telemetry=None,
     next_run_id: int | None = None,
     merge_workers: int | None = None,
@@ -135,15 +133,18 @@ def run_merge_passes(
     process-parallel Merge Path plane
     (:func:`~repro.core.parallel_merge.parallel_merge_runs`) instead of
     the serial data plane — same ParRead/flush schedule, same output,
-    W-way multi-core drain.  Incompatible with *overlap*/*prefetch*
-    (those pace the serial plane's cycle loop).
+    W-way multi-core drain.  ``None`` or 1 is the serial plane; values
+    below 1 are rejected.  Incompatible with *overlap* (the engine paces
+    the serial plane's cycle loop).
     """
+    if merge_workers is not None and merge_workers < 1:
+        raise ConfigError(f"merge_workers must be >= 1, got {merge_workers}")
     gen = ensure_rng(rng)
     parallel_workers = merge_workers if merge_workers and merge_workers > 1 else None
-    if parallel_workers is not None and (overlap is not None or prefetch):
+    if parallel_workers is not None and overlap is not None:
         raise ConfigError(
             "merge_workers > 1 cannot be combined with the overlap engine "
-            "or eager prefetch — the parallel plane has no cycle loop to pace"
+            "— the parallel plane has no cycle loop to pace"
         )
     if parallel_workers is not None:
         from .parallel_merge import parallel_merge_runs
@@ -191,10 +192,8 @@ def run_merge_passes(
                     output_run_id=next_run_id,
                     output_start_disk=int(starts[g]),
                     validate=validate,
-                    prefetch=prefetch,
                     overlap=overlap,
                     timing=timing,
-                    merger=merger,
                     telemetry=telemetry,
                 )
             next_run_id += 1
@@ -239,12 +238,10 @@ def srm_mergesort(
     strategy: LayoutStrategy = LayoutStrategy.RANDOMIZED,
     rng: RngLike = None,
     validate: bool = False,
-    prefetch: bool = False,
     run_length: int | None = None,
     formation: str = "load_sort",
     overlap: OverlapConfig | None = None,
     timing: DiskTimingModel | None = None,
-    merger: str = "auto",
     telemetry=None,
     merge_workers: int | None = None,
 ) -> SortResult:
@@ -271,11 +268,6 @@ def srm_mergesort(
     timing:
         Disk service-time model for the engine (default
         :data:`~repro.disks.timing.DISK_1996`).
-    merger:
-        Internal-merge implementation for every merge step (see
-        :func:`~repro.core.merge.merge_runs`): ``"auto"``/``"losertree"``
-        for the vectorized data plane, ``"heapq"`` for the reference
-        loop.  All produce identical I/O and output.
     telemetry:
         A :class:`~repro.telemetry.Telemetry` instance; the sort runs
         inside a ``sort`` span enclosing a ``run_formation`` span and
@@ -286,6 +278,8 @@ def srm_mergesort(
         raise ConfigError("config geometry does not match the disk system")
     if infile.n_records == 0:
         raise ConfigError("cannot sort an empty file")
+    if formation not in ("load_sort", "replacement_selection"):
+        raise ConfigError(f"unknown formation method {formation!r}")
     gen = ensure_rng(rng)
     tel = telemetry if telemetry is not None else TELEMETRY_OFF
     start_stats = system.stats.snapshot()
@@ -303,16 +297,12 @@ def srm_mergesort(
     rf_span = tel.span(
         SPAN_RUN_FORMATION, system=system, run_length=length
     )
-    if formation == "load_sort":
-        runs = form_runs_load_sort(
-            system, infile, length, strategy, gen, telemetry=telemetry
-        )
-    elif formation == "replacement_selection":
-        runs = form_runs_replacement_selection(
-            system, infile, length, strategy, gen, telemetry=telemetry
-        )
-    else:
-        raise ConfigError(f"unknown formation method {formation!r}")
+    form_runs = (
+        form_runs_load_sort
+        if formation == "load_sort"
+        else form_runs_replacement_selection
+    )
+    runs = form_runs(system, infile, length, strategy, gen, telemetry=telemetry)
     rf_span.set(runs_formed=len(runs))
     rf_span.close()
 
@@ -331,10 +321,8 @@ def srm_mergesort(
         strategy=strategy,
         rng=gen,
         validate=validate,
-        prefetch=prefetch,
         overlap=overlap,
         timing=timing,
-        merger=merger,
         telemetry=telemetry,
         merge_workers=merge_workers,
     )
@@ -403,7 +391,6 @@ def sort_records_on_system(
     payloads: np.ndarray | None = None,
     overlap: OverlapConfig | None = None,
     timing: DiskTimingModel | None = None,
-    merger: str = "auto",
     telemetry=None,
     merge_workers: int | None = None,
 ) -> SortResult:
@@ -429,7 +416,6 @@ def sort_records_on_system(
         formation=formation,
         overlap=overlap,
         timing=timing,
-        merger=merger,
         telemetry=telemetry,
         merge_workers=merge_workers,
     )
@@ -446,7 +432,6 @@ def srm_sort(
     payloads: np.ndarray | None = None,
     overlap: OverlapConfig | None = None,
     timing: DiskTimingModel | None = None,
-    merger: str = "auto",
     telemetry=None,
     faults=None,
     backend=None,
@@ -497,7 +482,6 @@ def srm_sort(
         payloads=payloads,
         overlap=overlap,
         timing=timing,
-        merger=merger,
         telemetry=telemetry,
         merge_workers=merge_workers,
     )

@@ -10,20 +10,16 @@ Two classical methods are provided:
   than the last one written; random inputs yield runs of expected
   length ``2M`` (Knuth), i.e. roughly half as many runs.
 
-Replacement selection ships two engines that produce *identical* runs:
+Replacement selection is block-granular: each refilled input block is
+classified against the next ``m`` pending emissions with one vectorized
+compare (current epoch vs. next epoch), the emissions leave as one array
+slice, and accepted records merge back array-at-a-time.  A per-record
+fallback handles the rare steps where an accepted record would itself be
+emitted inside the same block or the epoch flips mid-block, so the runs
+are exactly the textbook per-record heap loop's.
 
-* ``engine="block"`` (default) — block-granular: each refilled input
-  block is classified against the next ``m`` pending emissions with one
-  vectorized compare (current epoch vs. next epoch), the emissions leave
-  as one array slice, and accepted records merge back array-at-a-time.
-  A per-record fallback handles the rare steps where an accepted record
-  would itself be emitted inside the same block or the epoch flips
-  mid-block, so the output is exactly the classical algorithm's.
-* ``engine="record"`` — the textbook per-record heap loop, kept as the
-  reference oracle for tests and the benchmark baseline.
-
-Both charge realistic I/O: input blocks are read stripe-parallel and
-runs are written with perfect write parallelism in forecast format.
+Both methods charge realistic I/O: input blocks are read stripe-parallel
+and runs are written with perfect write parallelism in forecast format.
 """
 
 from __future__ import annotations
@@ -40,9 +36,6 @@ from ..rng import RngLike, ensure_rng
 from ..telemetry import TELEMETRY_OFF
 from ..telemetry.schema import H_RUN_LENGTH, run_length_edges
 from .layout import LayoutStrategy, choose_start_disks
-
-#: Recognized replacement-selection engines.
-RS_ENGINES = ("block", "record")
 
 
 def _start_disk_stream(
@@ -126,7 +119,6 @@ def form_runs_replacement_selection(
     rng: RngLike = None,
     first_run_id: int = 0,
     free_input: bool = True,
-    engine: str = "block",
     telemetry=None,
 ) -> list[StripedRun]:
     """One pass of replacement-selection run formation.
@@ -136,26 +128,15 @@ def form_runs_replacement_selection(
     tagged with the *next* run's epoch if it is smaller than the last
     record written (it can no longer join the current run).  Random
     inputs give expected run length ``2·memory_records``.
-
-    *engine* selects the implementation: ``"block"`` (vectorized,
-    block-granular — the default) or ``"record"`` (the per-record heap
-    oracle).  Both emit byte-identical runs and charge identical I/O.
     """
     if memory_records < 1:
         raise ConfigError(f"memory must hold at least 1 record, got {memory_records}")
-    if engine not in RS_ENGINES:
-        raise ConfigError(f"engine must be one of {RS_ENGINES}, got {engine!r}")
     if infile.n_records == 0:
         return []
     disk_stream = _start_disk_stream(system.n_disks, strategy, rng)
-    if engine == "record":
-        runs = _replacement_selection_record(
-            system, infile, memory_records, disk_stream, first_run_id, free_input
-        )
-    else:
-        runs = _BlockReplacementSelection(
-            system, infile, memory_records, disk_stream, first_run_id, free_input
-        ).run()
+    runs = _BlockReplacementSelection(
+        system, infile, memory_records, disk_stream, first_run_id, free_input
+    ).run()
     total = sum(r.n_records for r in runs)
     if total != infile.n_records:
         raise DataError(
@@ -190,95 +171,13 @@ def _chunk_reader(system: ParallelDiskSystem, infile: StripedFile, free_input: b
     return refill
 
 
-def _replacement_selection_record(
-    system: ParallelDiskSystem,
-    infile: StripedFile,
-    memory_records: int,
-    disk_stream: Iterator[int],
-    first_run_id: int,
-    free_input: bool,
-) -> list[StripedRun]:
-    """The textbook per-record loop — the reference oracle."""
-    refill = _chunk_reader(system, infile, free_input)
-    buf = refill()
-    buf_pos = 0
-    has_payloads = buf is not None and buf[1] is not None
-
-    def next_record() -> tuple[int, int] | None:
-        nonlocal buf, buf_pos
-        if buf is None:
-            return None
-        if buf_pos >= buf[0].size:
-            buf = refill()
-            buf_pos = 0
-            if buf is None:
-                return None
-        keys, pays = buf
-        v = int(keys[buf_pos])
-        p = int(pays[buf_pos]) if pays is not None else 0
-        buf_pos += 1
-        return v, p
-
-    # Heap of (epoch, key, arrival-sequence, payload); the sequence
-    # breaks (epoch, key) ties FIFO.
-    heap: list[tuple[int, int, int, int]] = []
-    seq = 0
-    while len(heap) < memory_records:
-        rec = next_record()
-        if rec is None:
-            break
-        heap.append((0, rec[0], seq, rec[1]))
-        seq += 1
-    heapq.heapify(heap)
-
-    runs: list[StripedRun] = []
-    run_id = first_run_id
-    current_epoch = 0
-    out: list[int] = []
-    out_pay: list[int] = []
-
-    def close_run() -> None:
-        nonlocal out, out_pay, run_id
-        if not out:
-            return
-        runs.append(
-            StripedRun.from_sorted_keys(
-                system,
-                np.asarray(out, dtype=np.int64),
-                run_id=run_id,
-                start_disk=next(disk_stream),
-                payloads=np.asarray(out_pay, dtype=np.int64) if has_payloads else None,
-            )
-        )
-        run_id += 1
-        out = []
-        out_pay = []
-
-    while heap:
-        epoch, key, _, payload = heapq.heappop(heap)
-        if epoch != current_epoch:
-            close_run()
-            current_epoch = epoch
-        out.append(key)
-        out_pay.append(payload)
-        rec = next_record()
-        if rec is not None:
-            v, p = rec
-            heapq.heappush(
-                heap, (current_epoch if v >= key else current_epoch + 1, v, seq, p)
-            )
-            seq += 1
-    close_run()
-    return runs
-
-
 #: Blocks at or below this size replay per-record when the vectorized
 #: step cannot apply (interference / epoch flip); larger blocks bisect.
 _LEAF = 32
 
 
 class _BlockReplacementSelection:
-    """Block-granular replacement selection (exact oracle equivalent).
+    """Block-granular replacement selection (exact per-record equivalent).
 
     The current epoch's memory is held as two sorted-by-``(key,
     arrival)`` arrays: the *current pool* (``cur``, the initial fill
@@ -299,7 +198,7 @@ class _BlockReplacementSelection:
     into ``acc`` with one ``searchsorted`` + ``insert`` (bounded by the
     fold threshold, not ``M``), and rejects append to the next epoch.
     Otherwise the block *bisects*; only :data:`_LEAF`-sized pieces ever
-    replay record-by-record, bit-identically to the heap oracle.
+    replay record-by-record, bit-identically to the per-record heap loop.
     """
 
     def __init__(
@@ -494,7 +393,7 @@ class _BlockReplacementSelection:
         # Accepted-but-unemitted arrivals from this leaf: a heap of
         # (key, index) — the index doubles as the FIFO tie-break and the
         # payload handle.  On key ties, cur beats acc beats leaf heap
-        # (strictly oldest-first, matching the oracle's sequence order).
+        # (strictly oldest-first, matching the heap loop's sequence order).
         heap: list[tuple[int, int]] = []
         emit_k: list[int] = []
         emit_p: list[int] = []

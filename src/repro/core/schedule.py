@@ -23,8 +23,9 @@ the §5.5 case split reduces to:
   (case 2c with ``OutRank_t = 1``); case 2b cannot arise on demand.
 
 The general ``OutRank`` computation is still implemented (and used by
-the optional eager-prefetch mode and by validation) so the §5.5 rules
-are present in full.
+eager prefetch — the overlap engine's read-ahead and the simulators'
+``prefetch`` mode — and by validation) so the §5.5 rules are present
+in full.
 
 Flushing (Definition 6) removes the highest-ranked (farthest-future)
 non-leading resident blocks from ``M_R`` *with no I/O*: the scheduler

@@ -139,7 +139,6 @@ class JobDriver:
                 validate=spec.validate,
                 run_length=spec.run_length,
                 formation=spec.formation,
-                merger=spec.merger,
                 telemetry=None,
             )
             # Uncharged read-back inside the final quantum, while the

@@ -80,7 +80,6 @@ class JobSpec:
     seed: int = 0
     run_length: int | None = None
     formation: str = "load_sort"
-    merger: str = "auto"
     validate: bool = False
 
     def __post_init__(self) -> None:

@@ -45,7 +45,6 @@ def solo_reference(
         validate=spec.validate,
         run_length=spec.run_length,
         formation=spec.formation,
-        merger=spec.merger,
     )
     return result.peek_sorted(system), result, system.elapsed_ms
 

@@ -4,7 +4,7 @@ The registry is the single namespace for every quantitative signal the
 system emits: scheduler counters (``sched.*``), disk-system counters
 (``io.*``), data-plane histograms (``merge.*``, ``writer.*``), and
 overlap-engine gauges (``overlap.*``).  Canonical names live in
-:mod:`repro.telemetry.schema` so ``repro bench`` and ``repro inspect``
+:mod:`repro.telemetry.schema` so every producer and ``repro inspect``
 report the same quantities under the same keys.
 
 Instrumented code holds direct references to metric objects (fetched

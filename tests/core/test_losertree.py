@@ -1,9 +1,10 @@
 """Tests for the loser-tree merger and the batched merge data plane.
 
-The contract under test: every merger in :data:`repro.MERGERS` produces
-*bit-identical* observable behaviour — output records (keys and
-payloads), per-merge :class:`ScheduleStats`, disk-system I/O counters,
-and channel rounds — differing only in internal-work counters.
+The contract under test: the data plane and the heapq merge oracle
+(:mod:`tests.oracles`) produce *bit-identical* observable behaviour —
+output records (keys and payloads), per-merge :class:`ScheduleStats`,
+disk-system I/O counters, and channel rounds — differing only in
+internal-work counters.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import MERGERS, LoserTree, SRMConfig, merge_runs, srm_sort
+from repro.core import LoserTree, SRMConfig, merge_runs, srm_sort
 from repro.core.config import OverlapConfig
 from repro.disks import ParallelDiskSystem, StripedRun
-from repro.errors import ConfigError, ScheduleError
+from repro.errors import ScheduleError
 from repro.workloads import uniform_keys, uniform_permutation
+from tests.oracles import heapq_merge
 
 
 def build_runs(system, runs_keys, starts, payloads=None):
@@ -46,6 +48,13 @@ def read_records(system, run):
     if blocks[0].payloads is None:
         return keys, None
     return keys, np.concatenate([b.payloads for b in blocks])
+
+
+def both_mergers(fn):
+    """``{"heapq": fn(), "plane": fn()}`` — oracle first, then data plane."""
+    with heapq_merge():
+        ref = fn()
+    return {"heapq": ref, "plane": fn()}
 
 
 def schedule_tuple(s):
@@ -132,42 +141,33 @@ class TestLoserTree:
 
 
 class TestMergerEquivalence:
-    """heapq / losertree / auto must be observationally identical."""
+    """The data plane must be observationally identical to heapq."""
 
     def _merge_all(self, system_factory, runs_factory, **kw):
-        results = []
-        for merger in MERGERS:
+        def merge():
             system = system_factory()
             runs = runs_factory(system)
-            res = merge_runs(system, runs, 50, 0, merger=merger, **kw)
+            res = merge_runs(system, runs, 50, 0, **kw)
             keys, pays = read_records(system, res.output)
-            results.append(
-                {
-                    "merger": merger,
-                    "keys": keys,
-                    "pays": pays,
-                    "sched": schedule_tuple(res.schedule),
-                    "reads": res.io.parallel_reads,
-                    "writes": res.io.parallel_writes,
-                    "rounds": system.channel_rounds,
-                }
-            )
-        base = results[0]
-        for other in results[1:]:
-            assert np.array_equal(base["keys"], other["keys"])
-            if base["pays"] is None:
-                assert other["pays"] is None
-            else:
-                assert np.array_equal(base["pays"], other["pays"])
-            for field in ("sched", "reads", "writes", "rounds"):
-                assert base[field] == other[field], (other["merger"], field)
-        return results
+            return {
+                "keys": keys,
+                "pays": pays,
+                "sched": schedule_tuple(res.schedule),
+                "reads": res.io.parallel_reads,
+                "writes": res.io.parallel_writes,
+                "rounds": system.channel_rounds,
+            }
 
-    def test_unknown_merger_rejected(self):
-        system = ParallelDiskSystem(2, 2)
-        runs = build_runs(system, [np.arange(4), np.arange(4, 8)], [0, 1])
-        with pytest.raises(ConfigError):
-            merge_runs(system, runs, 9, 0, merger="timsort")
+        results = both_mergers(merge)
+        base, other = results["heapq"], results["plane"]
+        assert np.array_equal(base["keys"], other["keys"])
+        if base["pays"] is None:
+            assert other["pays"] is None
+        else:
+            assert np.array_equal(base["pays"], other["pays"])
+        for field in ("sched", "reads", "writes", "rounds"):
+            assert base[field] == other[field], field
+        return results
 
     @given(
         seed=st.integers(0, 10_000),
@@ -210,7 +210,7 @@ class TestMergerEquivalence:
         expect_pays = np.array(
             [payloads[r][j] for _, r, j in tagged], dtype=np.int64
         )
-        assert np.array_equal(results[0]["pays"], expect_pays)
+        assert np.array_equal(results["plane"]["pays"], expect_pays)
 
     def test_all_equal_keys(self):
         runs_keys = [np.zeros(32, dtype=np.int64) for _ in range(4)]
@@ -221,17 +221,20 @@ class TestMergerEquivalence:
         )
 
     def test_heap_cycles_block_granular_all_mergers(self):
-        """All-duplicate workloads must stay O(blocks) for every merger."""
+        """All-duplicate workloads must stay O(blocks) for both mergers."""
         D, B, R, blocks_per_run = 2, 4, 4, 8
         n = B * blocks_per_run
-        for merger in MERGERS:
+
+        def merge():
             system = ParallelDiskSystem(D, B)
             runs = build_runs(
                 system,
                 [np.zeros(n, dtype=np.int64) for _ in range(R)],
                 [i % D for i in range(R)],
             )
-            res = merge_runs(system, runs, 20, 0, validate=True, merger=merger)
+            return merge_runs(system, runs, 20, 0, validate=True)
+
+        for merger, res in both_mergers(merge).items():
             n_blocks = res.output.n_blocks
             assert res.heap_cycles >= n_blocks, merger
             assert res.heap_cycles <= 2 * n_blocks, merger
@@ -241,22 +244,23 @@ class TestMergerEquivalence:
         """The batched plane consumes >= one block slice per cycle."""
         rng = np.random.default_rng(3)
         runs_keys = partition_runs(rng, 5, 40)
-        cycles = {}
-        for merger in ("heapq", "losertree"):
+        starts = rng.integers(0, 3, size=5)
+
+        def merge():
             system = ParallelDiskSystem(3, 4)
-            runs = build_runs(system, runs_keys, rng.integers(0, 3, size=5))
-            cycles[merger] = merge_runs(
-                system, runs, 50, 0, merger=merger
-            ).heap_cycles
-        assert cycles["losertree"] <= cycles["heapq"]
+            runs = build_runs(system, runs_keys, starts)
+            return merge_runs(system, runs, 50, 0).heap_cycles
+
+        cycles = both_mergers(merge)
+        assert cycles["plane"] <= cycles["heapq"]
 
     def test_overlap_engine_uses_cycle_loop(self):
-        """With an overlap engine, losertree == heapq including the report."""
+        """With an overlap engine, plane == heapq including the report."""
         rng = np.random.default_rng(11)
         runs_keys = partition_runs(rng, 4, 32)
         starts = rng.integers(0, 2, size=4)
-        reports = {}
-        for merger in ("heapq", "losertree"):
+
+        def merge():
             system = ParallelDiskSystem(2, 4)
             runs = build_runs(system, runs_keys, starts)
             res = merge_runs(
@@ -264,44 +268,48 @@ class TestMergerEquivalence:
                 runs,
                 50,
                 0,
-                merger=merger,
                 overlap=OverlapConfig(cpu_us_per_record=1.0),
             )
             keys, _ = read_records(system, res.output)
-            reports[merger] = (
+            return (
                 schedule_tuple(res.schedule),
-                res.overlap.makespan_ms,
+                res.overlap,
                 keys.tobytes(),
                 res.heap_cycles,
             )
-        assert reports["heapq"] == reports["losertree"]
+
+        reports = both_mergers(merge)
+        assert reports["heapq"] == reports["plane"]
 
 
 class TestEndToEndSortEquivalence:
     def test_srm_sort_identical_across_mergers(self):
         keys = uniform_permutation(6_000, rng=2)
         cfg = SRMConfig.from_k(2, 3, 8)
-        outs = {}
-        for merger in MERGERS:
-            out, res = srm_sort(keys, cfg, rng=5, merger=merger)
-            outs[merger] = (
+
+        def sort():
+            out, res = srm_sort(keys, cfg, rng=5)
+            assert np.array_equal(out, np.sort(keys))
+            return (
                 out.tobytes(),
                 tuple(schedule_tuple(s) for s in res.merge_schedules),
                 res.io.parallel_reads,
                 res.io.parallel_writes,
                 res.system.channel_rounds,
             )
-            assert np.array_equal(out, np.sort(keys))
-        assert outs["heapq"] == outs["losertree"] == outs["auto"]
+
+        outs = both_mergers(sort)
+        assert outs["heapq"] == outs["plane"]
 
     def test_srm_sort_with_payloads_identical(self):
-        rng = np.random.default_rng(9)
         keys = uniform_keys(4_000, 0, 500, rng=1)  # heavy duplicates
         payloads = np.arange(keys.size, dtype=np.int64)
         cfg = SRMConfig.from_k(2, 2, 8)
-        outs = {}
-        for merger in ("heapq", "losertree"):
-            out, res = srm_sort(keys, cfg, rng=3, payloads=payloads, merger=merger)
+
+        def sort():
+            out, res = srm_sort(keys, cfg, rng=3, payloads=payloads)
             k, p = res.peek_sorted_records()
-            outs[merger] = (k.tobytes(), p.tobytes())
-        assert outs["heapq"] == outs["losertree"]
+            return k.tobytes(), p.tobytes()
+
+        outs = both_mergers(sort)
+        assert outs["heapq"] == outs["plane"]

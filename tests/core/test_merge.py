@@ -222,13 +222,3 @@ class TestIOBehaviour:
         runs_keys = partition_runs(rng, 6, 16)
         runs = build_runs(system, runs_keys, rng.integers(0, D, size=6))
         merge_runs(system, runs, 20, 0, validate=True)  # should not raise
-
-    def test_prefetch_mode_sorts_correctly(self, rng):
-        system = ParallelDiskSystem(3, 2)
-        runs_keys = partition_runs(rng, 4, 12)
-        runs = build_runs(system, runs_keys, rng.integers(0, 3, size=4))
-        res = merge_runs(system, runs, 9, 0, validate=True, prefetch=True)
-        out = np.concatenate(
-            [system.disks[a.disk].read(a.slot).keys for a in res.output.addresses]
-        )
-        assert np.array_equal(out, np.arange(48))

@@ -143,3 +143,28 @@ class TestValidation:
         infile = StripedFile.from_records(system, rng.permutation(100))
         with pytest.raises(ConfigError):
             srm_mergesort(system, infile, small_config(), formation="quantum")
+
+    def test_unknown_formation_leaves_no_open_span(self, rng):
+        from repro.telemetry import Telemetry
+
+        system = ParallelDiskSystem(4, 8)
+        infile = StripedFile.from_records(system, rng.permutation(100))
+        tel = Telemetry()
+        with pytest.raises(ConfigError):
+            srm_mergesort(
+                system, infile, small_config(), formation="bogus", telemetry=tel
+            )
+        tel.finish()  # raises ScheduleError if a span were left open
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_nonpositive_merge_workers_rejected(self, workers):
+        keys = np.random.default_rng(0).permutation(2_000)
+        with pytest.raises(ConfigError, match="merge_workers"):
+            srm_sort(keys, small_config(), rng=1, merge_workers=workers)
+
+    def test_one_merge_worker_is_serial(self):
+        keys = np.random.default_rng(0).permutation(2_000)
+        out, res = srm_sort(keys, small_config(), rng=1, merge_workers=1)
+        _, ref = srm_sort(keys, small_config(), rng=1)
+        assert np.array_equal(out, np.sort(keys))
+        assert res.merge_schedules == ref.merge_schedules

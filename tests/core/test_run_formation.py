@@ -12,6 +12,7 @@ from repro.core import (
 )
 from repro.disks import ParallelDiskSystem, StripedFile
 from repro.errors import ConfigError
+from tests.oracles import replacement_selection_record
 
 
 def make_input(D=4, B=4, n=200, seed=0):
@@ -135,15 +136,13 @@ class TestReplacementSelection:
 
 
 class TestReplacementSelectionEngines:
-    """engine="block" must be bit-identical to the per-record oracle."""
+    """The block-granular plane must be bit-identical to the per-record oracle."""
 
-    def _form(self, keys, M, engine, D=3, B=4, seed=9, payloads=None):
+    def _form(self, keys, M, form, D=3, B=4, seed=9, payloads=None):
         system = ParallelDiskSystem(D, B)
         infile = StripedFile.from_records(system, keys, payloads=payloads)
         before = system.stats.snapshot()
-        runs = form_runs_replacement_selection(
-            system, infile, M, rng=seed, engine=engine
-        )
+        runs = form(system, infile, M, rng=seed)
         io = system.stats.since(before)
         contents = [
             (
@@ -164,14 +163,9 @@ class TestReplacementSelectionEngines:
         )
 
     def _assert_engines_agree(self, keys, M, payloads=None, **kw):
-        rec = self._form(keys, M, "record", payloads=payloads, **kw)
-        blk = self._form(keys, M, "block", payloads=payloads, **kw)
+        rec = self._form(keys, M, replacement_selection_record, payloads=payloads, **kw)
+        blk = self._form(keys, M, form_runs_replacement_selection, payloads=payloads, **kw)
         assert rec == blk
-
-    def test_invalid_engine_rejected(self):
-        system, _, infile = make_input()
-        with pytest.raises(ConfigError):
-            form_runs_replacement_selection(system, infile, 32, engine="gpu")
 
     def test_random_input(self):
         keys = np.random.default_rng(0).permutation(5_000).astype(np.int64)

@@ -240,6 +240,29 @@ class TestFilesAndCleanup:
         assert lay.payloads_of(flat, a.slot).tolist() == [1, 2, 3]
 
 
+class TestSortIdentity:
+    def test_mmap_sort_matches_memory(self):
+        """Same sort, same layout rng: only the storage layer differs."""
+        from repro import SRMConfig, srm_sort
+
+        keys = np.random.default_rng(2).permutation(20_000)
+        cfg = SRMConfig.from_k(4, 4, 64)
+        out_mem, res_mem = srm_sort(keys, cfg, rng=3)
+        out_mm, res_mm = srm_sort(keys, cfg, rng=3, backend="mmap")
+        try:
+            assert np.array_equal(out_mem, out_mm)
+            assert res_mem.merge_schedules == res_mm.merge_schedules
+            # IOStats holds numpy arrays; dataclass == is ambiguous.
+            assert str(res_mem.io) == str(res_mm.io)
+            for field in ("reads_per_disk", "writes_per_disk"):
+                assert np.array_equal(
+                    getattr(res_mem.io, field), getattr(res_mm.io, field)
+                ), field
+            assert res_mm.system.backend.stats()["kind"] == "mmap"
+        finally:
+            res_mm.system.close()
+
+
 class TestDegradedModeOnMmap:
     def test_remapped_reads_round_trip(self, tmp_path):
         # Degraded migration walks dead._slots and rewrites blocks onto

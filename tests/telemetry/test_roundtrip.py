@@ -12,6 +12,8 @@ from repro.telemetry.schema import (
     H_FLUSH_OCCUPANCY,
     H_RUN_LENGTH,
     MERGE_DRAIN_CYCLES,
+    SCHED_BLOCKS_FLUSHED,
+    SCHED_FLUSH_OPS,
     SCHED_INITIAL_READS,
     SCHED_MERGE_PARREADS,
     SPAN_MERGE,
@@ -98,6 +100,25 @@ class TestJsonlRoundtrip:
         assert report.metrics[H_RUN_LENGTH]["n"] == (
             report.spans_named(SPAN_RUN_FORMATION)[0]["attrs"]["runs_formed"]
         )
+
+    def test_registry_matches_schedule_stats(self):
+        """The ``sched.*`` counters equal the summed ScheduleStats."""
+        keys = np.random.default_rng(2).permutation(20_000)
+        cfg = SRMConfig.from_k(4, 4, 64)
+        tel = Telemetry(algo="srm")
+        _, res = srm_sort(keys, cfg, rng=3, telemetry=tel)
+        tel.finish()
+        snap = tel.registry.snapshot()
+        scheds = res.merge_schedules
+        assert scheds
+        for name, field in (
+            (SCHED_INITIAL_READS, "initial_reads"),
+            (SCHED_MERGE_PARREADS, "merge_parreads"),
+            (SCHED_FLUSH_OPS, "flush_ops"),
+            (SCHED_BLOCKS_FLUSHED, "blocks_flushed"),
+        ):
+            want = sum(getattr(s, field) for s in scheds)
+            assert snap[name]["value"] == want, name
 
     def test_corrupt_jsonl_rejected(self, tmp_path):
         from repro.errors import DataError

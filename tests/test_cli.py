@@ -38,6 +38,12 @@ class TestCommands:
         assert rc == 0
         assert "correct: True" in capsys.readouterr().out
 
+    def test_sort_rejects_nonpositive_workers(self, capsys):
+        rc = main(["sort", "--n", "2000", "--disks", "2", "--block", "8",
+                   "--k", "2", "--workers", "0"])
+        assert rc == 2
+        assert "--workers must be >= 1" in capsys.readouterr().err
+
     def test_sort_dsm(self, capsys):
         rc = main(
             ["sort", "--n", "2000", "--disks", "2", "--block", "8", "--k", "2", "--dsm"]
