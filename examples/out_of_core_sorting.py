@@ -14,7 +14,7 @@ the working set is the merge buffers, not the data:
 
 sorts 4 GB of keys under a 1.5 GB heap limit.  ``REPRO_OOC_WORKERS=4``
 additionally drains each merge through the process-parallel Merge Path
-plane (bit- and schedule-identical to the serial loser tree;
+plane (bit- and schedule-identical to the serial batched drain;
 wall-clock gains need real cores).
 """
 

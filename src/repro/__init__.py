@@ -44,7 +44,6 @@ from .baselines import DSMSortResult, dsm_mergesort, dsm_sort, single_disk_sort
 from .core import (
     DSMConfig,
     LayoutStrategy,
-    LoserTree,
     MergeJob,
     MergeScheduler,
     ScheduleStats,
@@ -102,7 +101,6 @@ __all__ = [
     "single_disk_sort",
     "DSMConfig",
     "LayoutStrategy",
-    "LoserTree",
     "MergeJob",
     "MergeScheduler",
     "ScheduleStats",

@@ -194,7 +194,7 @@ def execute_merge_timeline(
     for kind, r, b in zip(kinds.tolist(), runs.tolist(), blocks.tolist()):
         if kind == _DEPLETE:
             eng.wait_for(r, b)
-            eng.compute(block_size)
+            eng.compute((block_size,))
             sched.on_leading_depleted(r)
             depletions += 1
             if depletions % D == 0:

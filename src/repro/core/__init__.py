@@ -18,7 +18,6 @@ from .events import OverlapEngine, OverlapReport
 from .forecasting import INF, INF_I64, ForecastStructure
 from .job import MergeJob
 from .layout import LayoutStrategy, choose_start_disks
-from .losertree import LoserTree
 from .merge import MergeResult, merge_runs
 from .mergesort import (
     PassStats,
@@ -62,7 +61,6 @@ __all__ = [
     "MergeJob",
     "LayoutStrategy",
     "choose_start_disks",
-    "LoserTree",
     "MergeResult",
     "merge_runs",
     "PassStats",

@@ -228,6 +228,8 @@ class OverlapEngine:
         # whose binding dep lets the critical path tile the makespan.
         self._trace = getattr(self._tel, "trace", None)
         self._cpu_tail: int | None = None  # last record on the cpu lane
+        #: The CPU interval not yet recorded: [start, records, cycles].
+        self._open: list | None = None
         self._write_done_rec: int | None = None
         self._arrival_rec: dict[tuple[int, int], int] = {}
         if self._trace is not None:
@@ -243,6 +245,8 @@ class OverlapEngine:
 
     def on_parread(self, ops: list[ReadOp]) -> None:
         """A ``ParRead`` was issued now; queue its per-disk requests."""
+        if self._open is not None:
+            self._close_compute()
         tracer = self.net.tracer
         if tracer is not None:
             tracer.issuer_dep = self._cpu_tail
@@ -268,17 +272,40 @@ class OverlapEngine:
 
     # -- CPU-side events ---------------------------------------------------
 
-    def compute(self, n_records: int) -> None:
-        """The internal merge consumed *n_records*; advance the clock."""
-        dt = n_records * self._cpu_ms_per_record
-        if dt > 0.0 and self._trace is not None:
-            self._cpu_tail = self._trace.add(
-                "compute", "cpu", self._dom, self.now, self.now,
-                self.now + dt, dep=self._cpu_tail,
-                attrs={"records": n_records},
-            )
-        self.now += dt
-        self.cpu_busy_ms += dt
+    def compute(self, counts) -> None:
+        """The internal merge ran one cycle per entry of *counts*.
+
+        Each entry is a cycle's record count.  The cycles' costs are
+        added one at a time, so the clock is the same float whether an
+        interval arrives in one call or cycle by cycle.
+        """
+        c = self._cpu_ms_per_record
+        now = self.now
+        busy = self.cpu_busy_ms
+        records = 0
+        for n in counts:
+            dt = n * c
+            now += dt
+            busy += dt
+            records += n
+        if self._trace is not None and c > 0.0 and records:
+            # One trace record per uninterrupted CPU interval: it stays
+            # open until an engine event touches the cpu lane.
+            if self._open is None:
+                self._open = [self.now, 0, 0]
+            self._open[1] += records
+            self._open[2] += len(counts)
+        self.now = now
+        self.cpu_busy_ms = busy
+
+    def _close_compute(self) -> None:
+        """Record the open CPU interval, ending now, on the cpu lane."""
+        start, records, cycles = self._open
+        self._open = None
+        self._cpu_tail = self._trace.add(
+            "compute", "cpu", self._dom, start, start, self.now,
+            dep=self._cpu_tail, attrs={"records": records, "cycles": cycles},
+        )
 
     def wait_for(self, run: int, block: int) -> None:
         """The merge is about to read (*run*, *block*); stall if in flight."""
@@ -286,6 +313,8 @@ class OverlapEngine:
         t = self._arrival.pop((run, block), None)
         arrival_rec = self._arrival_rec.pop((run, block), None)
         if t is not None and t > self.now:
+            if self._open is not None:
+                self._close_compute()
             if self._trace is not None:
                 # The stall's dep is the awaited disk op, whose end is
                 # bit-equal to the stall's end (`now` jumps to it).
@@ -298,6 +327,8 @@ class OverlapEngine:
 
     def on_write(self, disks: list[int]) -> None:
         """The writer emitted one output stripe on *disks*."""
+        if self._open is not None:
+            self._close_compute()
         tracer = self.net.tracer
         if self.mode == "full":
             # Write-behind: M_W = 2D holds the stripe being filled plus
@@ -436,6 +467,8 @@ class OverlapEngine:
 
     def finish(self) -> OverlapReport:
         """Drain outstanding I/O and report the simulated timings."""
+        if self._open is not None:
+            self._close_compute()
         makespan = max(self.now, self._write_done, self.net.drained_completion_ms())
         if self._trace is not None:
             self._trace.summary(self._dom, makespan)

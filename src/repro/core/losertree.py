@@ -1,41 +1,37 @@
-"""Loser-tree (tournament) merger and the batched merge data plane.
+"""The internal-merge data plane: block-slice batches and their cycles.
 
-The two internal-merge loops of :mod:`repro.core.merge`, both
-producing bit-identical scheduler behaviour (same ``ParRead`` stream,
-same flushes, same output records) to a textbook ``heapq`` merge:
+Both loops of :mod:`repro.core.merge` gather their work the same way
+(:func:`_gather`).  Between two ``ParRead`` operations the set of
+resident blocks is fixed, so every resident record ordered before the
+*galloping bound* — the smallest first key of any non-resident block
+(``min_i H_i[j]`` per run, a single vectorized reduction) — can be
+merged in one step: ``searchsorted`` cuts each resident block at the
+bound, and one stable ``argsort`` interleaves whole block slices.
 
-* :class:`LoserTree` — a classic tournament tree over the runs' current
-  keys.  Where a binary heap pays a pop *and* a push per key-range
-  switch, the loser tree replays exactly one leaf-to-root comparison
-  path, and the runner-up key (the merge's galloping ``limit``) falls
-  out of the same path.  :func:`merge_loop_cycles` drives it one key
-  range at a time — the granularity the overlap engine needs for its
-  simulated clock.
-* :func:`merge_loop_batched` — the demand-path data plane.  Between two
-  ``ParRead`` operations the set of resident blocks is fixed, so every
-  resident record smaller than the *galloping bound* — the smallest
-  first key of any non-resident block (``min_i H_i[j]`` per run, a
-  single vectorized reduction) — can be emitted in one step:
-  ``searchsorted`` cuts each resident block at the bound, and one stable
-  ``argsort`` interleaves whole block slices instead of one Python heap
-  cycle per key-range switch.
+* :func:`merge_loop_batched` — the demand path — writes each batch and
+  fires its depletions at once.
+* :func:`merge_loop_cycles` — the overlap-engine path — splits each
+  batch into the key-range *cycles* a textbook ``heapq`` merge would
+  run (:func:`_cycle_starts`), then replays only the cycles at which the
+  engine can observe anything: a block's first touch, an output-stripe
+  write, a depletion.  The quiet cycles between them advance the
+  simulated clock as one interval (:meth:`OverlapEngine.compute`).
 
-Ordering contract (shared with a heapq merge): records are emitted
-in ``(key, run index, position in run)`` order.  Ties across runs go to
+Ordering contract (shared with a heapq merge): records are emitted in
+``(key, run index, position in run)`` order.  Ties across runs go to
 the smaller run index — the heap's ``(key, run)`` tie-break — which the
-batched path reproduces by concatenating run slices in run order and
-sorting with a stable kind, and the cycle paths reproduce by comparing
-``(key, leaf)`` pairs.
+batch reproduces by concatenating run slices in run order and sorting
+with a stable kind.  Both loops issue the same ``ParRead``/flush stream
+as the heapq merge, and the engine path also the same clock, writes,
+frees and cycle count.
 """
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..disks.block import NO_KEY
 from ..errors import ScheduleError
 from ..telemetry import TELEMETRY_OFF
 from ..telemetry.schema import H_DRAIN_BATCH, MERGE_DRAIN_CYCLES, batch_edges
@@ -47,187 +43,146 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .schedule import MergeScheduler
     from .writer import RunWriter
 
-#: Leaf key for an exhausted run — sorts after every real key.
-INF = math.inf
 
+class _Batch:
+    """The resident records one drain step may emit.
 
-class LoserTree:
-    """Tournament tree of ``k`` sources keyed by ``(key, leaf index)``.
-
-    The tree keeps the *losers* of each internal match; the overall
-    winner sits at the root.  Replacing the winner's key replays only
-    the winner's leaf-to-root path (``ceil(log2 k)`` comparisons), and
-    the runner-up — the second-smallest source — is by construction the
-    best of the losers on that same path.
-
-    Exhausted sources are represented by :data:`INF` keys; ``k`` is
-    padded to a power of two with permanently-infinite leaves.
+    ``pieces`` holds one ``(run, block, lo, hi, block size)`` per block
+    slice, in run order; ``keys``/``pays`` hold the slices themselves.
+    ``stop[r]`` is the block at which run ``r``'s gather stopped and
+    ``bounds`` the forecasting structure's per-run minima it used.  When
+    ``pieces`` is empty the globally smallest record lies in the bound's
+    non-resident block, ``bound_run``'s leading block.
     """
 
-    __slots__ = ("n_leaves", "_size", "_keys", "_losers", "_winner")
+    __slots__ = ("pieces", "keys", "pays", "stop", "bounds", "bound_run")
 
-    def __init__(self, initial_keys) -> None:
-        keys = [k for k in initial_keys]
-        k = len(keys)
-        if k < 1:
-            raise ScheduleError("loser tree needs at least one source")
-        size = 1
-        while size < k:
-            size <<= 1
-        self.n_leaves = k
-        self._size = size
-        self._keys = keys + [INF] * (size - k)
-        # _losers[i] (1 <= i < size) is the losing leaf of the match at
-        # internal node i; the winner of the whole bracket is _winner.
-        losers = [0] * size
-        win = [0] * (2 * size)
-        for leaf in range(size):
-            win[size + leaf] = leaf
-        ks = self._keys
-        for node in range(size - 1, 0, -1):
-            a, b = win[2 * node], win[2 * node + 1]
-            if (ks[a], a) <= (ks[b], b):
-                win[node], losers[node] = a, b
-            else:
-                win[node], losers[node] = b, a
-        self._losers = losers
-        self._winner = win[1]
+    def __init__(self, pieces, keys, pays, stop, bounds, bound_run) -> None:
+        self.pieces = pieces
+        self.keys = keys
+        self.pays = pays
+        self.stop = stop
+        self.bounds = bounds
+        self.bound_run = bound_run
 
-    @property
-    def winner(self) -> int:
-        """Leaf index of the current overall winner."""
-        return self._winner
+    def merged(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """``(keys, payloads, order)`` of the batch in merge order.
 
-    def winner_key(self):
-        """Key of the current winner (:data:`INF` when all exhausted)."""
-        return self._keys[self._winner]
-
-    def runner_up_key(self):
-        """Key of the second-smallest source — the galloping ``limit``.
-
-        The runner-up lost a match directly against the winner, so it is
-        the best ``(key, leaf)`` among the losers on the winner's path.
+        ``order`` maps merged positions to positions in the run-order
+        concatenation of the slices (``None`` for a one-slice batch).
         """
-        ks = self._keys
-        losers = self._losers
-        node = (self._winner + self._size) >> 1
-        best_key = INF
-        best_leaf = -1
-        while node >= 1:
-            leaf = losers[node]
-            key = ks[leaf]
-            if best_leaf < 0 or (key, leaf) < (best_key, best_leaf):
-                best_key, best_leaf = key, leaf
-            node >>= 1
-        return best_key
-
-    def replace(self, new_key) -> int:
-        """Give the winner's leaf *new_key* and replay its path.
-
-        Returns the new overall winner's leaf index.  Pass :data:`INF`
-        to retire an exhausted source.
-        """
-        ks = self._keys
-        losers = self._losers
-        w = self._winner
-        ks[w] = new_key
-        node = (w + self._size) >> 1
-        while node >= 1:
-            loser = losers[node]
-            if (ks[loser], loser) < (ks[w], w):
-                losers[node] = w
-                w = loser
-            node >>= 1
-        self._winner = w
-        return w
+        keys, pays = self.keys, self.pays
+        if len(keys) == 1:
+            return keys[0], pays[0] if pays is not None else None, None
+        merged = np.concatenate(keys)
+        order = np.argsort(merged, kind="stable")
+        return (
+            merged[order],
+            np.concatenate(pays)[order] if pays is not None else None,
+            order,
+        )
 
 
-# ---------------------------------------------------------------------------
-# Cycle-granular loser-tree loop (overlap-engine path).
-# ---------------------------------------------------------------------------
-
-
-def merge_loop_cycles(
+def _gather(
     sched: "MergeScheduler",
-    writer: "RunWriter",
     block_data: dict,
-    runs: "list[StripedRun]",
-    system: "ParallelDiskSystem",
-    free_inputs: bool,
+    offsets: list[int],
+    n_blocks: list[int],
     validate: bool,
-    eng: "OverlapEngine",
-    telemetry=None,
-) -> int:
-    """One key range per cycle, exactly like a heapq merge loop.
+) -> _Batch:
+    """Collect every resident record ordered before the galloping bound.
 
-    Used when an :class:`~repro.core.events.OverlapEngine` paces the
-    merge: it needs per-key-range ``compute``/``pump`` hooks, so the
-    batched drain cannot be used.  The chunk sequence (and therefore
-    every engine clock advance) is identical to a heapq merge's.
+    Advances ``offsets`` past the gathered records; the caller must
+    consume the whole batch before gathering again.
     """
     job = sched.job
-    R = job.n_runs
-    offsets = [0] * R
-    tree = LoserTree([int(job.first_keys[r][0]) for r in range(R)])
-    tel = telemetry if telemetry is not None else TELEMETRY_OFF
-    h_batch = tel.histogram(H_DRAIN_BATCH, batch_edges(system.block_size))
-    m_cycles = tel.counter(MERGE_DRAIN_CYCLES)
-    cycles = 0
-    while True:
-        key = tree.winner_key()
-        if key == INF:
-            break
-        cycles += 1
-        r = tree.winner
-        limit = tree.runner_up_key()
-        b = sched.leading[r]
-        sched.ensure_resident(r, b)
-        eng.wait_for(r, b)
-        data, pay = block_data[(r, b)]
+    bounds, valid = sched.fds.min_keys_per_run()
+    bounded = bool(valid.any())
+    if bounded:
+        # Smallest (key, run) among runs with on-disk blocks; argmin
+        # over the valid subset keeps the smallest-run tie-break.
+        idx = np.flatnonzero(valid)
+        br = int(idx[bounds[idx].argmin()])
+        bound_key = int(bounds[br])
+    else:
+        br = -1
+        bound_key = 0
+
+    pieces: list[tuple[int, int, int, int, int]] = []
+    seg_keys: list[np.ndarray] = []
+    seg_pays: list[np.ndarray] | None = None
+    stop: list[int] = []
+    leading = sched.leading
+    for r in range(job.n_runs):
+        b = leading[r]
         off = offsets[r]
-        if validate and int(data[off]) != key:
-            raise ScheduleError(
-                f"merge tree desync: expected key {key}, found {int(data[off])}"
-            )
-        if limit == INF:
-            hi = data.size
-        else:
-            hi = int(np.searchsorted(data, limit, side="left"))
-            if hi <= off:
-                # Duplicate keys across runs (key == limit): the
-                # (key, leaf) tie-break would hand the turn straight
-                # back to this run; consume the whole equal prefix.
-                hi = int(np.searchsorted(data, key, side="right"))
-        writer.append(data[off:hi], None if pay is None else pay[off:hi])
-        h_batch.observe(hi - off)
-        eng.compute(hi - off)
-
-        if hi == data.size:
-            del block_data[(r, b)]
-            if free_inputs:
-                system.free(runs[r].addresses[b])
-            sched.on_leading_depleted(r)
-            offsets[r] = 0
-            if not sched.run_exhausted(r):
-                nb = sched.leading[r]
-                if sched.is_resident(r, nb):
-                    tree.replace(int(block_data[(r, nb)][0][0]))
-                else:
-                    fk = sched.fds.next_block_key_of_run(r)
-                    if fk == NO_KEY or math.isinf(fk):
-                        raise ScheduleError(
-                            f"run {r} not exhausted but FDS sees no block"
-                        )
-                    tree.replace(int(fk))
+        while b < n_blocks[r] and (r, b) in block_data:
+            data, pay = block_data[(r, b)]
+            if validate and off == 0:
+                # First touch of this block: its contents must agree
+                # with the run metadata the forecasts were built from.
+                if int(data[0]) != int(job.first_keys[r][b]) or bool(
+                    np.any(data[1:] < data[:-1])
+                ):
+                    raise ScheduleError(
+                        f"merge batch desync: run {r} block {b}"
+                        " contents disagree with run metadata"
+                    )
+            if bounded:
+                # Records equal to the bound belong to this run iff it
+                # precedes the bound's run in the (key, run) order — or
+                # owns the bound itself (earlier block, same run).
+                side = "right" if r <= br else "left"
+                hi = int(data.searchsorted(bound_key, side=side))
             else:
-                tree.replace(INF)
-        else:
-            offsets[r] = hi
-            tree.replace(int(data[hi]))
+                hi = data.size
+            if hi <= off:
+                break
+            pieces.append((r, b, off, hi, data.size))
+            seg_keys.append(data[off:hi])
+            if pay is not None:
+                if seg_pays is None:
+                    seg_pays = []
+                seg_pays.append(pay[off:hi])
+            if hi < data.size:
+                off = hi
+                break
+            b += 1
+            off = 0
+        offsets[r] = off
+        stop.append(b)
+    if not pieces and not bounded:  # pragma: no cover - guarded by finished()
+        raise ScheduleError("merge stalled with no on-disk blocks")
+    return _Batch(pieces, seg_keys, seg_pays, stop, bounds, br)
 
-        eng.pump(sched)
-    m_cycles.inc(cycles)
-    return cycles
+
+def _limit_after(
+    batch: _Batch, block_data: dict, offsets: list[int], n_blocks: list[int], run: int
+) -> int | None:
+    """The smallest next key of any run but *run* once *batch* is consumed.
+
+    A resident block gives a run's next key from its data, a
+    non-resident one from the forecasting structure's per-run minimum.
+    ``None`` when every other run is exhausted.
+    """
+    bounds = batch.bounds.tolist()
+    heads = []
+    for s, b in enumerate(batch.stop):
+        if s == run or b >= n_blocks[s]:
+            continue
+        if (s, b) in block_data:
+            heads.append(int(block_data[(s, b)][0][offsets[s]]))
+        else:
+            heads.append(bounds[s])
+    return min(heads, default=None)
+
+
+def _retire(sched, block_data, runs, system, free_inputs, r: int, b: int) -> None:
+    """Block *b* of run *r* was consumed to its last record."""
+    del block_data[(r, b)]
+    if free_inputs:
+        system.free(runs[r].addresses[b])
+    sched.on_leading_depleted(r)
 
 
 # ---------------------------------------------------------------------------
@@ -247,113 +202,186 @@ def merge_loop_batched(
 ) -> int:
     """Drain whole resident block slices between consecutive ``ParRead``\\ s.
 
-    Each iteration computes the *galloping bound* — the smallest
-    ``(first key, run)`` of any non-resident block, straight from the
-    forecasting structure's vectorized per-run minima — then emits every
-    resident record ordered before that bound in one stable merge.  When
-    nothing is emittable the bound's block is demand-fetched, exactly
-    where the cycle loop would have stalled, so the ``ParRead``/flush
-    stream is bit-identical to a heapq merge's.
+    When nothing is emittable the bound's block is demand-fetched,
+    exactly where a heapq merge would have stalled, so the
+    ``ParRead``/flush stream is bit-identical to a heapq merge's.
 
-    Returns the number of consumed key ranges (block slices), the
-    batched analogue of heap cycles.
+    Returns the number of block slices emitted — fewer than a heapq
+    merge's key-range cycles whenever runs interleave within a block.
     """
     job = sched.job
-    R = job.n_runs
-    fds = sched.fds
-    n_blocks = [job.blocks_in_run(r) for r in range(R)]
-    offsets = [0] * R
+    n_blocks = [job.blocks_in_run(r) for r in range(job.n_runs)]
+    offsets = [0] * job.n_runs
     tel = telemetry if telemetry is not None else TELEMETRY_OFF
     h_batch = tel.histogram(H_DRAIN_BATCH, batch_edges(system.block_size))
     m_cycles = tel.counter(MERGE_DRAIN_CYCLES)
     cycles = 0
     while not sched.finished():
-        bounds, valid = fds.min_keys_per_run()
-        bounded = bool(valid.any())
-        if bounded:
-            # Smallest (key, run) among runs with on-disk blocks; argmin
-            # over the valid subset keeps the smallest-run tie-break.
-            idx = np.flatnonzero(valid)
-            br = int(idx[bounds[idx].argmin()])
-            bound_key = int(bounds[br])
-        else:
-            br = -1
-            bound_key = 0
-
-        # Collect, per run, the resident slices ordered before the bound.
-        seg_keys: list[np.ndarray] = []
-        seg_pays: list[np.ndarray] | None = None
-        depleted: list[tuple[int, int, int]] = []  # (last_key, run, block)
-        leading = sched.leading
-        for r in range(R):
-            b = leading[r]
-            off = offsets[r]
-            new_off = off
-            while b < n_blocks[r] and (r, b) in block_data:
-                data, pay = block_data[(r, b)]
-                if validate and new_off == 0:
-                    # First touch of this block: the counterpart of the
-                    # cycle loop's per-cycle desync check.
-                    if int(data[0]) != int(job.first_keys[r][b]) or bool(
-                        np.any(data[1:] < data[:-1])
-                    ):
-                        raise ScheduleError(
-                            f"merge batch desync: run {r} block {b}"
-                            " contents disagree with run metadata"
-                        )
-                if bounded:
-                    # Records equal to the bound belong to this run iff it
-                    # precedes the bound's run in the (key, run) order —
-                    # or owns the bound itself (earlier block, same run).
-                    side = "right" if r <= br else "left"
-                    hi = int(np.searchsorted(data, bound_key, side=side))
-                else:
-                    hi = data.size
-                if hi <= new_off:
-                    break
-                seg_keys.append(data[new_off:hi])
-                if pay is not None:
-                    if seg_pays is None:
-                        seg_pays = []
-                    seg_pays.append(pay[new_off:hi])
-                if hi < data.size:
-                    new_off = hi
-                    break
-                depleted.append((int(data[-1]), r, b))
-                b += 1
-                new_off = 0
-            offsets[r] = new_off
-
-        if not seg_keys:
-            if not bounded:  # pragma: no cover - guarded by finished()
-                raise ScheduleError("merge stalled with no on-disk blocks")
-            # The globally smallest record lives in a non-resident block:
-            # demand-fetch it (one ParRead, as in the cycle loop).
-            sched.ensure_resident(br, leading[br])
+        batch = _gather(sched, block_data, offsets, n_blocks, validate)
+        if not batch.pieces:
+            # The globally smallest record lives in a non-resident
+            # block: demand-fetch it (one ParRead).
+            br = batch.bound_run
+            sched.ensure_resident(br, sched.leading[br])
             continue
-
-        cycles += len(seg_keys)
-        if len(seg_keys) == 1:
-            merged_keys = seg_keys[0]
-            merged_pays = seg_pays[0] if seg_pays is not None else None
-        else:
-            merged_keys = np.concatenate(seg_keys)
-            order = np.argsort(merged_keys, kind="stable")
-            merged_keys = merged_keys[order]
-            merged_pays = (
-                np.concatenate(seg_pays)[order] if seg_pays is not None else None
-            )
-        writer.append(merged_keys, merged_pays)
-        h_batch.observe(merged_keys.size)
-
+        cycles += len(batch.pieces)
+        keys, pays, _ = batch.merged()
+        writer.append(keys, pays)
+        h_batch.observe(keys.size)
         # Fire depletions in consumption order: (last key, run, block)
         # sorts each run's blocks in sequence and interleaves runs the
-        # way the per-cycle loop would have.
-        depleted.sort()
+        # way a heapq merge would have.
+        depleted = sorted(
+            (int(seg[-1]), r, b)
+            for (r, b, _lo, hi, size), seg in zip(batch.pieces, batch.keys)
+            if hi == size
+        )
         for _, r, b in depleted:
-            del block_data[(r, b)]
-            if free_inputs:
-                system.free(runs[r].addresses[b])
-            sched.on_leading_depleted(r)
+            _retire(sched, block_data, runs, system, free_inputs, r, b)
     m_cycles.inc(cycles)
     return cycles
+
+
+# ---------------------------------------------------------------------------
+# Engine-paced data plane: batches replayed at cycle granularity.
+# ---------------------------------------------------------------------------
+
+
+def _cycle_starts(
+    keys: np.ndarray, piece: np.ndarray, run: np.ndarray, last_limit: int | None
+) -> np.ndarray:
+    """Merged positions at which a heapq merge starts a new cycle.
+
+    A heapq cycle pops the smallest ``(key, run)`` head and consumes
+    that run's block up to the *limit* — the smallest key among the
+    other runs' heads — or, when its key equals the limit, the equal
+    prefix.  In merge order the limit of a same-run stretch is the key
+    of the next record of another run (*last_limit* for the final
+    stretch; ``None`` when no other run has records left).  So a cycle
+    starts where the slice (run or block) changes, and where a stretch's
+    keys first equal its limit.
+    """
+    n = keys.size
+    start = np.empty(n, dtype=bool)
+    start[0] = True
+    np.not_equal(piece[1:], piece[:-1], out=start[1:])
+    stretch = np.flatnonzero(run[1:] != run[:-1]) + 1
+    lengths = np.diff(stretch, prepend=0, append=n)
+    limits = np.append(keys[stretch], 0 if last_limit is None else last_limit)
+    at_limit = keys == np.repeat(limits, lengths)
+    if last_limit is None:
+        at_limit[n - lengths[-1] :] = False
+    at_limit[1:] &= keys[1:] != keys[:-1]
+    start |= at_limit
+    return np.flatnonzero(start)
+
+
+def merge_loop_cycles(
+    sched: "MergeScheduler",
+    writer: "RunWriter",
+    block_data: dict,
+    runs: "list[StripedRun]",
+    system: "ParallelDiskSystem",
+    free_inputs: bool,
+    validate: bool,
+    eng: "OverlapEngine",
+    telemetry=None,
+) -> int:
+    """Batches as in :func:`merge_loop_batched`, paced by *eng*.
+
+    Each batch is cut into a heapq merge's key-range cycles.  A fixed
+    read-ahead policy only acts when a block is first touched
+    (``wait_for``) or depleted, so only those cycles and the ones that
+    complete an output stripe are replayed one by one, in heapq order:
+    ``wait_for``, ``writer.append`` (its stripe write sees the clock at
+    the start of the cycle), ``compute``, free and depletion, ``pump``.
+    A latency-adaptive engine's ``pump`` reads the clock, so it is
+    replayed after every cycle.  The clock, schedule, writes, frees and
+    cycle count all equal a heapq merge's.
+
+    Returns the number of key-range cycles.
+    """
+    job = sched.job
+    R = job.n_runs
+    n_blocks = [job.blocks_in_run(r) for r in range(R)]
+    offsets = [0] * R
+    tel = telemetry if telemetry is not None else TELEMETRY_OFF
+    h_batch = tel.histogram(H_DRAIN_BATCH, batch_edges(system.block_size))
+    m_cycles = tel.counter(MERGE_DRAIN_CYCLES)
+    stripe = system.n_disks * system.block_size
+    every_cycle = eng.latency is not None
+    cycles = 0
+    while not sched.finished():
+        batch = _gather(sched, block_data, offsets, n_blocks, validate)
+        if not batch.pieces:
+            br = batch.bound_run
+            sched.ensure_resident(br, sched.leading[br])
+            continue
+        keys, pays, order = batch.merged()
+        pieces = batch.pieces
+        p_run = np.array([p[0] for p in pieces])
+        lengths = [p[3] - p[2] for p in pieces]
+        piece = np.repeat(np.arange(len(pieces)), lengths)
+        if order is not None:
+            piece = piece[order]
+        run = p_run[piece]
+
+        # The batch's last stretch takes its limit from beyond the batch.
+        limit = _limit_after(batch, block_data, offsets, n_blocks, int(run[-1]))
+        starts = _cycle_starts(keys, piece, run, limit)
+        counts = np.diff(starts, append=keys.size)
+        C = counts.size
+        cycles += C
+        h_batch.observe_many(counts)
+
+        # Per-cycle engine events.
+        cyc_piece = piece[starts]
+        first = np.unique(cyc_piece, return_index=True)[1]
+        last = C - 1 - np.unique(cyc_piece[::-1], return_index=True)[1]
+        touch = np.zeros(C, dtype=bool)
+        touch[first[np.array([p[2] == 0 for p in pieces])]] = True
+        deplete = np.zeros(C, dtype=bool)
+        deplete[last[np.array([p[3] == p[4] for p in pieces])]] = True
+        ends = np.cumsum(counts)
+        # Stripes the writer has written by the end of each cycle.
+        written = np.maximum((ends - writer.records_to_next_write) // stripe + 1, 0)
+        cross = np.diff(written, prepend=0) > 0
+        pump = np.ones(C, dtype=bool) if every_cycle else touch | deplete
+        events = np.flatnonzero(pump | cross).tolist()
+
+        touch_l = touch.tolist()
+        deplete_l = deplete.tolist()
+        cross_l = cross.tolist()
+        pump_l = pump.tolist()
+        ends_l = ends.tolist()
+        cyc_piece_l = cyc_piece.tolist()
+        counts_l = counts.tolist()
+        ci = 0  # first cycle not yet computed
+        pos = 0  # merged records appended so far
+        for c in events:
+            r, b = pieces[cyc_piece_l[c]][:2]
+            if touch_l[c] or cross_l[c]:
+                if ci < c:
+                    eng.compute(counts_l[ci:c])
+                    ci = c
+                if touch_l[c]:
+                    eng.wait_for(r, b)
+            if cross_l[c] or deplete_l[c]:
+                end = ends_l[c]
+                writer.append(
+                    keys[pos:end], pays[pos:end] if pays is not None else None
+                )
+                pos = end
+            if pump_l[c]:
+                eng.compute(counts_l[ci : c + 1])
+                ci = c + 1
+                if deplete_l[c]:
+                    _retire(sched, block_data, runs, system, free_inputs, r, b)
+                eng.pump(sched)
+        if ci < C:
+            eng.compute(counts_l[ci:])
+        if pos < keys.size:
+            writer.append(keys[pos:], pays[pos:] if pays is not None else None)
+    m_cycles.inc(cycles)
+    return cycles
+

@@ -3,13 +3,13 @@
 This engine performs the merge end-to-end on a
 :class:`ParallelDiskSystem`: forecast-format input runs are read by the
 shared :class:`MergeScheduler`'s ``ParRead`` decisions, records flow
-through a chunked internal merge, and the output run is streamed to disk
+through a batched internal merge, and the output run is streamed to disk
 with perfect write parallelism.
 
-Internal merge processing is chunked: the run owning the globally
-smallest leading record is consumed up to (exclusive) the next
-competitor's key in one ``searchsorted`` step, so internal work is
-``O(switches · log B)`` rather than per-record Python.
+Internal merge processing is batched: between two ``ParRead`` operations
+every resident record below the forecasting structure's galloping bound
+is merged in one stable ``argsort``, so internal work is a few array
+operations per ParRead gap rather than per-record Python.
 
 The merger learns a non-resident leading block's first key *only*
 through the forecasting structure (``min_i H_i[run]``, Definition 1's
@@ -67,8 +67,10 @@ class MergeResult:
     schedule: ScheduleStats
     io: IOStats
     n_records: int
-    #: Heap cycles of the chunked internal merge (one per consumed key
-    #: range; ``O(switches)``, not ``O(records)``, even with duplicates).
+    #: Internal-merge steps.  Engine-paced: the key-range cycles a heapq
+    #: merge would run (one per run switch or equal-key prefix within a
+    #: block).  Demand-paced: the block slices the batched drain emitted,
+    #: at most a block count per ParRead gap.
     heap_cycles: int = 0
     #: Simulated-time report when an overlap engine drove the merge.
     overlap: "OverlapReport | None" = None
@@ -117,9 +119,10 @@ def merge_runs(
         the shared registry.  ``None`` uses the zero-overhead null layer.
 
     The internal merge is the vectorized data plane of
-    :mod:`repro.core.losertree`: block-slice batching on the pure demand
-    path, a cycle-granular loser tree when an overlap engine paces the
-    merge.  Both produce identical I/O schedules and output records.
+    :mod:`repro.core.losertree`: block-slice batches, written at once
+    on the pure demand path and replayed at key-range-cycle granularity
+    when an overlap engine paces the merge.  Both produce identical I/O
+    schedules and output records.
     """
     if len(runs) < 2:
         raise DataError(f"a merge needs at least 2 runs, got {len(runs)}")

@@ -60,8 +60,9 @@ class SortResult:
     merge_schedules: list[ScheduleStats] = field(default_factory=list)
     #: Per-merge simulated-time reports when an overlap engine ran.
     overlap_reports: list[OverlapReport] = field(default_factory=list)
-    #: Total internal-merge heap pops across all merges (block-granular
-    #: consumption keeps this near the block count, not the record count).
+    #: Internal-merge steps summed over all merges: key-range cycles on
+    #: engine-paced merges (≈ the record count when runs interleave
+    #: finely), block slices on demand-paced ones (≈ the block count).
     heap_cycles: int = 0
     #: The disk system the sort ran on (set by srm_sort / srm_mergesort)
     #: so peek helpers can default to it.

@@ -81,6 +81,14 @@ class RunWriter:
             H_WRITER_OCCUPANCY, writer_occupancy_edges(D)
         )
 
+    @property
+    def records_to_next_write(self) -> int:
+        """Records the next appends may add before a stripe is written.
+
+        After that many, a stripe is written every ``D·B`` records.
+        """
+        return 2 * self._stripe - self._pending
+
     # -- ingest ----------------------------------------------------------
 
     def append(self, keys: np.ndarray, payloads: np.ndarray | None = None) -> None:

@@ -313,7 +313,8 @@ H_READ_WIDTH = "io.read_width"
 H_FLUSH_OCCUPANCY = "sched.flush_occupancy"
 #: OutRank_t at each flush decision (Definition 7; 1 on the demand path).
 H_FLUSH_OUTRANK = "sched.flush_outrank"
-#: Records emitted per internal-merge drain step (loser-tree batch size).
+#: Records emitted per internal-merge drain step (a key-range cycle on
+#: an engine-paced merge, a block slice on the demand path).
 H_DRAIN_BATCH = "merge.drain_batch"
 #: Records per formed run (replacement selection targets 2M).
 H_RUN_LENGTH = "run_formation.run_length"

@@ -170,6 +170,42 @@ class TestTiming:
             )
 
 
+class TestComputeIntervals:
+    COUNTS = [3, 1, 7, 7, 2, 16, 5, 1, 9]
+
+    def _engine(self, trace=False):
+        from repro.telemetry import Telemetry
+
+        tel = Telemetry()
+        if trace:
+            tel.attach_trace()
+        return OverlapEngine(DISK_1996, B, D, 1946.3, telemetry=tel), tel
+
+    def test_interval_clock_equals_cycle_by_cycle(self):
+        whole, _ = self._engine()
+        whole.compute(self.COUNTS)
+        single, _ = self._engine()
+        for n in self.COUNTS:
+            single.compute([n])
+        assert (whole.now, whole.cpu_busy_ms) == (single.now, single.cpu_busy_ms)
+
+    def test_one_trace_record_per_uninterrupted_interval(self):
+        eng, tel = self._engine(trace=True)
+        eng.compute(self.COUNTS[:4])
+        eng.compute([])
+        eng.compute(self.COUNTS[4:])
+        eng.on_write([0])  # an engine event closes the interval
+        eng.compute([4])
+        eng.finish()
+        compute = [r for r in tel.trace.records if r.kind == "compute"]
+        assert [r.attrs for r in compute] == [
+            {"records": sum(self.COUNTS), "cycles": len(self.COUNTS)},
+            {"records": 4, "cycles": 1},
+        ]
+        assert compute[0].start_ms == 0.0
+        assert compute[1].end_ms == eng.now
+
+
 class TestDepthHistogram:
     """Regression: the queue-depth histogram at prefetch_depth=0."""
 

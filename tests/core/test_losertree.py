@@ -1,10 +1,12 @@
-"""Tests for the loser-tree merger and the batched merge data plane.
+"""Tests for the merge data plane: the batched and engine-paced drains.
 
 The contract under test: the data plane and the heapq merge oracle
 (:mod:`tests.oracles`) produce *bit-identical* observable behaviour —
 output records (keys and payloads), per-merge :class:`ScheduleStats`,
-disk-system I/O counters, and channel rounds — differing only in
-internal-work counters.
+disk-system I/O counters, and channel rounds.  The demand drain differs
+only in internal-work counters; the engine-paced drain also matches the
+oracle's simulated clock, output addresses, cycle count and drain
+metrics.
 """
 
 from __future__ import annotations
@@ -16,10 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import LoserTree, SRMConfig, merge_runs, srm_sort
-from repro.core.config import OverlapConfig
+from repro.analysis.critical_path import analyze_collector
+from repro.core import LatencyAwareConfig, SRMConfig, merge_runs, srm_sort
+from repro.core.config import OVERLAP_MODES, OverlapConfig
+from repro.core.losertree import _cycle_starts
 from repro.disks import ParallelDiskSystem, StripedRun
-from repro.errors import ScheduleError
+from repro.disks.timing import DISK_1996
+from repro.faults import FaultPlan
+from repro.telemetry import Telemetry
 from repro.workloads import uniform_keys, uniform_permutation
 from tests.oracles import heapq_merge
 
@@ -57,6 +63,17 @@ def both_mergers(fn):
     return {"heapq": ref, "plane": fn()}
 
 
+def io_tuple(io):
+    return (
+        io.parallel_reads,
+        io.parallel_writes,
+        io.blocks_read,
+        io.blocks_written,
+        io.reads_per_disk.tolist(),
+        io.writes_per_disk.tolist(),
+    )
+
+
 def schedule_tuple(s):
     return (
         s.initial_reads,
@@ -69,75 +86,72 @@ def schedule_tuple(s):
     )
 
 
-class TestLoserTree:
-    def test_single_source(self):
-        t = LoserTree([5])
-        assert t.winner == 0
-        assert t.winner_key() == 5
-        assert t.runner_up_key() == float("inf")  # no peer
-        t.replace(9)
-        assert t.winner_key() == 9
+def heapq_cycle_starts(runs_keys, B):
+    """Merged positions at which a heapq merge of *runs_keys* starts a cycle."""
+    heap = [(int(k[0]), r) for r, k in enumerate(runs_keys)]
+    heapq.heapify(heap)
+    pos = [0] * len(runs_keys)
+    starts, out = [], 0
+    while heap:
+        key, r = heapq.heappop(heap)
+        limit = heap[0][0] if heap else None
+        off = pos[r]
+        block = runs_keys[r][: (off // B + 1) * B]
+        hi = block.size
+        if limit is not None:
+            hi = int(np.searchsorted(block, limit, side="left"))
+            if hi <= off:
+                hi = int(np.searchsorted(block, key, side="right"))
+        starts.append(out)
+        out += hi - off
+        pos[r] = hi
+        if hi < runs_keys[r].size:
+            heapq.heappush(heap, (int(runs_keys[r][hi]), r))
+    return starts
 
-    def test_winner_is_minimum(self):
-        t = LoserTree([4, 2, 7, 1, 9])
-        assert t.winner == 3
-        assert t.winner_key() == 1
 
-    def test_ties_go_to_smallest_leaf(self):
-        t = LoserTree([3, 1, 1, 1])
-        assert t.winner == 1
-        t.replace(1)  # equal key: leaf 1 stays ahead of leaves 2, 3
-        assert t.winner == 1
-
-    def test_runner_up_is_second_smallest(self):
-        t = LoserTree([4, 2, 7, 1, 9])
-        assert t.runner_up_key() == 2
-
-    def test_replace_drains_sorted(self):
-        feeds = [[1, 4, 9], [2, 3, 10], [0, 5, 6]]
-        pos = [0] * 3
-        t = LoserTree([f[0] for f in feeds])
-        out = []
-        while t.winner_key() != float("inf"):
-            w = t.winner
-            out.append(t.winner_key())
-            pos[w] += 1
-            t.replace(feeds[w][pos[w]] if pos[w] < 3 else float("inf"))
-        assert out == sorted(x for f in feeds for x in f)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ScheduleError):
-            LoserTree([])
-
+class TestCycleStarts:
     @given(
         seed=st.integers(0, 10_000),
-        k=st.integers(1, 17),
-        n=st.integers(1, 40),
+        r=st.integers(2, 6),
+        b=st.integers(1, 4),
         dup=st.booleans(),
+        cut=st.floats(0.0, 1.0),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_fuzz_matches_heapq(self, seed, k, n, dup):
-        """Drain k random sources; emissions must match a (key, src) heap."""
+    @settings(max_examples=150, deadline=None)
+    def test_batch_prefix_matches_heapq_cycles(self, seed, r, b, dup, cut):
+        """Cycles of any batch that ends at a block start equal heapq's.
+
+        The batch's last stretch takes its limit from the runs' next keys
+        beyond the batch, as the engine-paced drain does.
+        """
         rng = np.random.default_rng(seed)
-        hi = 5 if dup else 10_000
-        feeds = [sorted(rng.integers(0, hi, size=n).tolist()) for _ in range(k)]
-        pos = [0] * k
-        t = LoserTree([f[0] for f in feeds])
-        heap = [(f[0], i) for i, f in enumerate(feeds)]
-        heapq.heapify(heap)
-        while heap:
-            key, src = heapq.heappop(heap)
-            assert (t.winner_key(), t.winner) == (key, src)
-            if heap:
-                assert t.runner_up_key() == heap[0][0]
-            pos[src] += 1
-            if pos[src] < n:
-                nxt = feeds[src][pos[src]]
-                heapq.heappush(heap, (nxt, src))
-                t.replace(nxt)
-            else:
-                t.replace(float("inf"))
-        assert t.winner_key() == float("inf")
+        runs_keys = [
+            np.sort(rng.integers(0, 4 if dup else 1 << 40, size=int(n)))
+            for n in rng.integers(1, 6 * b + 1, size=r)
+        ]
+        keys = np.concatenate(runs_keys)
+        run = np.repeat(np.arange(r), [k.size for k in runs_keys])
+        pos = np.concatenate([np.arange(k.size) for k in runs_keys])
+        order = np.argsort(keys, kind="stable")
+        keys, run, pos = keys[order], run[order], pos[order]
+        # End the batch at the first record of some block (or nowhere).
+        block_starts = np.flatnonzero((pos % b == 0) & (pos > 0))
+        n = keys.size
+        if block_starts.size and cut < 1.0:
+            n = int(block_starts[int(cut * block_starts.size)])
+        last = int(run[n - 1])
+        heads = [
+            int(runs_keys[s][int(pos[n:][run[n:] == s][0])])
+            for s in range(r)
+            if s != last and np.any(run[n:] == s)
+        ]
+        starts = _cycle_starts(
+            keys[:n], run[:n] * 10_000 + pos[:n] // b, run[:n],
+            min(heads) if heads else None,
+        )
+        expect = [p for p in heapq_cycle_starts(runs_keys, b) if p < n]
+        assert starts.tolist() == expect
 
 
 class TestMergerEquivalence:
@@ -254,32 +268,176 @@ class TestMergerEquivalence:
         cycles = both_mergers(merge)
         assert cycles["plane"] <= cycles["heapq"]
 
-    def test_overlap_engine_uses_cycle_loop(self):
-        """With an overlap engine, plane == heapq including the report."""
-        rng = np.random.default_rng(11)
-        runs_keys = partition_runs(rng, 4, 32)
-        starts = rng.integers(0, 2, size=4)
+    @given(
+        seed=st.integers(0, 10_000),
+        mode=st.sampled_from(OVERLAP_MODES),
+        depth=st.integers(0, 3),
+        cpu=st.sampled_from(["zero", "one", "balanced"]),
+        keys=st.sampled_from(["distinct", "duplicated", "all_equal"]),
+        payloads=st.booleans(),
+        policy=st.sampled_from(["fixed", "straggler", "adaptive"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_overlap_engine_uses_cycle_loop(
+        self, seed, mode, depth, cpu, keys, payloads, policy
+    ):
+        """Engine-paced plane == heapq: output, schedule, clock, metrics."""
+        rng = np.random.default_rng(seed)
+        R = int(rng.integers(2, 9))
+        D = int(rng.integers(1, 5))
+        B = int(rng.integers(1, 6))
+        lengths = rng.integers(1, 10 * B + 1, size=R)
+        if keys == "distinct":
+            perm = rng.permutation(int(lengths.sum()))
+            cuts = np.cumsum(lengths)[:-1]
+            runs_keys = [np.sort(part) for part in np.split(perm, cuts)]
+        elif keys == "duplicated":
+            runs_keys = [np.sort(rng.integers(0, 5, size=n)) for n in lengths]
+        else:
+            runs_keys = [np.zeros(n, dtype=np.int64) for n in lengths]
+        pays = (
+            [rng.integers(0, 1 << 40, size=n) for n in lengths] if payloads else None
+        )
+        starts = rng.integers(0, D, size=R)
+        cpu_us = {
+            "zero": 0.0,
+            "one": 1.0,
+            "balanced": DISK_1996.op_time_ms(B) * 1000 / B,
+        }[cpu]
+        overlap = OverlapConfig(
+            mode=mode,
+            prefetch_depth=depth,
+            cpu_us_per_record=cpu_us,
+            latency=LatencyAwareConfig() if policy == "adaptive" else None,
+        )
 
         def merge():
-            system = ParallelDiskSystem(2, 4)
-            runs = build_runs(system, runs_keys, starts)
+            system = ParallelDiskSystem(D, B)
+            if policy != "fixed":
+                system.attach_faults(
+                    FaultPlan(seed=seed, latency_factors={0: 4.0})
+                )
+            runs = build_runs(system, runs_keys, starts, payloads=pays)
+            tel = Telemetry()
             res = merge_runs(
-                system,
-                runs,
-                50,
-                0,
-                overlap=OverlapConfig(cpu_us_per_record=1.0),
+                system, runs, 50, 0, validate=True, overlap=overlap,
+                telemetry=tel,
             )
-            keys, _ = read_records(system, res.output)
-            return (
-                schedule_tuple(res.schedule),
-                res.overlap,
-                keys.tobytes(),
-                res.heap_cycles,
-            )
+            keys_out, pays_out = read_records(system, res.output)
+            metrics = {
+                name: snap
+                for name, snap in tel.registry.snapshot().items()
+                if name.startswith(("merge.drain_", "sched"))
+            }
+            return {
+                "keys": keys_out.tobytes(),
+                "pays": None if pays_out is None else pays_out.tobytes(),
+                "addresses": tuple(res.output.addresses),
+                "schedule": res.schedule,
+                "io": io_tuple(res.io),
+                "overlap": res.overlap,
+                "heap_cycles": res.heap_cycles,
+                "metrics": metrics,
+            }
 
-        reports = both_mergers(merge)
-        assert reports["heapq"] == reports["plane"]
+        results = both_mergers(merge)
+        for field, ref in results["heapq"].items():
+            assert results["plane"][field] == ref, field
+
+
+    def test_batch_ends_where_a_run_reaches_the_bound_key(self):
+        """The batch's last stretch is cut where it reaches the bound key.
+
+        Run 1's second block (first key 2) is the galloping bound, so the
+        first batch ends with run 0's ``[1, 2]``; a heapq merge consumes
+        them in two cycles because run 1's next key is 2.
+        """
+
+        def merge():
+            system = ParallelDiskSystem(1, 2)
+            runs = build_runs(
+                system, [np.array([1, 2]), np.array([0, 0, 2, 5])], [0, 0]
+            )
+            res = merge_runs(
+                system, runs, 50, 0,
+                overlap=OverlapConfig(mode="none", cpu_us_per_record=1.0),
+            )
+            return res.heap_cycles, res.overlap
+
+        results = both_mergers(merge)
+        assert results["plane"] == results["heapq"]
+        assert results["plane"][0] == 4
+
+
+class TestEngineTrace:
+    """The engine-paced drain's causal trace, against the heapq oracle."""
+
+    RUNS = ((5, 7), (3, 8))  # (R, seed) per merge
+
+    def _merges(self):
+        """Two engine-paced merges into one traced telemetry handle."""
+        D, B = 3, 4
+        tel = Telemetry()
+        col = tel.attach_trace()
+        out = []
+        for R, seed in self.RUNS:
+            rng = np.random.default_rng(seed)
+            system = ParallelDiskSystem(D, B)
+            runs = build_runs(
+                system,
+                partition_runs(rng, R, 10 * B),
+                rng.integers(0, D, size=R),
+            )
+            res = merge_runs(
+                system, runs, 50, 0,
+                overlap=OverlapConfig(
+                    cpu_us_per_record=DISK_1996.op_time_ms(B) * 1000 / B
+                ),
+                telemetry=tel,
+            )
+            out.append(res)
+        return tel, col, out
+
+    def test_compute_records_cover_every_record_in_fewer_intervals(self):
+        _, col, results = self._merges()
+        for i, res in enumerate(results):
+            compute = [
+                rec for rec in col.records
+                if rec.domain == f"merge:{i}" and rec.kind == "compute"
+            ]
+            assert sum(rec.attrs["records"] for rec in compute) == res.n_records
+            assert sum(rec.attrs["cycles"] for rec in compute) == res.heap_cycles
+            assert len(compute) < res.heap_cycles
+
+    def test_critical_path_is_exact_and_matches_oracle_attribution(self):
+        _, col, results = self._merges()
+        with heapq_merge():
+            _, ref_col, _ = self._merges()
+        doms = analyze_collector(col)
+        ref_doms = analyze_collector(ref_col)
+        for i, res in enumerate(results):
+            dom, ref = doms[f"merge:{i}"], ref_doms[f"merge:{i}"]
+            assert dom.exact and not dom.truncated
+            assert dom.total_ms == dom.makespan_ms == res.overlap.makespan_ms
+            assert dom.makespan_ms == ref.makespan_ms
+            for cat, ms in ref.attribution.items():
+                assert dom.attribution[cat] == pytest.approx(
+                    ms, rel=1e-9, abs=1e-9 * dom.makespan_ms
+                ), cat
+
+    def test_seeded_runs_export_identical_jsonl(self, tmp_path):
+        blobs = []
+        for name in ("a", "b"):
+            tel, _, _ = self._merges()
+            path = tmp_path / f"{name}.jsonl"
+            tel.write_jsonl(str(path))
+            blobs.append(
+                b"".join(
+                    line for line in path.read_bytes().splitlines(keepends=True)
+                    if b'"type": "trace' in line
+                )
+            )
+        assert blobs[0] and blobs[0] == blobs[1]
 
 
 class TestEndToEndSortEquivalence:

@@ -28,13 +28,19 @@ from repro.core.run_formation import _chunk_reader, _start_disk_stream
 from repro.disks.block import NO_KEY
 from repro.disks.files import StripedRun
 from repro.errors import ScheduleError
+from repro.telemetry import TELEMETRY_OFF
+from repro.telemetry.schema import H_DRAIN_BATCH, MERGE_DRAIN_CYCLES, batch_edges
 
 
 def merge_loop_heapq(
     sched, writer, block_data, runs, system, free_inputs, validate,
     eng=None, telemetry=None,
 ) -> int:
-    """Heap-driven merge loop; a drop-in for either data-plane loop."""
+    """Heap-driven merge loop; a drop-in for either data-plane loop.
+
+    It records one ``merge.drain_batch`` observation per key-range
+    cycle, as the engine-paced loop does.
+    """
     job = sched.job
     R = job.n_runs
     offsets = [0] * R
@@ -42,6 +48,8 @@ def merge_loop_heapq(
         (int(job.first_keys[r][0]), r) for r in range(R)
     ]
     heapq.heapify(heap)
+    tel = telemetry if telemetry is not None else TELEMETRY_OFF
+    h_batch = tel.histogram(H_DRAIN_BATCH, batch_edges(system.block_size))
 
     heap_cycles = 0
     while heap:
@@ -68,8 +76,9 @@ def merge_loop_heapq(
                 # run-index tie-break hands the turn straight back.
                 hi = int(np.searchsorted(data, key, side="right"))
         writer.append(data[off:hi], None if pay is None else pay[off:hi])
+        h_batch.observe(hi - off)
         if eng is not None:
-            eng.compute(hi - off)
+            eng.compute([hi - off])
 
         if hi == data.size:
             del block_data[(r, b)]
@@ -97,6 +106,7 @@ def merge_loop_heapq(
 
         if eng is not None:
             eng.pump(sched)
+    tel.counter(MERGE_DRAIN_CYCLES).inc(heap_cycles)
     return heap_cycles
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError
@@ -65,6 +66,23 @@ class TestHistogram:
         assert snap["counts"] == [0, 1, 0]
         assert snap["n"] == 1
 
+    def test_observe_many_equals_repeated_observe(self):
+        """Values below, at and above every edge, fractional and integer."""
+        edges = (1.0, 2.0, 4.0, 16.0)
+        values = [0, 0.5] + [
+            v for e in edges for v in (e - 0.25, e, e + 0.25)
+        ] + [17, 100, 3, 1]
+        one, many = Histogram("x", edges), Histogram("x", edges)
+        for v in values:
+            one.observe(v)
+        many.observe_many(values[:5])
+        many.observe_many(np.asarray(values[5:]))
+        many.observe_many([])
+        assert many.counts == one.counts
+        assert many.total == one.total  # bit-equal: summed in order
+        assert many.n == one.n == len(values)
+        assert many.snapshot() == one.snapshot()
+
 
 class TestRegistry:
     def test_memoizes_by_name(self):
@@ -105,6 +123,7 @@ class TestNullMetric:
         NULL_METRIC.inc(10)
         NULL_METRIC.set(3.0)
         NULL_METRIC.observe(1.0)
+        NULL_METRIC.observe_many([1.0, 2.0])
         assert not hasattr(NULL_METRIC, "__dict__")  # __slots__ = ()
 
 
