@@ -1,9 +1,10 @@
-"""Operational tooling: I/O traces, run scanning, and the one-call API.
+"""Operational tooling: per-disk I/O balance, run scanning, the one-call API.
 
 Shows the "daily driver" surface of the library beyond the paper's
-experiments: attach a trace to see per-disk balance, scan a sorted run
-with bounded memory, and use `external_sort` when you just want the
-answer.
+experiments: read a sort's per-disk counters (`IOStats`) to see disk
+balance, scan a sorted run with bounded memory, and use `external_sort`
+when you just want the answer.  For per-operation timing, arm the causal
+trace instead (`Telemetry.attach_trace`, see docs/OBSERVABILITY.md).
 
 Run with::
 
@@ -16,13 +17,12 @@ import numpy as np
 
 from repro import SRMConfig, external_sort
 from repro.core import LayoutStrategy, srm_mergesort
-from repro.disks import IOTrace, ParallelDiskSystem, RunScanner, StripedFile
+from repro.disks import ParallelDiskSystem, RunScanner, StripedFile
 
 
-def traced_sort(strategy: LayoutStrategy, seed: int = 0):
+def counted_sort(strategy: LayoutStrategy, seed: int = 0):
     cfg = SRMConfig.from_k(2, 8, 16)
     system = ParallelDiskSystem(8, 16)
-    system.trace = IOTrace()
     keys = np.random.default_rng(seed).permutation(40_000)
     infile = StripedFile.from_records(system, keys)
     result = srm_mergesort(system, infile, cfg, strategy=strategy, rng=1,
@@ -31,18 +31,23 @@ def traced_sort(strategy: LayoutStrategy, seed: int = 0):
 
 
 def main() -> None:
-    print("=== I/O traces: randomized vs adversarial layout ===")
+    print("=== Per-disk reads: randomized vs adversarial layout ===")
     for strategy in (LayoutStrategy.RANDOMIZED, LayoutStrategy.WORST_CASE):
-        system, result = traced_sort(strategy)
-        trace = system.trace
-        util = trace.utilization(8, "read")
+        system, result = counted_sort(strategy)
+        io = system.stats
+        # Fraction of parallel reads each disk took part in; the §3
+        # adversary leaves most disks idle on most reads.
+        util = io.reads_per_disk / io.parallel_reads
         print(f"\n{strategy.value}:")
-        print(f"  {trace.summary(8)}")
+        print(f"  {io.parallel_reads} parallel reads, mean width "
+              f"{io.blocks_read / io.parallel_reads:.2f} of {io.n_disks}, "
+              f"imbalance (max/mean) "
+              f"{io.reads_per_disk.max() / io.reads_per_disk.mean():.2f}")
         print(f"  per-disk read utilization: "
               f"{np.array2string(util, precision=2, floatmode='fixed')}")
 
     print("\n=== Bounded-memory scan of the sorted output ===")
-    system, result = traced_sort(LayoutStrategy.RANDOMIZED)
+    system, result = counted_sort(LayoutStrategy.RANDOMIZED)
     system.stats.reset()
     scanner = RunScanner(system, result.output)
     running_max = None

@@ -35,7 +35,6 @@ from .convert import (
     superblock_run_to_striped_run,
 )
 from .scan import RunScanner
-from .trace import IOTrace, TraceEvent
 from .striping import (
     blocks_per_disk,
     chain_length,
@@ -66,8 +65,6 @@ __all__ = [
     "restripe_run",
     "striped_run_to_superblock_run",
     "superblock_run_to_striped_run",
-    "IOTrace",
-    "TraceEvent",
     "blocks_per_disk",
     "chain_length",
     "chain_position_to_block",

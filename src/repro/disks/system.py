@@ -94,8 +94,6 @@ class ParallelDiskSystem:
         self.elapsed_ms = 0.0
         #: Channel rounds consumed (== parallel ops when channel matches).
         self.channel_rounds = 0
-        #: Optional IOTrace; assign one to record every operation.
-        self.trace = None
         #: Optional causal tracer (:class:`~repro.telemetry.trace
         #: .SystemTracer` or a cluster ``StagedTracer``): every charged
         #: clock advance emits one timeline record on the channel lane.
@@ -280,28 +278,58 @@ class ParallelDiskSystem:
                 f"parallel I/O may touch each disk at most once, got disks {list(disks)}"
             )
 
-    def _record_read(self, disks: list[int]) -> None:
-        self.stats.record_read(disks)
-        if self.stats_sink is not None:
-            self.stats_sink.record_read(disks)
+    def _charge(
+        self, kind: str, disks: list[int], trace_kind: Optional[str] = None
+    ) -> None:
+        """Account one parallel *kind* round on the distinct *disks*.
 
-    def _record_write(self, disks: list[int]) -> None:
-        self.stats.record_write(disks)
-        if self.stats_sink is not None:
-            self.stats_sink.record_write(disks)
-
-    def _advance_clock(self, n_active: int) -> None:
-        if n_active <= 0:
-            return
+        The single place a charged round lands: :attr:`stats` and
+        :attr:`stats_sink` count it, the clock advances, and the causal
+        :attr:`tracer` records it as *trace_kind* (default *kind*).
+        """
+        if kind == "read":
+            self.stats.record_read(disks)
+            if self.stats_sink is not None:
+                self.stats_sink.record_read(disks)
+        else:
+            self.stats.record_write(disks)
+            if self.stats_sink is not None:
+                self.stats_sink.record_write(disks)
+        n_active = len(disks)
         width = self.channel_width or n_active
         rounds = -(-n_active // width)
         self.channel_rounds += rounds
+        t0 = self.elapsed_ms
         if self.timing is not None:
             # One seek+rotation overlapped across disks, then the channel
             # streams the blocks `width` at a time.
             base = self.timing.stripe_time_ms(self.block_size, n_active)
             extra = (rounds - 1) * self.timing.block_transfer_ms(self.block_size)
             self.elapsed_ms += base + extra
+        if self.tracer is not None:
+            self.tracer.op(trace_kind or kind, n_active, t0, self.elapsed_ms)
+
+    def _charge_rounds(
+        self, kind: str, disks: list[int], trace_kind: Optional[str] = None
+    ) -> int:
+        """Charge *disks* as greedy rounds of distinct disks.
+
+        A disk already in the open round closes it and starts the next,
+        so ``disks`` in order become the fewest rounds that keep their
+        order.  Returns the number of rounds charged.
+        """
+        rounds = 0
+        group: list[int] = []
+        for d in disks:
+            if d in group:
+                self._charge(kind, group, trace_kind)
+                rounds += 1
+                group = []
+            group.append(d)
+        if group:
+            self._charge(kind, group, trace_kind)
+            rounds += 1
+        return rounds
 
     def read_stripe(self, addresses: Sequence[Optional[BlockAddress]]) -> list[Optional[Block]]:
         """Perform one parallel read.
@@ -326,17 +354,12 @@ class ParallelDiskSystem:
         live = [a for a in addresses if a is not None]
         if not live:
             return [None] * len(addresses)
-        self._check_one_per_disk([a.disk for a in live])
+        disks = [a.disk for a in live]
+        self._check_one_per_disk(disks)
         out: list[Optional[Block]] = []
         for a in addresses:
             out.append(None if a is None else self.disks[a.disk].read(a.slot))
-        self._record_read([a.disk for a in live])
-        t0 = self.elapsed_ms
-        self._advance_clock(len(live))
-        if self.trace is not None:
-            self.trace.record("read", [a.disk for a in live], self.elapsed_ms)
-        if self.tracer is not None:
-            self.tracer.op("read", len(live), t0, self.elapsed_ms)
+        self._charge("read", disks)
         return out
 
     def charge_read_stripe(self, addresses: Sequence[BlockAddress]) -> None:
@@ -359,19 +382,14 @@ class ParallelDiskSystem:
             return
         if self.round_hook is not None:
             self.round_hook()
-        self._check_one_per_disk([a.disk for a in live])
+        disks = [a.disk for a in live]
+        self._check_one_per_disk(disks)
         for a in live:
             if not self.disks[a.disk].has_block(a.slot):
                 raise InvalidIOError(
                     f"disk {a.disk} slot {a.slot} holds no block"
                 )
-        self._record_read([a.disk for a in live])
-        t0 = self.elapsed_ms
-        self._advance_clock(len(live))
-        if self.trace is not None:
-            self.trace.record("read", [a.disk for a in live], self.elapsed_ms)
-        if self.tracer is not None:
-            self.tracer.op("read", len(live), t0, self.elapsed_ms)
+        self._charge("read", disks)
 
     def write_stripe(
         self, writes: Sequence[tuple[BlockAddress, Block]]
@@ -392,17 +410,12 @@ class ParallelDiskSystem:
             self.round_hook()
         if self.faults is not None:
             return self._write_stripe_faulty(writes)
-        self._check_one_per_disk([a.disk for a, _ in writes])
+        disks = [a.disk for a, _ in writes]
+        self._check_one_per_disk(disks)
         for addr, block in writes:
             self.disks[addr.disk].write(addr.slot, block)
-        self._record_write([a.disk for a, _ in writes])
-        t0 = self.elapsed_ms
-        self._advance_clock(len(writes))
-        if self.trace is not None:
-            self.trace.record("write", [a.disk for a, _ in writes], self.elapsed_ms)
-        if self.tracer is not None:
-            self.tracer.op("write", len(writes), t0, self.elapsed_ms)
-        return [a.disk for a, _ in writes]
+        self._charge("write", disks)
+        return disks
 
     # -- fault-injected I/O paths ------------------------------------------
     #
@@ -412,38 +425,6 @@ class ParallelDiskSystem:
     # onto colliding physical disks is split into multiple accounting
     # rounds (the degraded-mode overhead, counted as
     # ``faults.degraded_split_ios``).
-
-    def _account_round(self, kind: str, disks: list[int]) -> None:
-        if not disks:
-            return
-        if kind == "read":
-            self._record_read(disks)
-        else:
-            self._record_write(disks)
-        t0 = self.elapsed_ms
-        self._advance_clock(len(disks))
-        if self.trace is not None:
-            self.trace.record(kind, disks, self.elapsed_ms)
-        if self.tracer is not None:
-            self.tracer.op(kind, len(disks), t0, self.elapsed_ms)
-
-    def _account_rounds(self, kind: str, physical_disks: list[int]) -> None:
-        """Charge operations, splitting same-disk collisions into rounds."""
-        rounds = 0
-        used: set[int] = set()
-        group: list[int] = []
-        for d in physical_disks:
-            if d in used:
-                self._account_round(kind, group)
-                rounds += 1
-                used, group = set(), []
-            used.add(d)
-            group.append(d)
-        if group:
-            self._account_round(kind, group)
-            rounds += 1
-        if rounds > 1:
-            self.faults.count_split_ios(rounds - 1)
 
     def _read_stripe_faulty(
         self, addresses: Sequence[Optional[BlockAddress]]
@@ -456,7 +437,9 @@ class ParallelDiskSystem:
             blk, d = self._read_one_with_retry(a)
             out[i] = blk
             disks.append(d)
-        self._account_rounds("read", disks)
+        rounds = self._charge_rounds("read", disks)
+        if rounds > 1:
+            self.faults.count_split_ios(rounds - 1)
         return out
 
     def _read_one_with_retry(self, orig: BlockAddress) -> tuple[Block, int]:
@@ -550,7 +533,9 @@ class ParallelDiskSystem:
         disks: list[int] = []
         for addr, block in writes:
             disks.append(self._write_one_with_retry(addr, block))
-        self._account_rounds("write", disks)
+        rounds = self._charge_rounds("write", disks)
+        if rounds > 1:
+            self.faults.count_split_ios(rounds - 1)
         # Any parity group completed by this stripe flushes now, as
         # separately-charged rounds: the data stripe's accounting (and
         # its positional disk list, which callers rely on) stays intact.
@@ -635,13 +620,7 @@ class ParallelDiskSystem:
         addr = BlockAddress(d, self.disks[d].allocate())
         self.disks[d].write(addr.slot, pblk)
         if charged:
-            self._record_write([d])
-            t0 = self.elapsed_ms
-            self._advance_clock(1)
-            if self.trace is not None:
-                self.trace.record("write", [d], self.elapsed_ms)
-            if self.tracer is not None:
-                self.tracer.op("parity", 1, t0, self.elapsed_ms)
+            self._charge("write", [d], "parity")
             inj.note_op(d)
             # Let the overlap engine feel the extra spindle time too.
             inj.add_recovery_ops(d)

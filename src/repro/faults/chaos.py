@@ -583,7 +583,7 @@ def run_chaos(
                         ref_attr = combine_attribution(
                             analyze_collector(ref_col).values()
                         )
-                    col = tel.attach_trace() if sc.overlap else None
+                    col = tel.attach_trace()
                     out, res = srm_sort(
                         keys,
                         srm_cfg,
@@ -621,7 +621,7 @@ def run_chaos(
                 if algo == "srm" and sc.adaptive and adaptive_ms is not None:
                     stats["adaptive_makespan_ms"] = adaptive_ms
                     stats["adaptive_identical"] = adaptive_identical
-                if algo == "srm" and sc.overlap and col is not None:
+                if algo == "srm":
                     analyses = analyze_collector(col)
                     attr = combine_attribution(analyses.values())
                     stats["attribution"] = {
@@ -630,7 +630,7 @@ def run_chaos(
                     stats["trace_exact"] = all(
                         a.exact for a in analyses.values()
                     )
-                    if ref_attr is not None:
+                    if sc.overlap and ref_attr is not None:
                         stats["attribution_delta"] = {
                             c: round(attr.get(c, 0.0) - ref_attr.get(c, 0.0), 3)
                             for c in set(attr) | set(ref_attr)

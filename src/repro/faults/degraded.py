@@ -115,12 +115,12 @@ def _migrate_replica(system, disk, trigger, survivors) -> DeathReport:
         system._remap[BlockAddress(disk, slot)] = BlockAddress(target, new_slot)
         group.append(target)
         if len(group) == len(survivors):
-            _charge_recovery_write(system, group)
+            system._charge("write", group, "recovery")
             rounds += 1
             group = []
         _after_recovery_write(system, target)
     if group:
-        _charge_recovery_write(system, group)
+        system._charge("write", group, "recovery")
         rounds += 1
     # The spindle is gone; dropping its slot map makes any unresolved
     # access fail loudly instead of reading a ghost.
@@ -179,12 +179,12 @@ def _migrate_parity(system, disk, trigger, survivors) -> DeathReport:
         system.faults.add_recovery_ops(target)
         group.append(target)
         if len(group) == len(survivors):
-            _charge_recovery_write(system, group)
+            system._charge("write", group, "recovery")
             rounds += 1
             group = []
         _after_recovery_write(system, target)
     if group:
-        _charge_recovery_write(system, group)
+        system._charge("write", group, "recovery")
         rounds += 1
     dead._slots.clear()
     return DeathReport(
@@ -221,14 +221,6 @@ def _after_recovery_write(system, target: int) -> None:
         system._kill_disk(target, "planned")
 
 
-def _charge_recovery_write(system, disks: list[int]) -> None:
-    """Account one parallel recovery-write round on *disks*."""
-    system.stats.record_write(disks)
-    system._advance_clock(len(disks))
-    if system.trace is not None:
-        system.trace.record("write", disks, system.elapsed_ms)
-
-
 # -- checksum scrubbing ----------------------------------------------------
 
 
@@ -236,9 +228,10 @@ def scrub_addresses(system, addresses) -> ScrubReport:
     """Verify the stored seals of *addresses*; repair tears from parity.
 
     The scan reads are charged as greedy parallel rounds (distinct
-    disks per round); each stale seal found is rebuilt in place via
-    :meth:`~repro.faults.parity.ParityStore.repair_in_place`, whose
-    reconstruction I/O is charged on top.  With ``redundancy="none"``
+    disks per round) — patrol traffic, so never counted as
+    ``faults.degraded_split_ios``.  Each stale seal found is rebuilt in
+    place via :meth:`~repro.faults.parity.ParityStore.repair_in_place`,
+    whose reconstruction I/O is charged on top.  With ``redundancy="none"``
     a detected tear is unrepairable and raises :class:`DataError`.
     """
     repaired = 0
@@ -254,7 +247,7 @@ def scrub_addresses(system, addresses) -> ScrubReport:
         if not blk.verify():
             system._repair_torn(addr, p.disk)
             repaired += 1
-    rounds = _charge_scan_reads(system, scan_disks)
+    rounds = system._charge_rounds("read", scan_disks, "recovery")
     return ScrubReport(
         scanned=len(scan_disks), repaired=repaired, scan_read_rounds=rounds
     )
@@ -283,7 +276,7 @@ def scrub_and_repair(system) -> ScrubReport:
         alloc = _alloc_addr_of(system, phys)
         system._repair_torn(alloc, phys.disk)
         repaired += 1
-    rounds = _charge_scan_reads(system, scan_disks)
+    rounds = system._charge_rounds("read", scan_disks, "recovery")
     return ScrubReport(
         scanned=len(scan_disks), repaired=repaired, scan_read_rounds=rounds
     )
@@ -297,33 +290,3 @@ def _alloc_addr_of(system, phys):
             if system.resolve(alloc) == phys:
                 return alloc
     return phys
-
-
-def _charge_scan_reads(system, scan_disks: list[int]) -> int:
-    """Charge scrub scan reads as parallel rounds of distinct disks.
-
-    Deliberately not :meth:`_account_rounds`: a scrub touching one disk
-    many times is patrol traffic, not degraded-stripe splitting, so it
-    must not pollute ``faults.degraded_split_ios``.
-    """
-    rounds = 0
-    used: set[int] = set()
-    group: list[int] = []
-    for d in scan_disks:
-        if d in used:
-            _charge_one_scan_round(system, group)
-            rounds += 1
-            used, group = set(), []
-        used.add(d)
-        group.append(d)
-    if group:
-        _charge_one_scan_round(system, group)
-        rounds += 1
-    return rounds
-
-
-def _charge_one_scan_round(system, disks: list[int]) -> None:
-    system.stats.record_read(disks)
-    system._advance_clock(len(disks))
-    if system.trace is not None:
-        system.trace.record("read", disks, system.elapsed_ms)

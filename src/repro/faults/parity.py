@@ -268,38 +268,9 @@ class ParityStore:
                 f"resolves to dead disk {p.disk}"
             )
         read_disks.append(p.disk)
+        # A charged recovery op: the overlap engine feels it too.
+        self.system.faults.add_recovery_ops(p.disk)
         return self.system.disks[p.disk].read(p.slot)
-
-    def _charge_recovery_reads(self, read_disks: list[int]) -> int:
-        """Charge reconstruction reads as real parallel rounds."""
-        if not read_disks:
-            return 0
-        system = self.system
-        rounds = 0
-        used: set[int] = set()
-        group: list[int] = []
-        for d in read_disks:
-            if d in used:
-                self._charge_read_round(group)
-                rounds += 1
-                used, group = set(), []
-            used.add(d)
-            group.append(d)
-        if group:
-            self._charge_read_round(group)
-            rounds += 1
-        inj = system.faults
-        inj.count_recovery_reads(rounds)
-        for d in read_disks:
-            inj.add_recovery_ops(d)
-        return rounds
-
-    def _charge_read_round(self, disks: list[int]) -> None:
-        system = self.system
-        system.stats.record_read(disks)
-        system._advance_clock(len(disks))
-        if system.trace is not None:
-            system.trace.record("read", disks, system.elapsed_ms)
 
     def reconstruct_member(self, g: ParityGroup, member: ParityMember) -> Block:
         """XOR *member* back from its siblings and the parity source.
@@ -349,7 +320,10 @@ class ParityStore:
                 f"parity reconstruction of {tuple(member.addr)} failed "
                 "verification against the sealed checksum"
             )
-        self._charge_recovery_reads(read_disks)
+        system = self.system
+        system.faults.count_recovery_reads(
+            system._charge_rounds("read", read_disks, "recovery")
+        )
         return blk
 
     def rebuild_parity_block(self, g: ParityGroup) -> Block:
@@ -367,7 +341,10 @@ class ParityStore:
             acc_k = xor_accumulate(acc_k, b.keys)
             if b.payloads is not None:
                 acc_p = xor_accumulate(acc_p, b.payloads)
-        self._charge_recovery_reads(read_disks)
+        system = self.system
+        system.faults.count_recovery_reads(
+            system._charge_rounds("read", read_disks, "recovery")
+        )
         blk = Block(
             keys=acc_k,
             run_id=PARITY_RUN_ID,
@@ -379,9 +356,8 @@ class ParityStore:
     def repair_in_place(self, addr) -> Block:
         """Rebuild the torn block at *addr* and rewrite it where it lives.
 
-        The reconstruction reads are charged via
-        :meth:`_charge_recovery_reads` and the rewrite as one parallel
-        write; the repaired block replaces the torn bytes in its
+        The reconstruction reads are charged as greedy parallel rounds
+        and the rewrite as one parallel write; the repaired block replaces the torn bytes in its
         existing slot.
         """
         entry = self._by_addr.get(addr)
@@ -396,9 +372,6 @@ class ParityStore:
         # Replace in place without cycling the slot through the free
         # list (free() would let allocate() hand the slot out again).
         system.disks[p.disk]._slots[p.slot] = blk
-        system.stats.record_write([p.disk])
-        system._advance_clock(1)
-        if system.trace is not None:
-            system.trace.record("write", [p.disk], system.elapsed_ms)
+        system._charge("write", [p.disk], "recovery")
         system.faults.add_recovery_ops(p.disk)
         return blk

@@ -26,7 +26,7 @@ from repro.cluster import ClusterConfig, cluster_sort
 from repro.core import SRMConfig, srm_sort
 from repro.core.config import OverlapConfig
 from repro.core.events import OverlapReport
-from repro.faults import FaultPlan, StallWindow
+from repro.faults import DiskDeath, FaultPlan, StallWindow
 from repro.telemetry import Telemetry
 from repro.telemetry.report import RunReport
 from repro.workloads import uniform_permutation
@@ -116,6 +116,40 @@ class TestExactness:
         assert "fault_stall" in kinds or "recovery" in kinds
         attr = combine_attribution(analyses.values())
         assert attr.get("stall", 0.0) + attr.get("recovery", 0.0) > 0.0
+
+    @pytest.mark.parametrize("plan", ["parity_torn", "disk_death"])
+    @pytest.mark.parametrize("algo", ["srm", "dsm"])
+    def test_demand_recovery_rounds_are_traced(self, algo, plan):
+        """Recovery I/O rides the demand clock, so it must be on the trace."""
+        faults = {
+            # The benchmark's parity workload: retries, torn writes
+            # repaired from parity, and the final scrub.
+            "parity_torn": FaultPlan(
+                seed=3, read_fail_p=0.02, write_fail_p=0.02,
+                torn_write_p=0.01, redundancy="parity",
+            ),
+            # Replica rebuild: charged migration writes, nothing else.
+            "disk_death": FaultPlan(
+                seed=4, death=DiskDeath(disk=2, after_ops=60)
+            ),
+        }[plan]
+        keys = uniform_permutation(4000, rng=14)
+        tel = Telemetry(algo=algo)
+        col = tel.attach_trace()
+        if algo == "srm":
+            _, res = srm_sort(
+                keys, SRMConfig.from_k(4, 4, 32), rng=15, telemetry=tel,
+                faults=faults,
+            )
+        else:
+            _, res = dsm_sort(
+                keys, DSMConfig.from_memory(1024, 4, 32), telemetry=tel,
+                faults=faults,
+            )
+        if plan == "disk_death":
+            assert res.system.death_reports
+        for dom, a in assert_all_exact(col).items():
+            assert a.attribution["recovery"] > 0.0, dom
 
     def test_combine_attribution_sums_domains(self):
         a = DomainAttribution(

@@ -15,7 +15,8 @@ from repro.core import (
     simulate_merge,
     srm_sort,
 )
-from repro.disks import IOTrace, ParallelDiskSystem, StripedRun
+from repro.disks import DISK_1996, ParallelDiskSystem, StripedRun
+from repro.telemetry.trace import SystemTracer, TraceCollector
 from repro.workloads import (
     duplicate_heavy,
     interleaved_runs,
@@ -133,17 +134,18 @@ class TestModelInvariance:
         from repro.disks import StripedFile
 
         cfg = SRMConfig.from_k(2, 4, 8)
-        system = ParallelDiskSystem(4, 8)
-        system.trace = IOTrace()
+        system = ParallelDiskSystem(4, 8, timing=DISK_1996)
+        col = TraceCollector()
+        system.tracer = SystemTracer(col, col.new_domain("demand"))
         keys = rng.permutation(4096)
         infile = StripedFile.from_records(system, keys)
         res = srm_mergesort(system, infile, cfg, rng=5, run_length=128)
-        reads = [ev for ev in system.trace.events if ev.kind == "read"]
-        writes = [ev for ev in system.trace.events if ev.kind == "write"]
+        reads = [r for r in col.records if r.kind == "read"]
+        writes = [r for r in col.records if r.kind == "write"]
         assert len(reads) == res.io.parallel_reads
         assert len(writes) == res.io.parallel_writes
-        assert sum(ev.width for ev in reads) == res.io.blocks_read
-        assert sum(ev.width for ev in writes) == res.io.blocks_written
+        assert sum(r.attrs["disks"] for r in reads) == res.io.blocks_read
+        assert sum(r.attrs["disks"] for r in writes) == res.io.blocks_written
 
     def test_prefetch_equals_demand_on_sorted_output(self, rng):
         cfg = SRMConfig.from_k(2, 4, 8)

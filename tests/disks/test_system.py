@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from repro.disks import (
+    DISK_1996,
     Block,
     BlockAddress,
     DiskTimingModel,
+    IOStats,
     ParallelDiskSystem,
 )
 from repro.errors import ConfigError, InvalidIOError
+from repro.telemetry.trace import SystemTracer, TraceCollector
 
 
 def blk(v=0):
@@ -184,6 +187,40 @@ class TestAccounting:
         assert sys.used_blocks == 1
         sys.free(a)
         assert sys.used_blocks == 0
+
+    def test_stats_sink_mirrors_charged_op(self):
+        sys = system(D=3)
+        a0 = sys.allocate(0)
+        a2 = sys.allocate(2)
+        sys.stats_sink = IOStats(n_disks=3)
+        sys.write_stripe([(a0, blk()), (a2, blk())])
+        sys.read_stripe([a2])
+        assert sys.stats_sink.same_counts(sys.stats)
+        assert sys.stats.parallel_ios == 2
+
+
+class TestChargeRounds:
+    """The one greedy splitter every multi-round charge goes through."""
+
+    @pytest.mark.parametrize(
+        "disks, widths",
+        [
+            # A repeated disk closes the open round: [0 1] [0 2] [2 3].
+            ([0, 1, 0, 2, 2, 3], [2, 2, 2]),
+            ([3, 1, 0], [3]),
+            ([], []),
+        ],
+    )
+    def test_greedy_rounds(self, disks, widths):
+        sys = system(D=4, timing=DISK_1996)
+        col = TraceCollector()
+        sys.tracer = SystemTracer(col, col.new_domain("demand"))
+        assert sys._charge_rounds("read", disks, "recovery") == len(widths)
+        assert sys.stats.parallel_reads == len(widths)
+        assert sys.stats.blocks_read == len(disks)
+        assert list(sys.stats.reads_per_disk) == [disks.count(d) for d in range(4)]
+        assert [r.kind for r in col.records] == ["recovery"] * len(widths)
+        assert [r.attrs["disks"] for r in col.records] == widths
 
 
 class TestTiming:

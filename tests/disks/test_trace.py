@@ -1,122 +1,106 @@
-"""Tests for I/O trace recording and analysis."""
+"""The disk system's I/O trace: causal tracer records and IOStats views.
+
+Every charged round lands on ``system.tracer`` (one channel-lane record
+per parallel operation) and in :class:`IOStats` (per-disk participation,
+from which utilization, mean width and imbalance follow).
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.disks import Block, IOTrace, ParallelDiskSystem
+from repro.disks import DISK_1996, Block, IOStats, ParallelDiskSystem
+from repro.telemetry.trace import SystemTracer, TraceCollector
 
 
 def blk(v=0):
     return Block(keys=np.array([v]))
 
 
-def traced_system(D=4, B=2):
-    sys = ParallelDiskSystem(D, B)
-    sys.trace = IOTrace()
-    return sys
+def traced_system(D=4, B=2, collector=None):
+    """A timed system (untimed rounds take no time, so leave no record)."""
+    sys = ParallelDiskSystem(D, B, timing=DISK_1996)
+    col = collector if collector is not None else TraceCollector()
+    sys.tracer = SystemTracer(col, col.new_domain("demand"))
+    return sys, col
+
+
+def write_one_per_disk(sys, disks):
+    for d in disks:
+        sys.write_stripe([(sys.allocate(d), blk())])
 
 
 class TestRecording:
     def test_events_captured_in_order(self):
-        sys = traced_system()
+        sys, col = traced_system()
         a = sys.allocate(0)
         b = sys.allocate(2)
         sys.write_stripe([(a, blk()), (b, blk())])
         sys.read_stripe([a])
-        assert len(sys.trace) == 2
-        assert sys.trace.events[0].kind == "write"
-        assert sys.trace.events[0].disks == (0, 2)
-        assert sys.trace.events[1].kind == "read"
-        assert sys.trace.events[1].disks == (0,)
+        recs = list(col.records)
+        assert [r.kind for r in recs] == ["write", "read"]
+        assert [r.attrs["disks"] for r in recs] == [2, 1]
+        assert {r.lane for r in recs} == {"channel"}
 
     def test_indices_sequential(self):
-        sys = traced_system()
-        for d in range(3):
-            a = sys.allocate(d)
-            sys.write_stripe([(a, blk())])
-        assert [ev.index for ev in sys.trace.events] == [0, 1, 2]
+        sys, col = traced_system()
+        write_one_per_disk(sys, range(3))
+        assert [r.index for r in col.records] == [0, 1, 2]
+        # Each round starts where the previous one ended.
+        assert [r.dep for r in col.records] == [None, 0, 1]
 
     def test_no_trace_by_default(self):
         sys = ParallelDiskSystem(2, 2)
         a = sys.allocate(0)
         sys.write_stripe([(a, blk())])  # must not raise
-        assert sys.trace is None
+        assert sys.tracer is None
 
     def test_elapsed_recorded_with_timing(self):
-        from repro.disks import DISK_1996
-
-        sys = ParallelDiskSystem(2, 2, timing=DISK_1996)
-        sys.trace = IOTrace()
+        sys, col = traced_system(D=2)
         a = sys.allocate(0)
         sys.write_stripe([(a, blk())])
-        assert sys.trace.events[0].elapsed_ms > 0
+        (rec,) = col.records
+        assert rec.start_ms == 0.0
+        assert rec.end_ms == sys.elapsed_ms > 0
 
 
 class TestAnalyses:
-    def _trace(self):
-        t = IOTrace()
-        t.record("read", [0, 1, 2, 3], 0.0)
-        t.record("read", [0], 0.0)
-        t.record("read", [0, 1], 0.0)
-        t.record("write", [0, 1, 2, 3], 0.0)
-        return t
+    def _stats(self) -> IOStats:
+        sys = ParallelDiskSystem(4, 2)
+        addrs = [sys.allocate(d) for d in range(4)]
+        sys.write_stripe([(a, blk()) for a in addrs])
+        sys.read_stripe(addrs)
+        sys.read_stripe(addrs[:1])
+        sys.read_stripe(addrs[:2])
+        return sys.stats
 
     def test_disk_participation(self):
-        t = self._trace()
-        assert list(t.disk_participation(4, "read")) == [3, 2, 1, 1]
+        assert list(self._stats().reads_per_disk) == [3, 2, 1, 1]
 
     def test_utilization(self):
-        t = self._trace()
-        u = t.utilization(4, "read")
+        s = self._stats()
+        u = s.reads_per_disk / s.parallel_reads
         assert u[0] == pytest.approx(1.0)
         assert u[3] == pytest.approx(1 / 3)
 
     def test_utilization_empty(self):
-        assert np.all(IOTrace().utilization(3) == 1.0)
-
-    def test_width_histogram(self):
-        t = self._trace()
-        h = t.width_histogram(4, "read")
-        assert h[1] == 1 and h[2] == 1 and h[4] == 1
+        assert IOStats(n_disks=3).read_efficiency == 1.0
 
     def test_mean_width(self):
-        t = self._trace()
-        assert t.mean_width("read") == pytest.approx((4 + 1 + 2) / 3)
-        assert t.mean_width("write") == 4.0
-        assert IOTrace().mean_width() == 0.0
+        s = self._stats()
+        assert s.blocks_read / s.parallel_reads == pytest.approx((4 + 1 + 2) / 3)
+        assert s.blocks_written / s.parallel_writes == 4.0
 
     def test_imbalance(self):
-        t = self._trace()
+        r = self._stats().reads_per_disk
         # read participations 3,2,1,1 -> max/mean = 3/1.75.
-        assert t.imbalance(4, "read") == pytest.approx(3 / 1.75)
-
-    def test_summary(self):
-        text = self._trace().summary(4)
-        assert "4 parallel ops" in text
-        assert "imbalance" in text
-        assert IOTrace().summary() == "empty trace"
-
-    def test_timeline_ascii(self):
-        text = self._trace().timeline_ascii(4, width=4)
-        lines = text.splitlines()
-        assert len(lines) == 5  # 4 disks + footer
-        assert lines[0].startswith("disk  0 |")
-        # Disk 0 participates in every op -> all '#'.
-        assert set(lines[0].split("|")[1]) == {"#"}
-
-    def test_timeline_ascii_empty(self):
-        assert IOTrace().timeline_ascii(2) == "(no operations)"
-
-    def test_timeline_ascii_kind_filter(self):
-        text = self._trace().timeline_ascii(4, width=3, kind="write")
-        assert "1 ops" in text
+        assert r.max() / r.mean() == pytest.approx(3 / 1.75)
 
 
 class TestTraceOnSorts:
     def test_worst_case_layout_shows_imbalance(self, rng):
-        """The §3 adversary is visible in the read trace."""
+        """The §3 adversary is visible in the per-disk read counts."""
         from repro.core import LayoutStrategy, SRMConfig, srm_mergesort
         from repro.disks import StripedFile
 
@@ -124,56 +108,61 @@ class TestTraceOnSorts:
         results = {}
         for strat in (LayoutStrategy.RANDOMIZED, LayoutStrategy.WORST_CASE):
             sys = ParallelDiskSystem(4, 8)
-            sys.trace = IOTrace()
             keys = np.random.default_rng(3).permutation(4096)
             infile = StripedFile.from_records(sys, keys)
             srm_mergesort(sys, infile, cfg, strategy=strat, rng=4, run_length=128)
-            results[strat] = sys.trace.imbalance(4, "read")
+            r = sys.stats.reads_per_disk
+            results[strat] = r.max() / r.mean()
         assert results[LayoutStrategy.WORST_CASE] >= results[LayoutStrategy.RANDOMIZED]
 
 
 class TestRingBuffer:
+    """A bounded collector keeps the newest rounds of a system's trace."""
+
     def test_bounded_trace_keeps_newest(self):
-        t = IOTrace(max_events=3)
+        col = TraceCollector(max_records=3)
         for i in range(5):
-            t.record("read", [i % 4], float(i))
-        assert len(t) == 3
-        assert t.dropped == 2
-        assert t.total_recorded == 5
-        # Global indices survive eviction: trace reads as the tail.
-        assert [ev.index for ev in t.events] == [2, 3, 4]
-        assert t.events[0].disks == (2,)
+            col.add("read", "channel", "demand:0", i, i, i + 1.0,
+                    dep=i - 1 if i else None)
+        assert len(col.records) == 3
+        assert col.dropped == 2
+        assert col.emitted == 5
+        # Global indices survive eviction: the trace reads as the tail,
+        # and the oldest survivor still names its evicted predecessor.
+        assert [r.index for r in col.records] == [2, 3, 4]
+        assert col.records[0].dep == 1
 
     def test_unbounded_by_default(self):
-        t = IOTrace()
-        for i in range(100):
-            t.record("write", [0], 0.0)
-        assert len(t) == 100 and t.dropped == 0
+        sys, col = traced_system()
+        write_one_per_disk(sys, [0] * 100)
+        assert len(col.records) == 100 and col.dropped == 0
 
     def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError, match="max_events"):
-            IOTrace(max_events=0)
+        with pytest.raises(ValueError, match="max_records"):
+            TraceCollector(max_records=0)
 
     def test_summary_reports_drops(self):
-        t = IOTrace(max_events=1)
-        t.record("read", [0], 0.0)
-        t.record("read", [1], 1.0)
-        assert "1 dropped" in t.summary(2)
+        sys, col = traced_system(collector=TraceCollector(max_records=1))
+        write_one_per_disk(sys, [0, 1])
+        sys.tracer.finish(sys.elapsed_ms)
+        (summary,) = [e for e in col.to_events() if e["type"] == "trace_summary"]
+        assert summary["dropped"] == 1
+        assert summary["records"] == 1
 
     def test_analyses_use_surviving_window(self):
-        t = IOTrace(max_events=2)
-        t.record("read", [0, 1, 2], 0.0)  # evicted
-        t.record("read", [0], 1.0)
-        t.record("read", [1], 2.0)
-        assert t.mean_width("read") == 1.0
-        assert list(t.disk_participation(3)) == [1, 1, 0]
+        """The ring bounds the trace only; IOStats still counts every round."""
+        sys, col = traced_system(collector=TraceCollector(max_records=2))
+        addrs = [sys.allocate(d) for d in range(3)]
+        sys.write_stripe([(a, blk()) for a in addrs])  # evicted
+        sys.read_stripe(addrs[:1])
+        sys.read_stripe(addrs[1:2])
+        assert [r.attrs["disks"] for r in col.records] == [1, 1]
+        assert sys.stats.blocks_written == 3
+        assert sys.stats.blocks_read == 2
 
     def test_on_system(self):
-        sys = traced_system()
-        sys.trace = IOTrace(max_events=2)
-        for d in range(4):
-            a = sys.allocate(d)
-            sys.write_stripe([(a, blk())])
-        assert len(sys.trace) == 2
-        assert sys.trace.dropped == 2
-        assert [ev.disks for ev in sys.trace.events] == [(2,), (3,)]
+        sys, col = traced_system(collector=TraceCollector(max_records=2))
+        write_one_per_disk(sys, range(4))
+        assert len(col.records) == 2
+        assert col.dropped == 2
+        assert col.records[-1].end_ms == sys.elapsed_ms

@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import SRMConfig
+from repro.disks import IOStats
 from repro.errors import ConfigError, ScheduleError
+from repro.faults import DiskDeath, FaultPlan
 from repro.service import (
     POLICIES,
     JobSpec,
@@ -117,6 +119,44 @@ class TestWorkConservation:
             srpt.completion_percentiles()["p50"]
             <= rr.completion_percentiles()["p50"]
         )
+
+
+class TestFaultedAccounting:
+    """Recovery rounds are charged to the job whose round ran them."""
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            FaultPlan(seed=9, death=DiskDeath(disk=3, after_ops=150)),
+            FaultPlan(seed=10, torn_write_p=0.05, redundancy="parity"),
+        ],
+        ids=["disk_death", "torn_parity"],
+    )
+    def test_job_counters_sum_to_system_counters(self, plan):
+        cfg = SRMConfig.from_k(2, 4, 16)
+        arrivals = batch_arrivals(
+            4, n_tenants=2, min_records=500, max_records=1200, rng=1234
+        )
+        svc = SortService(
+            ServiceConfig(
+                base_config=cfg,
+                tenants=(TenantSpec("t0"), TenantSpec("t1")),
+                policy="rr",
+            )
+        )
+        svc.submit_arrivals(arrivals)
+        svc.system.attach_faults(plan)
+        result = svc.run()
+        assert [j.state for j in result.jobs] == [COMPLETED] * 4
+        fstats = svc.system.faults.stats
+        if plan.death is not None:
+            assert fstats.recovery_blocks > 0
+        else:
+            assert fstats.torn_writes_detected > 0
+        total = IOStats(n_disks=4)
+        for job in result.jobs:
+            total.add(job.io)
+        assert total.same_counts(svc.system.stats)
 
 
 class TestQuotaEdges:
