@@ -10,13 +10,16 @@ Two classical methods are provided:
   than the last one written; random inputs yield runs of expected
   length ``2M`` (Knuth), i.e. roughly half as many runs.
 
-Replacement selection is block-granular: each refilled input block is
-classified against the next ``m`` pending emissions with one vectorized
-compare (current epoch vs. next epoch), the emissions leave as one array
-slice, and accepted records merge back array-at-a-time.  A per-record
-fallback handles the rare steps where an accepted record would itself be
-emitted inside the same block or the epoch flips mid-block, so the runs
-are exactly the textbook per-record heap loop's.
+Replacement selection is slice-granular: each arriving slice of ``m``
+records (at most the current epoch's pool, so the epoch never flips
+mid-slice) is resolved in one vectorized *fixed-point step*.  The
+slice's ``m`` emissions are the ``m`` smallest of the pool and the
+slice's accepted arrivals, and an arrival is accepted iff it is at least
+the emission it replaces; iterating that acceptance set up from empty
+reaches exactly the textbook per-record heap loop's answer in a few
+rounds (a slice still unsettled after a small round cap is bisected).
+The emissions then leave as one array slice, and the unemitted accepted
+records merge back into the sorted pool with one scatter.
 
 Both methods charge realistic I/O: input blocks are read stripe-parallel
 and runs are written with perfect write parallelism in forecast format.
@@ -24,7 +27,6 @@ and runs are written with perfect write parallelism in forecast format.
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterator
 
 import numpy as np
@@ -171,34 +173,26 @@ def _chunk_reader(system: ParallelDiskSystem, infile: StripedFile, free_input: b
     return refill
 
 
-#: Blocks at or below this size replay per-record when the vectorized
-#: step cannot apply (interference / epoch flip); larger blocks bisect.
-_LEAF = 32
+#: Fixed-point rounds a slice may take before it is bisected.
+_ROUNDS = 8
 
 
 class _BlockReplacementSelection:
-    """Block-granular replacement selection (exact per-record equivalent).
+    """Slice-granular replacement selection (exact per-record equivalent).
 
-    The current epoch's memory is held as two sorted-by-``(key,
-    arrival)`` arrays: the *current pool* (``cur``, the initial fill
-    plus periodically folded-in arrivals) and the *accepted side-array*
-    (``acc``, records accepted since the last fold; everything in
-    ``acc`` arrived after everything in ``cur``).  The next epoch
-    accumulates in arrival order and is stably sorted once per run
-    boundary.
-
-    While input remains, every arriving record pairs with exactly one
-    emission, so an arriving block of ``m`` records pairs with the next
-    ``m`` emissions — the ``m`` smallest of ``cur ∪ acc``, obtained by
-    one stable argsort of two ``m``-slices.  When none of the block's
-    accepted records sorts strictly below the ``m``-th of those
-    emissions (the common case: that requires landing among the ``m``
-    smallest of ``M`` resident records), the whole block commits
-    vectorized: emissions leave as array slices, accepted records merge
-    into ``acc`` with one ``searchsorted`` + ``insert`` (bounded by the
-    fold threshold, not ``M``), and rejects append to the next epoch.
-    Otherwise the block *bisects*; only :data:`_LEAF`-sized pieces ever
-    replay record-by-record, bit-identically to the per-record heap loop.
+    The current epoch's memory is one *pool* sorted by ``(key,
+    arrival)``; the next epoch accumulates in arrival order and is
+    stably sorted when it is promoted.  While input remains, every
+    arriving record pairs with one emission, so an arriving slice ``x``
+    of ``m <= |pool|`` records pairs with the next ``m`` emissions ``E``,
+    all from the current epoch.  ``E`` is the ``m`` smallest of ``pool ∪
+    A`` in ``(key, arrival)`` order, where ``A = {t : x_t >= key(E_t)}``
+    is the set of accepted arrivals: an accepted arrival never sorts
+    before an emission already made.  :meth:`_accepted` solves that for
+    ``A`` by iterating from ``A = ∅``; ``A`` only grows, and its least
+    fixed point is exactly the per-record heap loop's.  :meth:`_commit`
+    then emits ``E``, merges the unemitted accepted records back into
+    the pool with one scatter, and appends the rejects to the next epoch.
     """
 
     def __init__(
@@ -216,19 +210,9 @@ class _BlockReplacementSelection:
         self.run_id = first_run_id
         self.refill = _chunk_reader(system, infile, free_input)
         self.has_payloads = False
-        # Current-epoch pool, sorted by (key, arrival); consumed from ci.
-        self.cur_k = np.empty(0, dtype=np.int64)
-        self.cur_p: np.ndarray | None = None
-        self.ci = 0
-        # Accepted side-array (newer than cur), sorted; consumed from ai.
-        self.acc_k = np.empty(0, dtype=np.int64)
-        self.acc_p: np.ndarray | None = None
-        self.ai = 0
-        # Fold acc into cur once it outgrows this (amortizes the O(M)
-        # merge over many blocks of accepted records).
-        self._fold_at = max(
-            4 * system.n_disks * system.block_size, memory_records // 4
-        )
+        # Current-epoch pool, sorted by (key, arrival).
+        self.pool_k = np.empty(0, dtype=np.int64)
+        self.pool_p: np.ndarray | None = None
         # Next-epoch accumulation, in arrival order.
         self.nxt_k: list[np.ndarray] = []
         self.nxt_p: list[np.ndarray] = []
@@ -238,6 +222,13 @@ class _BlockReplacementSelection:
         self.runs: list[StripedRun] = []
 
     # -- run boundaries ---------------------------------------------------
+
+    def _emit(self, keys: np.ndarray, pays: np.ndarray | None) -> None:
+        if not keys.size:
+            return
+        self.out_k.append(keys)
+        if self.has_payloads:
+            self.out_p.append(pays)
 
     def _close_run(self) -> None:
         if not self.out_k:
@@ -257,196 +248,93 @@ class _BlockReplacementSelection:
         self.out_k = []
         self.out_p = []
 
+    def _set_pool(self, parts_k: list[np.ndarray], parts_p: list[np.ndarray]) -> None:
+        """Make the arrival-ordered *parts* the pool (stable sort)."""
+        if not parts_k:
+            self.pool_k = np.empty(0, dtype=np.int64)
+            self.pool_p = None
+            return
+        keys = np.concatenate(parts_k)
+        order = np.argsort(keys, kind="stable")
+        self.pool_k = keys[order]
+        if self.has_payloads:
+            self.pool_p = np.concatenate(parts_p)[order]
+
     def _promote_next_epoch(self) -> None:
         """Current epoch drained: close the run, promote the next epoch."""
         self._close_run()
-        if self.nxt_k:
-            keys = np.concatenate(self.nxt_k)
-            order = np.argsort(keys, kind="stable")  # arrival order = seq
-            self.cur_k = keys[order]
-            if self.has_payloads:
-                self.cur_p = np.concatenate(self.nxt_p)[order]
-            self.nxt_k = []
-            self.nxt_p = []
-        else:
-            self.cur_k = np.empty(0, dtype=np.int64)
-            self.cur_p = np.empty(0, dtype=np.int64) if self.has_payloads else None
-        self.ci = 0
-        self.acc_k = np.empty(0, dtype=np.int64)
-        self.acc_p = np.empty(0, dtype=np.int64) if self.has_payloads else None
-        self.ai = 0
+        self._set_pool(self.nxt_k, self.nxt_p)
+        self.nxt_k = []
+        self.nxt_p = []
 
-    # -- pool maintenance -------------------------------------------------
+    # -- slice processing -------------------------------------------------
 
-    def _avail(self) -> int:
-        """Unconsumed current-epoch records (cur + accepted side-array)."""
-        return (self.cur_k.size - self.ci) + (self.acc_k.size - self.ai)
+    def _accepted(self, xk: np.ndarray) -> np.ndarray | None:
+        """Acceptance mask of the slice *xk*, or ``None`` past :data:`_ROUNDS`.
 
-    def _fold(self) -> None:
-        """Merge the accepted side-array into the current pool.
-
-        Stable concat order (cur first) keeps the FIFO tie-break: for
-        equal keys, older ``cur`` records precede newer ``acc`` ones.
+        Only the emission *keys* decide acceptance, and an accepted key at
+        or above ``thr``, the ``m``-th pool key, leaves the ``m`` smallest
+        keys unchanged; so each round merges just the accepted keys below
+        ``thr`` into the pool's first ``m``.  Those only grow, so an
+        unchanged count means the fixed point.
         """
-        keys = np.concatenate([self.cur_k[self.ci :], self.acc_k[self.ai :]])
-        order = np.argsort(keys, kind="stable")
-        self.cur_k = keys[order]
-        if self.has_payloads:
-            self.cur_p = np.concatenate(
-                [self.cur_p[self.ci :], self.acc_p[self.ai :]]
-            )[order]
-        self.ci = 0
-        self.acc_k = np.empty(0, dtype=np.int64)
-        self.acc_p = np.empty(0, dtype=np.int64) if self.has_payloads else None
-        self.ai = 0
+        m = xk.size
+        head = self.pool_k[:m]
+        thr = head[-1]
+        emit = head
+        n_low = 0
+        for _ in range(_ROUNDS):
+            mask = xk >= emit
+            low = xk[mask]
+            low = low[low < thr]
+            if low.size == n_low:
+                return mask
+            n_low = low.size
+            # Timsort finds the sorted head as one run: a cheap merge.
+            emit = np.sort(np.concatenate([head, low]), kind="stable")[:m]
+        return None
 
-    def _append_accepted(self, keys: np.ndarray, pays: np.ndarray | None) -> None:
-        """Merge newly accepted records (sorted by key, arrival) into ``acc``.
-
-        Arrivals are newer than everything pending, so equal keys slot
-        *after* existing ones (``side="right"``) — the heap's FIFO
-        tie-break.
-        """
-        rest = self.acc_k[self.ai :]
-        pos = np.searchsorted(rest, keys, side="right")
-        self.acc_k = np.insert(rest, pos, keys)
-        if self.has_payloads:
-            self.acc_p = np.insert(self.acc_p[self.ai :], pos, pays)
-        self.ai = 0
-        if self.acc_k.size > self._fold_at:
-            self._fold()
-
-    def _next_emissions(
-        self, m: int
-    ) -> tuple[np.ndarray, np.ndarray | None, int, int]:
-        """The next ``m`` emissions of the current epoch (needs avail >= m).
-
-        Returns ``(keys, payloads, from_cur, from_acc)``.  A stable
-        argsort over the two sorted ``m``-slices (cur first) realizes
-        the (key, arrival) emission order.
-        """
-        c = self.cur_k[self.ci : self.ci + m]
-        a = self.acc_k[self.ai : self.ai + m]
-        if a.size == 0:
-            pays = self.cur_p[self.ci : self.ci + m] if self.has_payloads else None
-            return c, pays, m, 0
-        if c.size == 0:
-            pays = self.acc_p[self.ai : self.ai + m] if self.has_payloads else None
-            return a, pays, 0, m
-        cat = np.concatenate([c, a])
-        order = np.argsort(cat, kind="stable")[:m]
-        keys = cat[order]
-        from_cur = int((order < c.size).sum())
+    def _commit(self, xk: np.ndarray, xp: np.ndarray | None, mask: np.ndarray) -> None:
+        """Emit the slice's ``m`` records and fold its accepted ones in."""
+        m = xk.size
+        ak = xk[mask]
+        order = np.argsort(ak, kind="stable")  # (key, arrival)
+        ak = ak[order]
+        # Arrivals are newer than the whole pool: equal keys slot after.
+        pos = np.searchsorted(self.pool_k, ak, side="right")
+        pos += np.arange(ak.size)
+        n = self.pool_k.size + ak.size
+        old = np.ones(n, dtype=bool)
+        old[pos] = False
+        keys = np.empty(n, dtype=np.int64)
+        keys[pos] = ak
+        keys[old] = self.pool_k
+        self.pool_k = keys[m:]
+        # Emissions are copied out so they do not pin the merged arrays.
         pays = None
         if self.has_payloads:
-            pays = np.concatenate(
-                [
-                    self.cur_p[self.ci : self.ci + m],
-                    self.acc_p[self.ai : self.ai + m],
-                ]
-            )[order]
-        return keys, pays, from_cur, m - from_cur
-
-    # -- block processing -------------------------------------------------
+            pays = np.empty_like(keys)
+            pays[pos] = xp[mask][order]
+            pays[old] = self.pool_p
+            self.pool_p = pays[m:]
+            pays = pays[:m].copy()
+        self._emit(keys[:m].copy(), pays)
+        rej = ~mask
+        if rej.any():
+            self.nxt_k.append(xk[rej])
+            if self.has_payloads:
+                self.nxt_p.append(xp[rej])
 
     def _process(self, xk: np.ndarray, xp: np.ndarray | None) -> None:
-        """Process an arriving slice: vectorized, bisecting on conflict."""
-        m = xk.size
-        if m == 0:
+        """Resolve a slice of at most ``|pool|`` records, bisecting if slow."""
+        mask = self._accepted(xk)
+        if mask is not None:
+            self._commit(xk, xp, mask)
             return
-        if self._avail() >= m:
-            keys, pays, from_cur, from_acc = self._next_emissions(m)
-            mask = xk >= keys
-            acc_k = xk[mask]
-            # Interference: an accepted arrival strictly below the m-th
-            # emission would itself be emitted within this slice (an
-            # equal key loses the FIFO tie and stays resident).
-            if not (acc_k.size and bool((acc_k < keys[-1]).any())):
-                self.out_k.append(keys)
-                if self.has_payloads:
-                    self.out_p.append(pays)
-                self.ci += from_cur
-                self.ai += from_acc
-                if acc_k.size:
-                    order = np.argsort(acc_k, kind="stable")
-                    self._append_accepted(
-                        acc_k[order],
-                        xp[mask][order] if self.has_payloads else None,
-                    )
-                rej = ~mask
-                if rej.any():
-                    self.nxt_k.append(xk[rej])
-                    if self.has_payloads:
-                        self.nxt_p.append(xp[rej])
-                return
-        if m <= _LEAF:
-            self._process_leaf(xk, xp)
-        else:
-            # Bisect: interference is quadratically rarer in half-sized
-            # slices, so conflicts narrow down to _LEAF-sized replays.
-            h = m // 2
-            self._process(xk[:h], None if xp is None else xp[:h])
-            self._process(xk[h:], None if xp is None else xp[h:])
-
-    def _process_leaf(self, xk: np.ndarray, xp: np.ndarray | None) -> None:
-        """Per-record replay of one leaf (interference / epoch flip)."""
-        # Accepted-but-unemitted arrivals from this leaf: a heap of
-        # (key, index) — the index doubles as the FIFO tie-break and the
-        # payload handle.  On key ties, cur beats acc beats leaf heap
-        # (strictly oldest-first, matching the heap loop's sequence order).
-        heap: list[tuple[int, int]] = []
-        emit_k: list[int] = []
-        emit_p: list[int] = []
-
-        def flush_emitted() -> None:
-            if emit_k:
-                self.out_k.append(np.asarray(emit_k, dtype=np.int64))
-                if self.has_payloads:
-                    self.out_p.append(np.asarray(emit_p, dtype=np.int64))
-                emit_k.clear()
-                emit_p.clear()
-
-        for i in range(xk.size):
-            if self._avail() == 0 and not heap:
-                # Current epoch exhausted: run boundary mid-stream.
-                flush_emitted()
-                self._promote_next_epoch()
-            key = None
-            src = -1
-            if self.ci < self.cur_k.size:
-                key = int(self.cur_k[self.ci])
-                src = 0
-            if self.ai < self.acc_k.size:
-                k2 = int(self.acc_k[self.ai])
-                if key is None or k2 < key:
-                    key, src = k2, 1
-            if heap and (key is None or heap[0][0] < key):
-                key, src = heap[0][0], 2
-            if src == 0:
-                pay = int(self.cur_p[self.ci]) if self.has_payloads else 0
-                self.ci += 1
-            elif src == 1:
-                pay = int(self.acc_p[self.ai]) if self.has_payloads else 0
-                self.ai += 1
-            else:
-                key, j = heapq.heappop(heap)
-                pay = int(xp[j]) if self.has_payloads else 0
-            emit_k.append(key)
-            emit_p.append(pay)
-            x = int(xk[i])
-            if x >= key:
-                heapq.heappush(heap, (x, i))
-            else:
-                self.nxt_k.append(xk[i : i + 1])
-                if self.has_payloads:
-                    self.nxt_p.append(xp[i : i + 1])
-        flush_emitted()
-        if heap:
-            heap.sort()  # (key, arrival) — already the FIFO merge order
-            idx = np.asarray([j for _, j in heap], dtype=np.int64)
-            self._append_accepted(
-                xk[idx], xp[idx] if self.has_payloads else None
-            )
+        # A one-record slice always converges in the first round.
+        h = xk.size // 2
+        self._process(xk[:h], None if xp is None else xp[:h])
+        self._process(xk[h:], None if xp is None else xp[h:])
 
     # -- driver -----------------------------------------------------------
 
@@ -457,53 +345,38 @@ class _BlockReplacementSelection:
         parts_p: list[np.ndarray] = []
         filled = 0
         carry: tuple[np.ndarray, np.ndarray | None] | None = None
-        first = True
         while filled < M:
             chunk = self.refill()
             if chunk is None:
                 break
             k, p = chunk
-            if first:
-                self.has_payloads = p is not None
-                if self.has_payloads:
-                    self.acc_p = np.empty(0, dtype=np.int64)
-                first = False
+            self.has_payloads = p is not None
             need = M - filled
-            if k.size <= need:
-                parts_k.append(k)
-                if p is not None:
-                    parts_p.append(p)
-                filled += k.size
-            else:
-                parts_k.append(k[:need])
-                if p is not None:
-                    parts_p.append(p[:need])
-                carry = (k[need:], p[need:] if p is not None else None)
-                filled += need
-        keys = (
-            np.concatenate(parts_k) if parts_k else np.empty(0, dtype=np.int64)
-        )
-        order = np.argsort(keys, kind="stable")
-        self.cur_k = keys[order]
-        if self.has_payloads:
-            self.cur_p = np.concatenate(parts_p)[order]
+            if k.size > need:
+                carry = (k[need:], None if p is None else p[need:])
+                k, p = k[:need], None if p is None else p[:need]
+            parts_k.append(k)
+            if p is not None:
+                parts_p.append(p)
+            filled += k.size
+        self._set_pool(parts_k, parts_p)
 
         block = carry if carry is not None else self.refill()
         while block is not None:
-            self._process(*block)
+            xk, xp = block
+            i = 0
+            while i < xk.size:
+                # Clipped to the pool, a slice never flips the epoch.
+                j = i + min(xk.size - i, self.pool_k.size)
+                self._process(xk[i:j], None if xp is None else xp[i:j])
+                i = j
+                if self.pool_k.size == 0:
+                    self._promote_next_epoch()
             block = self.refill()
 
-        # Input exhausted: drain the resident pools.
-        self._fold()  # linearize cur + acc into one sorted tail
-        if self.cur_k.size:
-            self.out_k.append(self.cur_k)
-            if self.has_payloads:
-                self.out_p.append(self.cur_p)
+        # Input exhausted: the pool ends this run, the next epoch the last.
+        self._emit(self.pool_k, self.pool_p)
+        self._promote_next_epoch()
+        self._emit(self.pool_k, self.pool_p)
         self._close_run()
-        if self.nxt_k:
-            self._promote_next_epoch()  # closes nothing; promotes the tail
-            self.out_k.append(self.cur_k)
-            if self.has_payloads:
-                self.out_p.append(self.cur_p)
-            self._close_run()
         return self.runs

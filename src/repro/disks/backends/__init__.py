@@ -8,8 +8,9 @@ the ``backend=`` parameter threaded through
 :func:`~repro.cluster.sort.cluster_sort` and ``repro sort --backend``:
 
 * ``None`` / ``"memory"`` — in-RAM dicts (default, historical behavior)
-* ``"mmap"`` — file-per-disk ``np.memmap`` storage in a self-cleaning
-  temporary directory
+* ``"mmap"`` — file-per-disk memory-mapped storage in a self-cleaning
+  temporary directory; blocks read back as zero-copy plain ``np.ndarray``
+  views of the mapped file
 * ``"mmap:/path"`` — same, under an explicit (kept) working directory
 * a :class:`BackendSpec` or constructed :class:`StorageBackend`
 """

@@ -13,7 +13,8 @@ Two backends ship:
   the historical in-RAM behavior and the default.
 * :class:`~repro.disks.backends.mmapfile.MmapFileBackend` — one
   preallocated file per disk, slots as fixed-size records, blocks read
-  back as zero-copy ``np.memmap`` views.  Sorts can exceed RAM, and
+  back as zero-copy plain ``np.ndarray`` views of the mapped file.
+  Sorts can exceed RAM, and
   worker processes can reopen the same files for parallel merging.
 
 Backends are *geometry-lazy*: construct one with its own options, then

@@ -26,10 +26,11 @@ corrupt keys above 2**53).
 Files are preallocated by ``ftruncate`` and grown by doubling; on any
 filesystem with sparse-file support the untouched tail (and the payload
 region of payload-free workloads) consumes no physical space.  Reads
-hand back **zero-copy** ``np.memmap`` views in ``Block.keys`` /
-``Block.payloads`` — the safe pattern throughout this repo, because
-every merge plane copies records into the writer ring before the source
-slot can be freed and reused.
+hand back **zero-copy** views in ``Block.keys`` / ``Block.payloads``:
+plain ``np.ndarray`` views of the mapped file, which slice without the
+``np.memmap`` subclass overhead.  That is the safe pattern throughout
+this repo, because every merge plane copies records into the writer
+ring before the source slot can be freed and reused.
 
 Because slots live at deterministic file offsets, worker processes can
 reopen the same files read-only (:func:`open_disk_flat`) and gather run
@@ -125,13 +126,14 @@ def open_disk_flat(path: str) -> np.ndarray:
 class MmapDiskStore(MutableMapping):
     """``slot -> Block`` mapping over one disk's slot-record file."""
 
-    __slots__ = ("_backend", "_disk_id", "path", "_mm", "_capacity", "_live")
+    __slots__ = ("_backend", "_disk_id", "path", "_map", "_mm", "_capacity", "_live")
 
     def __init__(self, backend: "MmapFileBackend", disk_id: int, path: str) -> None:
         self._backend = backend
         self._disk_id = disk_id
         self.path = path
-        self._mm: np.ndarray | None = None
+        self._map: np.memmap | None = None  # owns the mapping; flushed
+        self._mm: np.ndarray | None = None  # plain view of it; sliced
         self._capacity = 0
         self._live: set[int] = set()
         with open(path, "wb"):
@@ -155,7 +157,8 @@ class MmapDiskStore(MutableMapping):
             f.truncate(new_cap * lay.slot_words * 8)
         # Remapping invalidates nothing: existing Block views map the
         # same (shared) file pages at their old offsets.
-        self._mm = np.memmap(self.path, dtype=np.int64, mode="r+")
+        self._map = np.memmap(self.path, dtype=np.int64, mode="r+")
+        self._mm = self._map.view(np.ndarray)
         self._capacity = new_cap
         self._backend._grows += 1
 
@@ -265,8 +268,8 @@ class MmapDiskStore(MutableMapping):
     # -- maintenance -----------------------------------------------------
 
     def flush(self) -> None:
-        if isinstance(self._mm, np.memmap):
-            self._mm.flush()
+        if self._map is not None:
+            self._map.flush()
 
     @property
     def capacity_slots(self) -> int:
@@ -347,6 +350,7 @@ class MmapFileBackend(StorageBackend):
 
     def close(self) -> None:
         for store in self._stores.values():
+            store._map = None
             store._mm = None
             store._capacity = 0
             store._live.clear()

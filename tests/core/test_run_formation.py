@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.core.run_formation as run_formation
 from repro.core import (
     LayoutStrategy,
     form_runs_load_sort,
@@ -13,6 +16,32 @@ from repro.core import (
 from repro.disks import ParallelDiskSystem, StripedFile
 from repro.errors import ConfigError
 from tests.oracles import replacement_selection_record
+
+
+def _zigzag(t, p):
+    v = t % (2 * p)
+    return np.where(v < p, v, 2 * p - 1 - v)
+
+
+#: Hard inputs for run generation (Bender et al., *Run Generation
+#: Revisited*), generated locally: ``shape(t, n, M, B, rng)`` for
+#: arrival index ``t``.
+ADVERSARIAL = {
+    "updown_B": lambda t, n, M, B, rng: _zigzag(t, B),
+    "updown_M": lambda t, n, M, B, rng: _zigzag(t, M),
+    "alternate": lambda t, n, M, B, rng: np.where(t % 2 == 0, t, n - t),
+    "presorted": lambda t, n, M, B, rng: t,
+    "presorted_noise": lambda t, n, M, B, rng: t + rng.integers(-8, 9, n),
+    "reverse": lambda t, n, M, B, rng: n - t,
+    "all_equal": lambda t, n, M, B, rng: np.zeros(n, dtype=np.int64),
+    "few_distinct": lambda t, n, M, B, rng: rng.integers(0, 3, n),
+}
+
+
+def adversarial_keys(shape, n, M, B, seed=0):
+    t = np.arange(n, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    return ADVERSARIAL[shape](t, n, M, B, rng).astype(np.int64)
 
 
 def make_input(D=4, B=4, n=200, seed=0):
@@ -160,6 +189,8 @@ class TestReplacementSelectionEngines:
             io.parallel_writes,
             io.blocks_read,
             io.blocks_written,
+            io.reads_per_disk.tolist(),
+            io.writes_per_disk.tolist(),
         )
 
     def _assert_engines_agree(self, keys, M, payloads=None, **kw):
@@ -198,8 +229,52 @@ class TestReplacementSelectionEngines:
         keys = np.random.default_rng(4).permutation(100).astype(np.int64)
         self._assert_engines_agree(keys, 5_000)
 
-    def test_block_engine_is_default(self):
+    def test_default_layout_covers_input(self):
         system, keys, infile = make_input(n=400)
         runs = form_runs_replacement_selection(system, infile, 64, rng=1)
         got = np.concatenate([r.read_all(system) for r in runs])
         assert np.array_equal(np.sort(got), np.sort(keys))
+
+    @pytest.mark.parametrize("D,B", [(3, 4), (4, 16), (2, 1)])
+    @pytest.mark.parametrize("M", [1, 2, 7, 333])
+    @pytest.mark.parametrize("shape", list(ADVERSARIAL))
+    def test_adversarial_input(self, shape, M, D, B):
+        keys = adversarial_keys(shape, 1_000, M, B)
+        payloads = np.arange(keys.size, dtype=np.int64)[::-1].copy()
+        self._assert_engines_agree(keys, M, D=D, B=B)
+        self._assert_engines_agree(keys, M, payloads=payloads, D=D, B=B)
+
+    def test_every_slice_bisects_at_minimum_round_cap(self, monkeypatch):
+        # One round decides only slices none of whose accepted records
+        # is emitted within the slice; every other slice bisects.
+        monkeypatch.setattr(run_formation, "_ROUNDS", 1)
+        bisected = []
+        accepted = run_formation._BlockReplacementSelection._accepted
+
+        def spy(self, xk):
+            mask = accepted(self, xk)
+            bisected.append(mask is None)
+            return mask
+
+        monkeypatch.setattr(
+            run_formation._BlockReplacementSelection, "_accepted", spy
+        )
+        rng = np.random.default_rng(5)
+        keys = rng.integers(0, 50, size=2_000).astype(np.int64)
+        payloads = np.arange(keys.size, dtype=np.int64)
+        self._assert_engines_agree(keys, 90, payloads=payloads, D=4, B=16)
+        self._assert_engines_agree(adversarial_keys("alternate", 2_000, 90, 16), 90)
+        assert any(bisected)
+
+    @given(
+        keys=st.lists(st.integers(-4, 4), max_size=300),
+        M=st.integers(1, 40),
+        D=st.integers(1, 4),
+        B=st.integers(1, 8),
+        with_payloads=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle_property(self, keys, M, D, B, with_payloads):
+        keys = np.asarray(keys, dtype=np.int64)
+        payloads = np.arange(keys.size, dtype=np.int64) if with_payloads else None
+        self._assert_engines_agree(keys, M, payloads=payloads, D=D, B=B)

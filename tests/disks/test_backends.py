@@ -203,6 +203,17 @@ class TestStoreSemantics:
         got = sys_.peek(a)
         assert isinstance(got.keys, np.memmap) or got.keys.base is not None
 
+    def test_slot_views_are_plain_ndarrays(self, tmp_path):
+        sys_ = mmap_system(tmp_path, D=1, B=4)
+        a = sys_.allocate(0)
+        sys_.disks[0].write(
+            a.slot, Block(keys=np.array([1, 2, 3]), payloads=np.array([7, 8, 9]))
+        )
+        got = sys_.peek(a)
+        for view in (got.keys, got.payloads):
+            assert type(view) is np.ndarray
+            assert view.base is not None  # a view of the mapping, not a copy
+
 
 class TestFilesAndCleanup:
     def test_explicit_workdir_kept(self, tmp_path):
@@ -227,6 +238,29 @@ class TestFilesAndCleanup:
             wd = sys_.backend.workdir
             assert os.path.isdir(wd)
         assert not os.path.exists(wd)
+
+    def test_flush_persists_for_reopen(self, tmp_path):
+        be = MmapFileBackend(workdir=str(tmp_path), initial_slots=1)
+        sys_ = ParallelDiskSystem(1, 4, backend=be)
+        addrs = []
+        for v in range(5):  # grows (remaps) the file along the way
+            a = sys_.allocate(0)
+            sys_.disks[0].write(a.slot, Block(keys=np.array([v, v + 10])))
+            addrs.append(a)
+        be.flush()
+        flat = open_disk_flat(be.path_for(0))
+        got = [be.layout.keys_of(flat, a.slot).tolist() for a in addrs]
+        assert got == [[v, v + 10] for v in range(5)]
+
+    def test_close_drops_both_handles(self, tmp_path):
+        sys_ = mmap_system(tmp_path, D=2, B=4)
+        for d in range(2):
+            a = sys_.allocate(d)
+            sys_.disks[d].write(a.slot, Block(keys=np.array([d])))
+        stores = list(sys_.backend._stores.values())
+        assert all(s._map is not None and s._mm is not None for s in stores)
+        sys_.close()
+        assert all(s._map is None and s._mm is None for s in stores)
 
     def test_worker_side_flat_decode(self, tmp_path):
         sys_ = mmap_system(tmp_path, D=2, B=4)
