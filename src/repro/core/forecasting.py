@@ -20,10 +20,13 @@ implanted tuples lives in the test suite.
 
 ``H`` is one ``D x R`` int64 matrix plus a boolean *alive* mask for
 exhausted chains (keys may occupy the full int64 range, so no in-band
-sentinel exists), and the merger's hot queries — the smallest block on a
-disk, the global minimum, and each run's next on-disk key — are single
-vectorized reductions (``argmin`` over a row, ``min`` over the matrix,
-``min`` over a column) instead of Python loops with lazy heaps.
+sentinel exists), and the merger's hot queries — every disk's smallest
+block, the global minimum, and each run's next on-disk key — are single
+vectorized reductions (``argmin`` along rows, ``min`` over the matrix,
+``min`` along columns) instead of Python loops with lazy heaps.
+
+The merge's galloping bound and its consumption rule live here too, so
+the demand drain and the ghost schedule drive share one definition.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ class ForecastStructure:
         # H[d, r]: key of chain head; _alive[d, r]: chain not exhausted.
         self._h = np.full((D, R), INF_I64, dtype=np.int64)
         self._alive = np.zeros((D, R), dtype=bool)
+        self._disks = np.arange(D)
         for r in range(R):
             for d in range(D):
                 self._refresh(r, d)
@@ -104,9 +108,10 @@ class ForecastStructure:
     def smallest_block_on_disk(self, disk: int) -> Optional[tuple[float, int, int]]:
         """The smallest block on *disk*: ``(key, run, block)`` or ``None``.
 
-        This is the block a ``ParRead`` fetches from *disk*.  Key ties
-        resolve to the smallest run index (``argmin`` returns the first
-        minimum, matching the old heap's ``(key, run)`` ordering).
+        The per-disk form of :meth:`smallest_blocks`, which flush-victim
+        selection uses.  Key ties resolve to the smallest run index
+        (``argmin`` returns the first minimum, matching the old heap's
+        ``(key, run)`` ordering).
         """
         idx = np.flatnonzero(self._alive[disk])
         if idx.size == 0:
@@ -117,6 +122,28 @@ class ForecastStructure:
         if block is None:  # pragma: no cover - defensive
             raise ScheduleError("FDS points at an exhausted chain")
         return int(self._h[disk, run]), run, block
+
+    def smallest_blocks(self) -> list[tuple[int, int, int]]:
+        """Every disk's smallest block as ``(run, block, disk)``, by disk.
+
+        The ``ParRead`` query: one masked ``argmin`` along the rows of
+        ``H`` answers :meth:`smallest_block_on_disk` for all disks at
+        once (first minimum, so key ties go to the smaller run).  A row
+        whose chosen entry is dead — an empty disk, or a dead chain's
+        :data:`INF_I64` filler tying a live key equal to it at a higher
+        run — falls back to the per-disk query.  Empty disks are omitted.
+        """
+        runs = np.where(self._alive, self._h, INF_I64).argmin(axis=1)
+        live = self._alive[self._disks, runs].tolist()
+        out = []
+        for disk, run in enumerate(runs.tolist()):
+            if not live[disk]:
+                head = self.smallest_block_on_disk(disk)
+                if head is None:
+                    continue
+                run = head[1]
+            out.append((run, self.chain_head_block(run, disk), disk))
+        return out
 
     def global_min_key(self) -> float:
         """Smallest key of any on-disk block (the ``S_t`` minimum)."""
@@ -143,10 +170,25 @@ class ForecastStructure:
         a boolean mask of runs with at least one on-disk block.  Entries
         with ``valid`` unset are filler (:data:`INF_I64` is not a
         reserved key, so a mask — not a sentinel — signals exhaustion).
-        This is the batched merger's galloping-bound query.
         """
         values = np.where(self._alive, self._h, INF_I64).min(axis=0)
         return values, self._alive.any(axis=0)
+
+    def galloping_bound(self) -> tuple[float, int]:
+        """The smallest ``(key, run)`` first key of any on-disk block.
+
+        Between two ``ParRead``\\ s the merge may emit exactly the
+        resident records ``(key, run)`` with ``(key, run) <= bound``: key
+        ties go to the smaller run (a heapq merge's tie-break), and the
+        bound's own run holds the bound key in a later block.
+        ``(INF, -1)`` once no block remains on disk.
+        """
+        values, valid = self.min_keys_per_run()
+        idx = np.flatnonzero(valid)
+        if idx.size == 0:
+            return INF, -1
+        run = int(idx[values[idx].argmin()])
+        return int(values[run]), run
 
     # -- transitions ---------------------------------------------------------
 
@@ -176,3 +218,14 @@ class ForecastStructure:
     def chain_pointer(self, run: int, disk: int) -> int:
         """Current chain position (used by validation)."""
         return self._ptr[run][disk]
+
+
+def block_precedes(last: int, run: int, bound: tuple[float, int]) -> bool:
+    """Whether a block of *run* ending in key *last* lies wholly before *bound*."""
+    return (last, run) <= bound
+
+
+def cut_at_bound(keys: np.ndarray, run: int, bound: tuple[float, int]) -> int:
+    """How many records of a block of *run* (sorted *keys*) precede *bound*."""
+    key, bound_run = bound
+    return int(keys.searchsorted(key, side="right" if run <= bound_run else "left"))

@@ -3,13 +3,15 @@
 Both loops of :mod:`repro.core.merge` gather their work the same way
 (:func:`_gather`).  Between two ``ParRead`` operations the set of
 resident blocks is fixed, so every resident record ordered before the
-*galloping bound* — the smallest first key of any non-resident block
-(``min_i H_i[j]`` per run, a single vectorized reduction) — can be
-merged in one step: ``searchsorted`` cuts each resident block at the
-bound, and one stable ``argsort`` interleaves whole block slices.
+*galloping bound* — the smallest ``(key, run)`` first key of any
+non-resident block (:meth:`ForecastStructure.galloping_bound`) — can be
+merged in one step: a block whose last key precedes the bound is taken
+whole, ``searchsorted`` cuts the one block per run that straddles it,
+and one stable ``argsort`` interleaves the block slices.
 
-* :func:`merge_loop_batched` — the demand path — writes each batch and
-  fires its depletions at once.
+* :func:`merge_loop_batched` — the demand path — writes each batch,
+  fires its depletions at once and demand-fetches the bound's block:
+  one gather per ``ParRead``.  Bare keys merge with an unstable sort.
 * :func:`merge_loop_cycles` — the overlap-engine path — splits each
   batch into the key-range *cycles* a textbook ``heapq`` merge would
   run (:func:`_cycle_starts`), then replays only the cycles at which the
@@ -21,9 +23,10 @@ Ordering contract (shared with a heapq merge): records are emitted in
 ``(key, run index, position in run)`` order.  Ties across runs go to
 the smaller run index — the heap's ``(key, run)`` tie-break — which the
 batch reproduces by concatenating run slices in run order and sorting
-with a stable kind.  Both loops issue the same ``ParRead``/flush stream
-as the heapq merge, and the engine path also the same clock, writes,
-frees and cycle count.
+with a stable kind (equal bare keys are indistinguishable, so the
+demand path sorts those with the faster unstable kind).  Both loops
+issue the same ``ParRead``/flush stream as the heapq merge, and the
+engine path also the same clock, writes, frees and cycle count.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import numpy as np
 from ..errors import ScheduleError
 from ..telemetry import TELEMETRY_OFF
 from ..telemetry.schema import H_DRAIN_BATCH, MERGE_DRAIN_CYCLES, batch_edges
+from .forecasting import block_precedes, cut_at_bound
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..disks.files import StripedRun
@@ -49,20 +53,18 @@ class _Batch:
 
     ``pieces`` holds one ``(run, block, lo, hi, block size)`` per block
     slice, in run order; ``keys``/``pays`` hold the slices themselves.
-    ``stop[r]`` is the block at which run ``r``'s gather stopped and
-    ``bounds`` the forecasting structure's per-run minima it used.  When
+    ``stop[r]`` is the block at which run ``r``'s gather stopped.  When
     ``pieces`` is empty the globally smallest record lies in the bound's
     non-resident block, ``bound_run``'s leading block.
     """
 
-    __slots__ = ("pieces", "keys", "pays", "stop", "bounds", "bound_run")
+    __slots__ = ("pieces", "keys", "pays", "stop", "bound_run")
 
-    def __init__(self, pieces, keys, pays, stop, bounds, bound_run) -> None:
+    def __init__(self, pieces, keys, pays, stop, bound_run) -> None:
         self.pieces = pieces
         self.keys = keys
         self.pays = pays
         self.stop = stop
-        self.bounds = bounds
         self.bound_run = bound_run
 
     def merged(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
@@ -92,22 +94,14 @@ def _gather(
 ) -> _Batch:
     """Collect every resident record ordered before the galloping bound.
 
-    Advances ``offsets`` past the gathered records; the caller must
-    consume the whole batch before gathering again.
+    A block whose last key precedes the bound is taken whole; only the
+    one block per run that straddles it is searched.  Advances
+    ``offsets`` past the gathered records; the caller must consume the
+    whole batch before gathering again.
     """
     job = sched.job
-    bounds, valid = sched.fds.min_keys_per_run()
-    bounded = bool(valid.any())
-    if bounded:
-        # Smallest (key, run) among runs with on-disk blocks; argmin
-        # over the valid subset keeps the smallest-run tie-break.
-        idx = np.flatnonzero(valid)
-        br = int(idx[bounds[idx].argmin()])
-        bound_key = int(bounds[br])
-    else:
-        br = -1
-        bound_key = 0
-
+    last_keys = job.last_keys
+    bound = sched.fds.galloping_bound()
     pieces: list[tuple[int, int, int, int, int]] = []
     seg_keys: list[np.ndarray] = []
     seg_pays: list[np.ndarray] | None = None
@@ -121,43 +115,47 @@ def _gather(
             if validate and off == 0:
                 # First touch of this block: its contents must agree
                 # with the run metadata the forecasts were built from.
-                if int(data[0]) != int(job.first_keys[r][b]) or bool(
-                    np.any(data[1:] < data[:-1])
+                if (
+                    int(data[0]) != int(job.first_keys[r][b])
+                    or int(data[-1]) != int(last_keys[r][b])
+                    or bool(np.any(data[1:] < data[:-1]))
                 ):
                     raise ScheduleError(
                         f"merge batch desync: run {r} block {b}"
                         " contents disagree with run metadata"
                     )
-            if bounded:
-                # Records equal to the bound belong to this run iff it
-                # precedes the bound's run in the (key, run) order — or
-                # owns the bound itself (earlier block, same run).
-                side = "right" if r <= br else "left"
-                hi = int(data.searchsorted(bound_key, side=side))
+            size = data.size
+            if block_precedes(last_keys[r][b], r, bound):
+                hi = size
             else:
-                hi = data.size
+                hi = cut_at_bound(data, r, bound)
             if hi <= off:
                 break
-            pieces.append((r, b, off, hi, data.size))
+            pieces.append((r, b, off, hi, size))
             seg_keys.append(data[off:hi])
             if pay is not None:
                 if seg_pays is None:
                     seg_pays = []
                 seg_pays.append(pay[off:hi])
-            if hi < data.size:
+            if hi < size:
                 off = hi
                 break
             b += 1
             off = 0
         offsets[r] = off
         stop.append(b)
-    if not pieces and not bounded:  # pragma: no cover - guarded by finished()
+    if not pieces and bound[1] < 0:  # pragma: no cover - guarded by finished()
         raise ScheduleError("merge stalled with no on-disk blocks")
-    return _Batch(pieces, seg_keys, seg_pays, stop, bounds, br)
+    return _Batch(pieces, seg_keys, seg_pays, stop, bound[1])
 
 
 def _limit_after(
-    batch: _Batch, block_data: dict, offsets: list[int], n_blocks: list[int], run: int
+    batch: _Batch,
+    sched: "MergeScheduler",
+    block_data: dict,
+    offsets: list[int],
+    n_blocks: list[int],
+    run: int,
 ) -> int | None:
     """The smallest next key of any run but *run* once *batch* is consumed.
 
@@ -165,7 +163,7 @@ def _limit_after(
     non-resident one from the forecasting structure's per-run minimum.
     ``None`` when every other run is exhausted.
     """
-    bounds = batch.bounds.tolist()
+    bounds = sched.fds.min_keys_per_run()[0].tolist()
     heads = []
     for s, b in enumerate(batch.stop):
         if s == run or b >= n_blocks[s]:
@@ -202,15 +200,19 @@ def merge_loop_batched(
 ) -> int:
     """Drain whole resident block slices between consecutive ``ParRead``\\ s.
 
-    When nothing is emittable the bound's block is demand-fetched,
-    exactly where a heapq merge would have stalled, so the
-    ``ParRead``/flush stream is bit-identical to a heapq merge's.
+    Each ParRead gap is one gather and one merge.  Draining never moves
+    the galloping bound, so once a batch is consumed the bound's block
+    is demand-fetched directly, exactly where a heapq merge would have
+    stalled, and the ``ParRead``/flush stream is bit-identical to a
+    heapq merge's.  Bare keys merge with an unstable sort: equal keys
+    cannot be told apart.
 
     Returns the number of block slices emitted — fewer than a heapq
     merge's key-range cycles whenever runs interleave within a block.
     """
     job = sched.job
     n_blocks = [job.blocks_in_run(r) for r in range(job.n_runs)]
+    last_keys = job.last_keys
     offsets = [0] * job.n_runs
     tel = telemetry if telemetry is not None else TELEMETRY_OFF
     h_batch = tel.histogram(H_DRAIN_BATCH, batch_edges(system.block_size))
@@ -218,26 +220,30 @@ def merge_loop_batched(
     cycles = 0
     while not sched.finished():
         batch = _gather(sched, block_data, offsets, n_blocks, validate)
-        if not batch.pieces:
-            # The globally smallest record lives in a non-resident
-            # block: demand-fetch it (one ParRead).
-            br = batch.bound_run
-            sched.ensure_resident(br, sched.leading[br])
-            continue
-        cycles += len(batch.pieces)
-        keys, pays, _ = batch.merged()
-        writer.append(keys, pays)
-        h_batch.observe(keys.size)
-        # Fire depletions in consumption order: (last key, run, block)
-        # sorts each run's blocks in sequence and interleaves runs the
-        # way a heapq merge would have.
-        depleted = sorted(
-            (int(seg[-1]), r, b)
-            for (r, b, _lo, hi, size), seg in zip(batch.pieces, batch.keys)
-            if hi == size
-        )
-        for _, r, b in depleted:
-            _retire(sched, block_data, runs, system, free_inputs, r, b)
+        if batch.pieces:
+            cycles += len(batch.pieces)
+            if batch.pays is None and len(batch.keys) > 1:
+                keys, pays = np.sort(np.concatenate(batch.keys)), None
+            else:
+                keys, pays, _ = batch.merged()
+            writer.append(keys, pays)
+            h_batch.observe(keys.size)
+            # Fire depletions in consumption order: (last key, run, block)
+            # sorts each run's blocks in sequence and interleaves runs the
+            # way a heapq merge would have.
+            depleted = sorted(
+                (last_keys[r][b], r, b)
+                for r, b, _lo, hi, size in batch.pieces
+                if hi == size
+            )
+            for _, r, b in depleted:
+                _retire(sched, block_data, runs, system, free_inputs, r, b)
+            if sched.finished():
+                break
+        # The globally smallest unconsumed record lives in the bound's
+        # non-resident block: demand-fetch it (one ParRead).
+        br = batch.bound_run
+        sched.ensure_resident(br, sched.leading[br])
     m_cycles.inc(cycles)
     return cycles
 
@@ -327,7 +333,9 @@ def merge_loop_cycles(
         run = p_run[piece]
 
         # The batch's last stretch takes its limit from beyond the batch.
-        limit = _limit_after(batch, block_data, offsets, n_blocks, int(run[-1]))
+        limit = _limit_after(
+            batch, sched, block_data, offsets, n_blocks, int(run[-1])
+        )
         starts = _cycle_starts(keys, piece, run, limit)
         counts = np.diff(starts, append=keys.size)
         C = counts.size

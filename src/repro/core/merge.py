@@ -7,9 +7,10 @@ through a batched internal merge, and the output run is streamed to disk
 with perfect write parallelism.
 
 Internal merge processing is batched: between two ``ParRead`` operations
-every resident record below the forecasting structure's galloping bound
-is merged in one stable ``argsort``, so internal work is a few array
-operations per ParRead gap rather than per-record Python.
+every resident record before the forecasting structure's galloping bound
+is merged in one sort, so a ParRead gap costs one gather, one all-disk
+forecast query and one copy per output stripe — a handful of array
+operations rather than per-record or per-run Python.
 
 The merger learns a non-resident leading block's first key *only*
 through the forecasting structure (``min_i H_i[run]``, Definition 1's

@@ -68,6 +68,7 @@ from ..telemetry.schema import (
     SPAN_PMERGE_STITCH,
     SPAN_PMERGE_WORKERS,
 )
+from .forecasting import block_precedes
 from .job import MergeJob
 from .merge import MergeResult, _check_forecast
 from .schedule import MergeScheduler
@@ -101,33 +102,19 @@ def ghost_drive(
     """
     job = sched.job
     R = job.n_runs
-    fds = sched.fds
     n_blocks = [job.blocks_in_run(r) for r in range(R)]
     rounds = 0
     while not sched.finished():
         rounds += 1
-        bounds, valid = fds.min_keys_per_run()
-        bounded = bool(valid.any())
-        if bounded:
-            idx = np.flatnonzero(valid)
-            br = int(idx[bounds[idx].argmin()])
-            bound_key = int(bounds[br])
-        else:
-            br = -1
-            bound_key = 0
-
+        bound = sched.fds.galloping_bound()
         depleted: list[tuple[int, int, int]] = []  # (last_key, run, block)
         leading = sched.leading
         for r in range(R):
             b = leading[r]
             while b < n_blocks[r] and sched.is_resident(r, b):
                 last = int(job.last_keys[r][b])
-                if bounded:
-                    # (key, run) tie-break: records equal to the bound
-                    # belong to runs at or before the bound's run.
-                    consumed = last <= bound_key if r <= br else last < bound_key
-                    if not consumed:
-                        break
+                if not block_precedes(last, r, bound):
+                    break
                 depleted.append((last, r, b))
                 b += 1
 
@@ -139,7 +126,8 @@ def ghost_drive(
 
         if sched.finished():
             break
-        if not bounded:  # pragma: no cover - finished() guards this
+        br = bound[1]
+        if br < 0:  # pragma: no cover - finished() guards this
             raise ScheduleError("ghost drive stalled with no on-disk blocks")
         # Everything before the bound is consumed; the serial loop's
         # next action is the demand fetch of the bound's leading block.

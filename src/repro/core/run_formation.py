@@ -96,7 +96,7 @@ def form_runs_load_sort(
             payloads = payloads[order]
         else:
             payloads = None
-            keys.sort(kind="stable")
+            keys.sort()  # equal bare keys are indistinguishable
         if free_input:
             for addr in chunk:
                 system.free(addr)

@@ -175,6 +175,7 @@ class MergeScheduler:
         self.pool = BufferPool(merge_order=job.n_runs, n_disks=job.n_disks)
         #: Current leading block index per run (Definition 1).
         self.leading = [0] * job.n_runs
+        self._n_blocks = [job.blocks_in_run(r) for r in range(job.n_runs)]
         #: Residency of every not-fully-consumed block.
         self._resident: set[tuple[int, int]] = set()
         #: F_t — full non-leading resident blocks as (key, run, block),
@@ -278,7 +279,7 @@ class MergeScheduler:
         """
         if not self._loaded:
             raise ScheduleError("ensure_resident before initial_load")
-        if block >= self.job.blocks_in_run(run):
+        if block >= self._n_blocks[run]:
             raise ScheduleError(f"run {run} has no block {block}")
         if self.is_resident(run, block):
             return 0
@@ -325,13 +326,7 @@ class MergeScheduler:
             # occupancy allows.  On the demand path out_rank == 1 makes
             # this unreachable; eager callers avoid it via can_read_without_flush.
 
-        reads: list[ReadOp] = []
-        for d in range(self.job.n_disks):
-            head = self.fds.smallest_block_on_disk(d)
-            if head is None:
-                continue
-            key, run, block = head
-            reads.append((run, block, d))
+        reads: list[ReadOp] = self.fds.smallest_blocks()
         if not reads:
             raise ScheduleError("ParRead issued with no blocks on any disk")
 
@@ -484,7 +479,7 @@ class MergeScheduler:
         self.pool.retire_leading()
         nxt = block + 1
         self.leading[run] = nxt
-        if nxt < self.job.blocks_in_run(run) and (run, nxt) in self._resident:
+        if nxt < self._n_blocks[run] and (run, nxt) in self._resident:
             key = int(self.job.first_keys[run][nxt])
             idx = bisect_left(self._f, (key, run, nxt))
             if idx >= len(self._f) or self._f[idx] != (key, run, nxt):
@@ -496,11 +491,8 @@ class MergeScheduler:
 
     def run_exhausted(self, run: int) -> bool:
         """True once every block of *run* has been consumed."""
-        return self.leading[run] >= self.job.blocks_in_run(run)
+        return self.leading[run] >= self._n_blocks[run]
 
     def finished(self) -> bool:
         """True once all runs are exhausted."""
-        return all(
-            self.leading[r] >= self.job.blocks_in_run(r)
-            for r in range(self.job.n_runs)
-        )
+        return all(lead >= n for lead, n in zip(self.leading, self._n_blocks))

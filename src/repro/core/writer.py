@@ -13,9 +13,9 @@ Buffering is a preallocated ring of ``2 x (2·D·B)`` record frames — the
 stripes are still materializing.  The read head only ever advances by
 whole ``D·B``-record stripes and the capacity is a multiple of that
 stride, so the current stripe and its lookahead are always *contiguous*
-views into the ring: draining a stripe is zero-copy slicing, where the
-old chunk-list buffer paid a ``pop(0)`` plus ``concatenate`` shuffle per
-stripe.
+views into the ring.  Draining a stripe copies it out of the ring once;
+its ``D`` blocks are contiguous views of that copy, and their first and
+last keys and forecasts come from strided slices of it.
 
 Records may carry payloads: internally the ring is a 2-row matrix
 (keys; payloads) so both columns flow through identical slicing.
@@ -145,15 +145,16 @@ class RunWriter:
         self.max_buffered_blocks = max(self.max_buffered_blocks, -(-self._pending // B))
 
     def _drain_stripe(self) -> None:
-        """Write the stripe at the ring head (zero-copy views)."""
+        """Write the stripe at the ring head; the next one gives its forecasts."""
         stride = self._stripe
         B = self.system.block_size
         self._h_occupancy.observe(-(-self._pending // B))
         h = self._head
-        stripe = self._buf[:, h : h + stride]
         la = (h + stride) % self._cap
-        lookahead = self._buf[:, la : la + stride]
-        self._write_stripe(stripe, lookahead=lookahead)
+        # Copy out of the ring: the frames are reused by later appends,
+        # but the written blocks live on disk indefinitely.
+        ahead = self._buf[0, la : la + stride : B].tolist()
+        self._write_blocks(self._buf[:, h : h + stride].copy(), ahead)
         self._head = la
         self._pending -= stride
 
@@ -174,42 +175,45 @@ class RunWriter:
             # differ from the allocated addresses in degraded mode).
             self.on_write(disks)
 
-    def _write_stripe(self, stripe: np.ndarray, lookahead: np.ndarray) -> None:
-        """Write one full stripe; *lookahead* is the next stripe's data."""
-        D, B = self.system.n_disks, self.system.block_size
-        writes = []
-        for m in range(D):
-            index = self._next_block + m
-            data = stripe[:, m * B : (m + 1) * B]
-            if index == 0:
-                # Initial block: keys of blocks 0..D-1, i.e. of this stripe.
-                fc = tuple(int(stripe[0, j * B]) for j in range(D))
-            else:
-                # Key of block index + D, i.e. the lookahead stripe's m-th.
-                fc = (int(lookahead[0, m * B]),)
-            writes.append(self._emit_block(index, data, fc))
-        self._emit(writes)
-        self._next_block += D
+    def _write_blocks(self, data: np.ndarray, ahead: list[int]) -> None:
+        """Write the next (up to ``D``) blocks as one parallel write.
 
-    def _emit_block(
-        self, index: int, data: np.ndarray, forecast: tuple[float, ...]
-    ):
-        addr = self.system.allocate(
-            cyclic_disk(self.start_disk, index, self.system.n_disks)
-        )
-        self._addresses.append(addr)
-        self._first_keys.append(int(data[0, 0]))
-        self._last_keys.append(int(data[0, -1]))
-        # Copy out of the ring: the frames behind these views are reused
-        # by later appends, but the Block lives on disk indefinitely.
-        block = Block(
-            keys=data[0].copy(),
-            run_id=self.run_id,
-            index=index,
-            forecast=forecast,
-            payloads=data[1].copy() if data.shape[0] == 2 else None,
-        )
-        return (addr, block)
+        *data* is an owned ``(rows, n)`` matrix with ``n <= D·B``; each
+        block is a contiguous view of it, the last possibly partial.
+        *ahead* holds the first keys of the ``D`` blocks that follow
+        (``NO_KEY`` past the run's end): block ``i`` implants the key
+        of block ``i + D``, and the initial block the keys of blocks
+        ``0..D-1``.
+        """
+        D, B = self.system.n_disks, self.system.block_size
+        keys = data[0]
+        pays = data[1] if data.shape[0] == 2 else None
+        firsts = keys[::B].tolist()
+        lasts = keys[B - 1 :: B].tolist()
+        if keys.size % B:
+            lasts.append(int(keys[-1]))
+        writes = []
+        for m in range(len(firsts)):
+            index = self._next_block + m
+            if index == 0:
+                fc = tuple(firsts + [NO_KEY] * (D - len(firsts)))
+            else:
+                fc = (ahead[m],)
+            addr = self.system.allocate(cyclic_disk(self.start_disk, index, D))
+            self._addresses.append(addr)
+            lo = m * B
+            block = Block(
+                keys=keys[lo : lo + B],
+                run_id=self.run_id,
+                index=index,
+                forecast=fc,
+                payloads=pays[lo : lo + B] if pays is not None else None,
+            )
+            writes.append((addr, block))
+        self._first_keys.extend(firsts)
+        self._last_keys.extend(lasts)
+        self._next_block += len(firsts)
+        self._emit(writes)
 
     def finalize(self) -> StripedRun:
         """Flush remaining buffered blocks and return the finished run."""
@@ -232,31 +236,15 @@ class RunWriter:
                     [self._buf[:, h:cap], self._buf[:, : pend - first]], axis=1
                 )
         self._pending = 0
-        # Remaining blocks, the last possibly partial.
-        blocks = [tail[:, i : i + B] for i in range(0, tail.shape[1], B)]
-        if blocks:
-            self._h_occupancy.observe(len(blocks))
-        total_blocks = self._next_block + len(blocks)
-
-        def key_of(index: int) -> float:
-            # Only future (tail) blocks are ever asked for.
-            off = index - self._next_block
-            return int(blocks[off][0, 0]) if 0 <= off < len(blocks) else NO_KEY
-
-        writes = []
-        for m, data in enumerate(blocks):
-            index = self._next_block + m
-            if index == 0:
-                fc = tuple(key_of(j) for j in range(D))
-            else:
-                fc = (key_of(index + D),)
-            writes.append(self._emit_block(index, data, fc))
-            if len(writes) == D:
-                self._emit(writes)
-                writes = []
-        if writes:
-            self._emit(writes)
-        self._next_block = total_blocks
+        # Remaining blocks, the last possibly partial, in stripes of D.
+        n = tail.shape[1]
+        if n:
+            self._h_occupancy.observe(-(-n // B))
+        stride = D * B
+        for lo in range(0, n, stride):
+            ahead = tail[0, lo + stride : lo + 2 * stride : B].tolist()
+            ahead += [NO_KEY] * (D - len(ahead))
+            self._write_blocks(tail[:, lo : lo + stride].copy(), ahead)
         self._buf = None
         return StripedRun(
             run_id=self.run_id,

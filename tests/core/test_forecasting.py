@@ -179,3 +179,40 @@ class TestVectorizedQueries:
         )
         fds = ForecastStructure(job)
         assert fds.smallest_block_on_disk(0) == (7, 0, 0)
+
+
+class TestAllDiskQuery:
+    """``smallest_blocks``: the per-ParRead query over every disk at once."""
+
+    def test_equal_keys_smaller_run_wins(self):
+        job = make_job(
+            [np.array([5, 5, 9, 9]), np.array([5, 5, 9, 9]), np.array([5, 6])],
+            B=2,
+            D=2,
+            starts=[1, 0, 0],
+        )
+        fds = ForecastStructure(job)
+        # Disk 0 heads: run 0 block 1 (9), run 1 block 0 (5), run 2
+        # block 0 (5); disk 1: run 0 block 0 (5), run 1 block 1 (9).
+        assert fds.smallest_blocks() == [(1, 0, 0), (0, 0, 1)]
+
+    def test_dead_filler_tie_falls_back(self):
+        # A dead chain's INF_I64 filler at run 0 ties a live INT64_MAX
+        # key at run 1: the masked argmin picks the dead entry, and the
+        # per-disk fallback must find the live one.
+        hi = np.iinfo(np.int64).max
+        job = make_job(
+            [np.array([0, 1]), np.array([hi, hi])], B=2, D=1, starts=[0, 0]
+        )
+        fds = ForecastStructure(job)
+        fds.advance(0, 0)  # run 0 exhausted on disk 0
+        assert fds.smallest_blocks() == [(1, 0, 0)]
+        assert fds.smallest_block_on_disk(0) == (hi, 1, 0)
+
+    def test_empty_disks_are_omitted(self):
+        job = make_job([np.arange(4)], B=2, D=3, starts=[0])  # 2 blocks
+        fds = ForecastStructure(job)
+        assert fds.smallest_blocks() == [(0, 0, 0), (0, 1, 1)]
+        fds.advance(0, 0)
+        fds.advance(0, 1)
+        assert fds.smallest_blocks() == []

@@ -3,7 +3,8 @@
 The implementation tracks chain heads with per-(run, disk) pointers;
 the reference recomputes, from a plain set of on-disk blocks, the
 smallest block of every run on every disk (Definition 2 verbatim).
-Random advance/push_back sequences must keep them identical.
+Random advance/push_back sequences must keep them identical, and the
+all-disk ``ParRead`` query must agree with the reference after every op.
 """
 
 from __future__ import annotations
@@ -46,6 +47,11 @@ class ReferenceFDS:
                 best = cand
         return best
 
+    def smallest_blocks(self):
+        """Every non-empty disk's smallest block as ``(run, block, disk)``."""
+        heads = [self.smallest_block_on_disk(d) for d in range(self.job.n_disks)]
+        return [(h[1], h[2], d) for d, h in enumerate(heads) if h is not None]
+
     def read(self, run: int, block: int) -> None:
         self.on_disk.remove((run, block))
 
@@ -61,7 +67,10 @@ def job_and_ops(draw):
     blocks = draw(st.integers(1, 8))
     seed = draw(st.integers(0, 10_000))
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(n_runs * blocks * b)
+    n = n_runs * blocks * b
+    # Duplicate-heavy keys put equal chain heads on one disk, where the
+    # smaller run must win.
+    perm = rng.integers(0, 3, size=n) if draw(st.booleans()) else rng.permutation(n)
     runs = [np.sort(perm[i::n_runs]) for i in range(n_runs)]
     starts = rng.integers(0, d, size=n_runs)
     job = MergeJob.from_key_runs(runs, b, d, start_disks=starts)
@@ -80,6 +89,7 @@ class TestFDSFuzz:
         in_memory: list[tuple[int, int, int]] = []  # (run, block, disk)
 
         for c in choices:
+            assert fds.smallest_blocks() == ref.smallest_blocks()
             # Alternate between reading a random disk's head and
             # flushing a random in-memory block (valid ops only).
             if c % 2 == 0 or not in_memory:
@@ -110,6 +120,7 @@ class TestFDSFuzz:
                 ref.push_back(run, block)
 
         # Final state must agree everywhere.
+        assert fds.smallest_blocks() == ref.smallest_blocks()
         for disk in range(job.n_disks):
             for run in range(job.n_runs):
                 assert fds.head_key(disk, run) == ref.head_key(disk, run)

@@ -19,13 +19,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.critical_path import analyze_collector
-from repro.core import LatencyAwareConfig, SRMConfig, merge_runs, srm_sort
+from repro.core import (
+    LatencyAwareConfig,
+    SRMConfig,
+    merge_runs,
+    srm_mergesort,
+    srm_sort,
+)
 from repro.core.config import OVERLAP_MODES, OverlapConfig
 from repro.core.losertree import _cycle_starts
-from repro.disks import ParallelDiskSystem, StripedRun
+from repro.disks import ParallelDiskSystem, StripedFile, StripedRun
 from repro.disks.timing import DISK_1996
 from repro.faults import FaultPlan
 from repro.telemetry import Telemetry
+from repro.telemetry.trace import SystemTracer
 from repro.workloads import uniform_keys, uniform_permutation
 from tests.oracles import heapq_merge
 
@@ -468,6 +475,70 @@ class TestEndToEndSortEquivalence:
             out, res = srm_sort(keys, cfg, rng=3, payloads=payloads)
             k, p = res.peek_sorted_records()
             return k.tobytes(), p.tobytes()
+
+        outs = both_mergers(sort)
+        assert outs["heapq"] == outs["plane"]
+
+    def test_keys_only_duplicate_heavy_load_sort_identical(self):
+        # Bare keys form runs with an unstable sort and merge with one:
+        # equal keys are indistinguishable, so nothing observable moves.
+        keys = uniform_keys(8_000, 0, 40, rng=6)
+        cfg = SRMConfig.from_k(2, 3, 8)
+
+        def sort():
+            out, res = srm_sort(keys, cfg, rng=2, formation="load_sort")
+            assert np.array_equal(out, np.sort(keys))
+            return (
+                out.tobytes(),
+                tuple(schedule_tuple(s) for s in res.merge_schedules),
+                io_tuple(res.io),
+            )
+
+        outs = both_mergers(sort)
+        assert outs["heapq"] == outs["plane"]
+
+    def test_fault_armed_mergesort_identical_across_mergers(self):
+        # Faults draw from one RNG stream per disk for reads and writes,
+        # torn writes are repaired only by charged reads, and writes
+        # reuse freed slots: any change of op order shows here.
+        keys = uniform_keys(12_000, 0, 3_000, rng=8)
+        D, B = 4, 16
+        cfg = SRMConfig.from_k(2, D, B)
+        plan = FaultPlan(
+            seed=11,
+            read_fail_p=0.05,
+            write_fail_p=0.05,
+            torn_write_p=0.02,
+            redundancy="parity",
+        )
+
+        def sort():
+            system = ParallelDiskSystem(D, B, timing=DISK_1996)
+            system.attach_faults(plan)
+            infile = StripedFile.from_records(system, keys)
+            tel = Telemetry()
+            col = tel.attach_trace()
+            system.tracer = SystemTracer(col, col.new_domain("demand"))
+            res = srm_mergesort(system, infile, cfg, rng=4, telemetry=tel)
+            system.tracer.finish(system.elapsed_ms)
+            out = res.peek_sorted()
+            assert np.array_equal(out, np.sort(keys))
+            stats = system.faults.stats
+            assert stats.retries > 0 and stats.torn_writes_detected > 0
+            assert res.n_merge_passes > 1
+            assert len(col.records) > 1000 and col.dropped == 0
+            trace = [
+                (r.kind, r.cat, r.lane, r.domain, r.queue_ms, r.start_ms,
+                 r.end_ms, r.dep, r.attrs)
+                for r in col.records
+            ]
+            return (
+                out.tobytes(),
+                io_tuple(res.io),
+                system.elapsed_ms,
+                stats.snapshot(),
+                trace,
+            )
 
         outs = both_mergers(sort)
         assert outs["heapq"] == outs["plane"]

@@ -236,3 +236,71 @@ class TestRingBuffer:
         w.append(np.arange(4), np.arange(4))
         with pytest.raises(DataError):
             w.append(np.arange(4, 8))
+
+
+class TestStripeEmission:
+    """Stripe-level emission against a per-block reference of the format."""
+
+    @staticmethod
+    def reference(D, B, start, keys, payloads):
+        """Each block cut, placed and forecast on its own (§3, §4)."""
+        nb = -(-keys.size // B)
+        firsts = [int(keys[i * B]) for i in range(nb)]
+
+        def key_of(i):
+            return firsts[i] if i < nb else NO_KEY
+
+        out = []
+        for i in range(nb):
+            fc = tuple(key_of(j) for j in range(D)) if i == 0 else (key_of(i + D),)
+            blk = keys[i * B : (i + 1) * B]
+            pay = None if payloads is None else payloads[i * B : (i + 1) * B]
+            out.append(((start + i) % D, int(blk[0]), int(blk[-1]), fc, blk, pay))
+        return out
+
+    @pytest.mark.parametrize("D", [1, 3, 4])
+    @pytest.mark.parametrize("B", [1, 4])
+    @pytest.mark.parametrize("payloads", [False, True])
+    def test_matches_per_block_reference(self, D, B, payloads):
+        start = D - 1
+        # Several ring wraps and a partial final stripe (and, for B > 1,
+        # a partial final block).
+        n = 9 * D * B + D * B // 2 + 1
+        rng = np.random.default_rng(D * 10 + B)
+        keys = np.sort(rng.integers(0, 50, size=n))  # duplicate-heavy
+        pays = rng.integers(0, 2**40, size=n) if payloads else None
+        system = ParallelDiskSystem(D, B)
+        snapshots = []  # each written block's contents at write time
+        write_stripe = system.write_stripe
+
+        def recording(writes):
+            assert len(writes) <= D
+            for _, blk in writes:
+                pay = None if blk.payloads is None else blk.payloads.copy()
+                snapshots.append((blk.keys.copy(), pay))
+            return write_stripe(writes)
+
+        system.write_stripe = recording
+        w = RunWriter(system, run_id=3, start_disk=start)
+        for i in range(0, n, 7):
+            w.append(keys[i : i + 7], None if pays is None else pays[i : i + 7])
+        run = w.finalize()
+
+        want = self.reference(D, B, start, keys, pays)
+        assert len(run.addresses) == len(want) == len(snapshots)
+        assert list(run.first_keys) == [x[1] for x in want]
+        assert list(run.last_keys) == [x[2] for x in want]
+        for addr, snap, (disk, _, _, fc, blk, pay) in zip(
+            run.addresses, snapshots, want
+        ):
+            got = system.disks[addr.disk].read(addr.slot)
+            assert addr.disk == disk
+            assert got.forecast == fc
+            assert np.array_equal(got.keys, blk)
+            # Later appends reused the ring: the written block is unchanged.
+            assert np.array_equal(got.keys, snap[0])
+            if pay is None:
+                assert got.payloads is None
+            else:
+                assert np.array_equal(got.payloads, pay)
+                assert np.array_equal(got.payloads, snap[1])

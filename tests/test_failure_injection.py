@@ -65,6 +65,18 @@ class TestCorruptedData:
         with pytest.raises((ScheduleError, DataError)):
             merge_runs(system, runs, 9, 0, validate=True)
 
+    def test_block_last_key_disagreeing_with_metadata_detected(self, rng):
+        # The batched drain takes a block whole when the run metadata's
+        # last key precedes the galloping bound; validate mode checks
+        # the block's own last key against that metadata.
+        system = ParallelDiskSystem(3, 4)
+        runs = self._runs(system, rng)
+        addr = runs[1].addresses[1]
+        blk = system.disks[addr.disk].read(addr.slot)
+        blk.keys = np.append(blk.keys[:-1], blk.keys[-2])  # still sorted
+        with pytest.raises(ScheduleError, match="desync"):
+            merge_runs(system, runs, 9, 0, validate=True)
+
     def test_stale_extent_map_detected(self, rng):
         # Freeing a block behind the run's back surfaces as InvalidIOError.
         system = ParallelDiskSystem(3, 4)
