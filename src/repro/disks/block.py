@@ -105,14 +105,15 @@ class Block:
     def compute_checksum(self) -> int:
         """CRC-32 over the record bytes (keys, then payloads if any).
 
-        ``zlib.crc32`` consumes the arrays through the buffer protocol
-        (``arr.data``) — no ``tobytes()`` copy per sealed block; only a
+        ``zlib.crc32`` consumes the arrays themselves through the buffer
+        protocol — no ``tobytes()`` copy per sealed block; only a
         non-contiguous array (never produced by the pipeline, but legal
-        input) pays for a contiguous staging copy.
+        input) pays for the contiguous staging copy that
+        ``np.ascontiguousarray`` makes of it.
         """
-        crc = zlib.crc32(_crc_buffer(self.keys))
+        crc = zlib.crc32(np.ascontiguousarray(self.keys))
         if self.payloads is not None:
-            crc = zlib.crc32(_crc_buffer(self.payloads), crc)
+            crc = zlib.crc32(np.ascontiguousarray(self.payloads), crc)
         return crc
 
     def seal(self) -> "Block":
@@ -129,29 +130,27 @@ class Block:
         return self.checksum is None or self.compute_checksum() == self.checksum
 
 
-def _crc_buffer(arr: np.ndarray):
-    """A zero-copy C-contiguous buffer over *arr* for ``zlib.crc32``."""
-    if arr.flags["C_CONTIGUOUS"]:
-        return arr.data
-    return np.ascontiguousarray(arr).data
-
-
 def xor_accumulate(acc: np.ndarray | None, arr: np.ndarray) -> np.ndarray:
-    """XOR *arr* into the running parity accumulator *acc*.
+    """XOR the int64 array *arr* into the parity accumulator *acc*.
 
     Arrays of different lengths (partial run-tail blocks) are combined
     as if zero-padded to the longer one, which is how a RAID-5 arm
-    folds a short member into a full-width parity stripe.  Returns a
-    fresh array; neither input is mutated.
+    folds a short member into a full-width parity stripe.  *acc* is
+    updated in place and returned, unless it is shorter than *arr*:
+    then a zero-padded copy grows to hold it.  ``acc=None`` starts a
+    new accumulator as a copy of *arr*, so an accumulator never aliases
+    its caller's block and *arr* is never mutated.
     """
-    arr = np.asarray(arr, dtype=np.int64)
     if acc is None:
         return arr.copy()
-    n = max(acc.size, arr.size)
-    out = np.zeros(n, dtype=np.int64)
-    out[: acc.size] = acc
-    np.bitwise_xor(out[: arr.size], arr, out=out[: arr.size])
-    return out
+    n = arr.size
+    if n > acc.size:
+        grown = np.zeros(n, dtype=np.int64)
+        grown[: acc.size] = acc
+        acc = grown
+    head = acc if n == acc.size else acc[:n]
+    np.bitwise_xor(head, arr, out=head)
+    return acc
 
 
 def split_into_blocks(

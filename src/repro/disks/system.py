@@ -116,6 +116,9 @@ class ParallelDiskSystem:
         #: Fault injection state (see :meth:`attach_faults`).  ``None``
         #: keeps every I/O on the original fault-free fast path.
         self.faults = None
+        #: Whether the attached plan schedules any disk death; without
+        #: one the retry ladders skip the per-attempt death check.
+        self._deaths_planned = False
         self.retry_policy = None
         self.breaker = None
         #: Disks that have permanently failed.
@@ -162,12 +165,30 @@ class ParallelDiskSystem:
                 plan, self.n_disks, retry=retry, telemetry=telemetry
             )
         self.faults = inj
+        self._deaths_planned = bool(inj.plan.all_deaths)
         self.retry_policy = inj.retry if retry is None else retry
         self.breaker = CircuitBreaker()
         if inj.plan.redundancy == "parity":
             from ..faults.parity import ParityStore
 
             self._parity = ParityStore(self)
+
+    @property
+    def timing(self) -> Optional[DiskTimingModel]:
+        """The service-time model driving :attr:`elapsed_ms`, or ``None``.
+
+        Assigning it also fixes the two per-round clock terms
+        :meth:`_charge` adds: one block access and one block transfer
+        at this system's block size.
+        """
+        return self._timing
+
+    @timing.setter
+    def timing(self, model: Optional[DiskTimingModel]) -> None:
+        self._timing = model
+        if model is not None:
+            self._op_ms = model.stripe_time_ms(self.block_size, 1)
+            self._xfer_ms = model.block_transfer_ms(self.block_size)
 
     @property
     def degraded(self) -> bool:
@@ -233,7 +254,7 @@ class ParallelDiskSystem:
     def _charge_backoff(self, disk: int, backoff_ms: float) -> None:
         """Account one retry delay on the clock and the disk's queue."""
         self.faults.count_retry(disk, backoff_ms)
-        if self.timing is not None:
+        if self._timing is not None:
             t0 = self.elapsed_ms
             self.elapsed_ms += backoff_ms
             if self.tracer is not None:
@@ -300,12 +321,10 @@ class ParallelDiskSystem:
         rounds = -(-n_active // width)
         self.channel_rounds += rounds
         t0 = self.elapsed_ms
-        if self.timing is not None:
+        if self._timing is not None:
             # One seek+rotation overlapped across disks, then the channel
             # streams the blocks `width` at a time.
-            base = self.timing.stripe_time_ms(self.block_size, n_active)
-            extra = (rounds - 1) * self.timing.block_transfer_ms(self.block_size)
-            self.elapsed_ms += base + extra
+            self.elapsed_ms += self._op_ms + (rounds - 1) * self._xfer_ms
         if self.tracer is not None:
             self.tracer.op(trace_kind or kind, n_active, t0, self.elapsed_ms)
 
@@ -453,13 +472,13 @@ class ParallelDiskSystem:
         inj = self.faults
         pol = self.retry_policy
         while True:
-            addr = self.resolve(orig)
+            addr = self.resolve(orig) if self._remap else orig
             d = addr.disk
             if d in self.dead_disks:
                 raise DiskDeadError(
                     f"block at {tuple(orig)} lives only on dead disk {d}"
                 )
-            if inj.death_due(d):
+            if self._deaths_planned and inj.death_due(d):
                 self._kill_disk(d, "planned")
                 continue
             outcome = inj.plan_read(d)
@@ -555,7 +574,7 @@ class ParallelDiskSystem:
         inj = self.faults
         pol = self.retry_policy
         while True:
-            addr = self.resolve(orig)
+            addr = self.resolve(orig) if self._remap else orig
             if addr.disk in self.dead_disks:
                 # Allocated before the death, written after: relocate
                 # the slot onto a survivor and remember the move.
@@ -563,7 +582,7 @@ class ParallelDiskSystem:
                 self._remap[addr] = new
                 continue
             d = addr.disk
-            if inj.death_due(d):
+            if self._deaths_planned and inj.death_due(d):
                 self._kill_disk(d, "planned")
                 continue
             outcome = inj.plan_write(d)

@@ -272,9 +272,9 @@ def scrub_and_repair(system) -> ScrubReport:
             scan_disks.append(d)
             if not disk._slots[slot].verify():
                 bad.append(BlockAddress(d, slot))
+    alloc_of = _alloc_addrs(system) if bad else {}
     for phys in bad:
-        alloc = _alloc_addr_of(system, phys)
-        system._repair_torn(alloc, phys.disk)
+        system._repair_torn(alloc_of.get(phys, phys), phys.disk)
         repaired += 1
     rounds = system._charge_rounds("read", scan_disks, "recovery")
     return ScrubReport(
@@ -282,11 +282,16 @@ def scrub_and_repair(system) -> ScrubReport:
     )
 
 
-def _alloc_addr_of(system, phys):
-    """Invert the remap chains: the ledger address resolving to *phys*."""
+def _alloc_addrs(system) -> dict:
+    """Invert the remap chains: physical address -> ledger address.
+
+    Built once per scrub; in-place repairs move no block, so the map
+    stays valid while the scrub's tears are rebuilt.
+    """
     parity = system._parity
-    if parity is not None:
-        for alloc in parity._by_addr:
-            if system.resolve(alloc) == phys:
-                return alloc
-    return phys
+    if parity is None:
+        return {}
+    alloc_of: dict = {}
+    for alloc in parity._by_addr:
+        alloc_of.setdefault(system.resolve(alloc), alloc)
+    return alloc_of

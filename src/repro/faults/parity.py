@@ -11,20 +11,30 @@ touch.  Under SRM's cyclic layout — block ``i`` of a run on disk
 
 The running XOR is accumulated in memory from the pristine block at
 write time (the controller-NVRAM model), so a torn write never poisons
-parity; the parity *block* is written out — and charged — when the
-group closes.  Recovery is honest RAID arithmetic: a lost or torn
-member is rebuilt by XOR over its siblings plus parity, every sibling
-read charged as real parallel I/O (``faults.recovery_read_ios``) and
-felt by the overlap engine as per-disk service penalties.  Losing two
-members of one group (a second death mid-rebuild, or a tear plus a
-death) is unrecoverable, exactly as on a real array, and raises.
+parity.  The group owns that accumulator — a copy of its first member,
+never a view of a caller's buffer — and XORs each later member into it
+in place; the parity *block* takes the accumulator over and is written
+out — and charged — when the group closes.  Recovery is honest RAID
+arithmetic: a lost or torn member is rebuilt by XOR over its siblings
+plus parity, every sibling read charged as real parallel I/O
+(``faults.recovery_read_ios``) and felt by the overlap engine as
+per-disk service penalties.  Losing two members of one group (a second
+death mid-rebuild, or a tear plus a death) is unrecoverable, exactly as
+on a real array, and raises.
 
 Group membership is keyed by *allocation-time* addresses; degraded-mode
 remaps are followed through :meth:`ParallelDiskSystem.resolve` at use
 time, so members keep their identity as deaths relocate them.  Because
 merges free input blocks mid-run, member slots are only *physically*
 released once their whole group is freed — until then a freed member
-stays readable as a reconstruction source for its siblings.
+stays readable as a reconstruction source for its siblings.  A group
+leaves the ledger once all its members are freed, so the ledger holds
+only live groups.
+
+Every write-path step is constant time per block: the survivor list is
+cached until a disk dies, each group counts its freed members, and the
+parity disk is read off the group's write-time disks until a death
+installs the first remap.
 """
 
 from __future__ import annotations
@@ -64,9 +74,14 @@ class ParityMember:
     freed: bool = False
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class ParityGroup:
-    """A closed-or-open set of members protected by one parity block."""
+    """A closed-or-open set of members protected by one parity block.
+
+    ``xor_keys``/``xor_payloads`` are the in-memory running XOR, owned
+    by the group until its parity block is durable; ``n_freed`` counts
+    the members already freed.
+    """
 
     gid: int
     members: list = field(default_factory=list)
@@ -78,6 +93,7 @@ class ParityGroup:
     xor_keys: np.ndarray | None = None
     xor_payloads: np.ndarray | None = None
     dropped: bool = False
+    n_freed: int = 0
 
 
 class ParityStore:
@@ -90,21 +106,38 @@ class ParityStore:
 
     def __init__(self, system) -> None:
         self.system = system
-        self.groups: list[ParityGroup] = []
+        self._live: dict[int, ParityGroup] = {}
+        self._next_gid = 0
         self._by_addr: dict = {}
         self._parity_addrs: dict = {}
         self._open: ParityGroup | None = None
         self._pending: list[ParityGroup] = []
+        self._n_dead = -1
+        self._survivors: list[int] = []
+        self._target = 1
+
+    @property
+    def groups(self) -> tuple[ParityGroup, ...]:
+        """The live groups (some member not yet freed), oldest first."""
+        return tuple(self._live.values())
 
     # -- geometry ---------------------------------------------------------
 
     def _alive(self) -> list[int]:
-        dead = self.system.dead_disks
-        return [d for d in range(self.system.n_disks) if d not in dead]
+        """The surviving disks, recomputed only when a disk has died.
 
-    def _target_size(self) -> int:
-        """Members per group: one fewer than the alive spindle count."""
-        return max(1, len(self._alive()) - 1)
+        ``dead_disks`` only ever grows, so its size tells whether the
+        cached list is stale.
+        """
+        dead = self.system.dead_disks
+        if len(dead) != self._n_dead:
+            self._n_dead = len(dead)
+            self._survivors = [
+                d for d in range(self.system.n_disks) if d not in dead
+            ]
+            # Members per group: one fewer than the alive spindle count.
+            self._target = max(1, len(self._survivors) - 1)
+        return self._survivors
 
     # -- write-path hooks -------------------------------------------------
 
@@ -116,15 +149,17 @@ class ParityStore:
         so a second tear in the same group is suppressed (the draw was
         still consumed, keeping the RNG streams aligned).
         """
+        self._alive()  # refreshes self._target after a death
         g = self._open
         if g is not None and (
-            physical_disk in g.disks or len(g.members) >= self._target_size()
+            physical_disk in g.disks or len(g.members) >= self._target
         ):
             self._close_open()
             g = None
         if g is None:
-            g = ParityGroup(gid=len(self.groups))
-            self.groups.append(g)
+            g = ParityGroup(gid=self._next_gid)
+            self._next_gid += 1
+            self._live[g.gid] = g
             self._open = g
         eff_torn = torn and not g.has_torn
         if eff_torn:
@@ -148,7 +183,7 @@ class ParityStore:
         if block.payloads is not None:
             g.xor_payloads = xor_accumulate(g.xor_payloads, block.payloads)
         self._by_addr[addr] = (g, member)
-        if len(g.members) >= self._target_size():
+        if len(g.members) >= self._target:
             self._close_open()
         return eff_torn
 
@@ -157,7 +192,7 @@ class ParityStore:
         if g is None:
             return
         self._open = None
-        if all(m.freed for m in g.members):
+        if g.n_freed == len(g.members):
             # Fully freed before parity was ever needed: release now.
             self._physically_free(self._drop_group(g))
             return
@@ -166,13 +201,19 @@ class ParityStore:
 
     def _pick_parity_disk(self, g: ParityGroup) -> int:
         """The rotating slot: an alive disk the group does not occupy."""
-        exclude = {self.system.resolve(m.addr).disk for m in g.members}
-        candidates = [d for d in self._alive() if d not in exclude]
-        if candidates:
-            return candidates[0]
+        system = self.system
+        if system._remap:
+            exclude = {system.resolve(m.addr).disk for m in g.members}
+        else:
+            # No block has moved: members sit where they were written.
+            exclude = g.disks
+        alive = self._alive()
+        for d in alive:
+            if d not in exclude:
+                return d
         # Post-death corner: the group spans every survivor.  Parity
         # co-locates with a member and protects one fewer loss.
-        return self._alive()[0]
+        return alive[0]
 
     def repick_parity_disk(self, g: ParityGroup) -> int:
         """Re-choose a parity target after its planned disk died."""
@@ -181,6 +222,8 @@ class ParityStore:
 
     def drain_pending(self) -> list[tuple[ParityGroup, Block]]:
         """Closed groups whose parity block still needs to be written."""
+        if not self._pending:
+            return []
         out = [(g, self._parity_block_from_xor(g)) for g in self._pending]
         self._pending = []
         return out
@@ -206,11 +249,13 @@ class ParityStore:
         return self.drain_pending()
 
     def _parity_block_from_xor(self, g: ParityGroup) -> Block:
+        # The block takes the accumulator over: the group stops writing
+        # into it once closed, and drops it when the parity is written.
         blk = Block(
-            keys=g.xor_keys.copy(),
+            keys=g.xor_keys,
             run_id=PARITY_RUN_ID,
             index=g.gid,
-            payloads=None if g.xor_payloads is None else g.xor_payloads.copy(),
+            payloads=g.xor_payloads,
         )
         return blk.seal()
 
@@ -227,8 +272,10 @@ class ParityStore:
         if entry is None:
             return False
         g, member = entry
-        member.freed = True
-        if not all(m.freed for m in g.members):
+        if not member.freed:
+            member.freed = True
+            g.n_freed += 1
+        if g.n_freed < len(g.members):
             return True
         if g is self._open:
             self._open = None
@@ -245,12 +292,14 @@ class ParityStore:
             addrs.append(g.parity_addr)
             self._parity_addrs.pop(g.parity_addr, None)
         g.dropped = True
+        del self._live[g.gid]
         return addrs
 
     def _physically_free(self, addrs) -> None:
         system = self.system
+        moved = bool(system._remap)
         for a in addrs:
-            p = system.resolve(a)
+            p = system.resolve(a) if moved else a
             if p.disk not in system.dead_disks:
                 system.disks[p.disk].free(p.slot)
 

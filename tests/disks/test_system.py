@@ -7,6 +7,7 @@ import pytest
 
 from repro.disks import (
     DISK_1996,
+    DISK_MODERN,
     Block,
     BlockAddress,
     DiskTimingModel,
@@ -240,3 +241,30 @@ class TestTiming:
         a = sys.allocate(0)
         sys.write_stripe([(a, blk())])
         assert sys.elapsed_ms == 0.0
+
+    def test_reassigned_timing_charges_like_a_constructed_one(self):
+        # The per-round clock terms are fixed when ``timing`` is set, so
+        # reassigning it must charge exactly what construction with that
+        # model does.  A channel of width 2 gives 4-disk rounds a second
+        # transfer term.
+        def charge(sys):
+            for disks in ([0, 1, 2, 3], [2], [1, 3], [0, 1, 2]):
+                sys._charge("read", disks)
+            sys._charge_rounds("write", [0, 1, 0, 2, 3, 3])
+
+        live = system(D=4, B=64, channel_width=2)
+        charge(live)
+        assert live.elapsed_ms == 0.0
+        for model in (DISK_1996, DISK_MODERN):
+            fresh = system(D=4, B=64, channel_width=2, timing=model)
+            charge(fresh)
+            live.timing = model
+            assert live.timing is model
+            live.elapsed_ms = 0.0
+            charge(live)
+            assert fresh.elapsed_ms > 0.0
+            assert live.elapsed_ms == fresh.elapsed_ms
+        live.timing = None
+        stopped = live.elapsed_ms
+        charge(live)
+        assert live.elapsed_ms == stopped

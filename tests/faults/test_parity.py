@@ -2,18 +2,26 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.core.config import SRMConfig
+from repro.core.mergesort import srm_mergesort
 from repro.core.writer import RunWriter
 from repro.disks.block import Block
-from repro.disks.files import StripedRun
+from repro.disks.files import StripedFile, StripedRun
 from repro.disks.system import ParallelDiskSystem
+from repro.disks.timing import DISK_1996
 from repro.errors import DataError, DiskDeadError
-from repro.faults import FaultPlan
+from repro.faults import DiskDeath, FaultPlan
 from repro.faults.degraded import scrub_addresses, scrub_and_repair
 from repro.faults.parity import PARITY_RUN_ID, ParityStore
+from repro.telemetry import Telemetry
+from repro.telemetry.trace import SystemTracer
 from repro.verify.checks import audit_checksums
+from repro.workloads import uniform_keys
 
 D, B = 4, 8
 
@@ -108,6 +116,24 @@ class TestGroupGeometry:
         # open group, closing it at size 1 well below the D-1 target.
         assert [len(g.members) for g in store.groups[:2]] == [1, 1]
 
+    def test_parity_disk_avoids_a_remapped_member(self):
+        system = _system()
+        a0 = system.allocate(0)
+        system.write_block(a0, Block(keys=np.arange(B, dtype=np.int64), run_id=0))
+        # The open group's only member moves from disk 0 to disk 1.
+        system._kill_disk(0, "test")
+        assert system.resolve(a0).disk == 1
+        a3 = system.allocate(3)
+        system.write_block(
+            a3, Block(keys=np.arange(B, dtype=np.int64) + 1, run_id=0, index=1)
+        )
+        # Two members close a group on three survivors.  Its write-time
+        # disks {0, 3} would admit disk 1; where the members live now,
+        # {1, 3}, leaves only disk 2.
+        g, _ = system._parity.entry_for(a0)
+        assert g.sealed and g.parity_disk == 2
+        assert system.resolve(g.parity_addr).disk == 2
+
     def test_at_most_one_tear_per_group(self):
         system = _system(plan=FaultPlan(seed=4))
         store = ParityStore(system)
@@ -199,6 +225,22 @@ class TestDeferredFree:
         assert system.disks[3].used_blocks == used[3] - 1  # parity of group 0
         assert store.entry_for(run.addresses[0]) is None
 
+    def test_second_free_of_a_member_is_idempotent(self, rng):
+        system = _system()
+        run = _run(system, rng, n_blocks=12)
+        store = system._parity
+        used = system.usage_per_disk()
+        system.free(run.addresses[0])
+        system.free(run.addresses[0])
+        system.free(run.addresses[1])
+        # Two of three members freed: the group and its slots stay.
+        g, _ = store.entry_for(run.addresses[2])
+        assert g.n_freed == 2 and g in store.groups
+        assert system.usage_per_disk() == used
+        system.free(run.addresses[2])
+        assert g.dropped and g not in store.groups
+        assert system.usage_per_disk() == [u - 1 for u in used]
+
 
 class TestTornRepair:
     def test_read_detects_and_repairs_in_place(self, rng):
@@ -244,6 +286,31 @@ class TestTornRepair:
         assert rep.repaired == 2
         assert rep.scanned == 16  # 12 data + 4 parity blocks
         assert system.faults.stats.torn_writes_detected == 2
+        assert audit_checksums(system)["stale"] == []
+
+    def test_full_scrub_repairs_tears_in_many_groups_after_a_death(self, rng):
+        # The death re-homes disk 2's blocks, so some torn blocks live
+        # at a physical address other than their ledger address, and
+        # the scrub must map each back before repairing it.
+        system = _system()
+        run = _run(system, rng, n_blocks=12)
+        system._kill_disk(2, "test")
+        torn = [run.addresses[i] for i in (0, 4, 6, 10)]
+        assert len({system._parity.entry_for(a)[0].gid for a in torn}) == 4
+        assert any(system.resolve(a) != a for a in torn)
+        originals = [_tear(system, a) for a in torn]
+        before = system.stats.snapshot()
+        reads_before = system.faults.stats.recovery_read_ios
+        rep = scrub_and_repair(system)
+        delta = system.stats.since(before)
+        assert (rep.scanned, rep.repaired, rep.scan_read_rounds) == (16, 4, 14)
+        assert (delta.parallel_reads, delta.blocks_read) == (18, 28)
+        assert (delta.parallel_writes, delta.blocks_written) == (4, 4)
+        assert system.faults.stats.recovery_read_ios - reads_before == 4
+        for addr, original in zip(torn, originals):
+            repaired = system.peek(addr)
+            assert repaired.keys.tobytes() == original.keys.tobytes()
+            assert repaired.checksum == original.checksum
         assert audit_checksums(system)["stale"] == []
 
 
@@ -328,3 +395,136 @@ class TestWriterFaultPath:
         assert np.array_equal(np.concatenate(got), keys)
         assert s.torn_writes_detected == s.torn_writes_injected
         assert audit_checksums(system)["stale"] == []
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def _pinned_sort(plan, payloads: bool):
+    """A traced, fault-armed 12k-key sort; digests of everything it made."""
+    n, d, b = 12_000, 4, 16
+    keys = uniform_keys(n, 0, 3_000, rng=8)
+    system = ParallelDiskSystem(d, b, timing=DISK_1996)
+    system.attach_faults(plan)
+    infile = StripedFile.from_records(
+        system, keys, payloads=np.arange(n, dtype=np.int64) if payloads else None
+    )
+    tel = Telemetry()
+    col = tel.attach_trace()
+    system.tracer = SystemTracer(col, col.new_domain("demand"))
+    res = srm_mergesort(system, infile, SRMConfig.from_k(2, d, b), rng=4, telemetry=tel)
+    system.tracer.finish(system.elapsed_ms)
+    out_keys, out_payloads = res.peek_sorted_records()
+    assert np.array_equal(out_keys, np.sort(keys))
+    if payloads:
+        assert np.array_equal(keys[out_payloads], out_keys)
+    assert col.dropped == 0
+    io = system.stats
+    trace = [
+        (r.kind, r.cat, r.lane, r.domain, r.queue_ms, r.start_ms, r.end_ms,
+         r.dep, r.attrs)
+        for r in col.records
+    ]
+    return system, res, {
+        "output": hashlib.sha256(
+            out_keys.tobytes() + (out_payloads.tobytes() if payloads else b"")
+        ).hexdigest(),
+        "trace": _digest(trace),
+        "faults": _digest(sorted(system.faults.stats.snapshot().items())),
+        "io": _digest(
+            (io.parallel_reads, io.parallel_writes, io.blocks_read, io.blocks_written,
+             io.reads_per_disk.tolist(), io.writes_per_disk.tolist())
+        ),
+        "elapsed_ms": system.elapsed_ms.hex(),
+    }
+
+
+_RW = dict(seed=11, read_fail_p=0.05, write_fail_p=0.05, redundancy="parity")
+
+#: Plan and payloads.  No tears in the death plans: a tear plus a death
+#: in one group is a double loss and raises by design.  Neither does a
+#: death plan kill two disks: the first death's migrants share spindles,
+#: so a second death loses two members of some group.
+PINNED_PLANS = {
+    "torn": (FaultPlan(**_RW, torn_write_p=0.02), False),
+    "torn-payloads": (FaultPlan(**_RW, torn_write_p=0.02), True),
+    "death": (FaultPlan(**_RW, deaths=(DiskDeath(disk=2, after_ops=300),)), False),
+    "death-corrupt-payloads": (
+        FaultPlan(**_RW, corrupt_p=0.02, deaths=(DiskDeath(disk=1, after_ops=600),)),
+        True,
+    ),
+}
+
+#: Any change to the disk layer's op order, RNG draws, seals or charged
+#: rounds moves these.
+PINNED_DIGESTS = {
+    "death": {
+        "output": "fd8daa7610a0d8fe0f85b149c38a92a9dc017369133ab9163595522012151c3d",
+        "trace": "c6d83541b510d01a0c3db42d5ba438f1ab234fac6cc24b8e43aa73e92d2b8ffc",
+        "faults": "08f3200392d18f8c2a24c264663680b2b79bf9e03db2c4df738c6df177aaed2a",
+        "io": "72c96529afac7b92c3b02684a65f6f25e58b3fbac7438be61381624052400215",
+        "elapsed_ms": "0x1.b0af4c65bfdd3p+15",
+    },
+    "death-corrupt-payloads": {
+        "output": "098e401b047908f08bd81e2095da1a8591ad4bb969ef881dfbfacb5e91cb6b27",
+        "trace": "ed16d70f29d37d03f304b01071345e38811da0aac5c6b2879dae87ca25f32274",
+        "faults": "f288d529d77ac73ad38e87d5e1af84ef104485be92b331fd79f70ff27078575e",
+        "io": "26afd75219c33bdd5f7c9f74a0c8d37b70c11f0f73545e94e5731ffb2e38af7a",
+        "elapsed_ms": "0x1.846e1d33bc076p+15",
+    },
+    "torn": {
+        "output": "fd8daa7610a0d8fe0f85b149c38a92a9dc017369133ab9163595522012151c3d",
+        "trace": "ef16324c3c9112e825ec8e1ca3ed9a1cd36297981efeb4fbfdd7f9088cd1c662",
+        "faults": "ec689bf8aa167c7eab61e3455841d203bb235dcc5a4ddd0749e989dc13a8a1d5",
+        "io": "8c9ed434c28551ab80cf0c235b131fa81f5fa18e358e4ab193b9efa355e8044a",
+        "elapsed_ms": "0x1.0daebaae63a8ep+15",
+    },
+    "torn-payloads": {
+        "output": "098e401b047908f08bd81e2095da1a8591ad4bb969ef881dfbfacb5e91cb6b27",
+        "trace": "ef16324c3c9112e825ec8e1ca3ed9a1cd36297981efeb4fbfdd7f9088cd1c662",
+        "faults": "ec689bf8aa167c7eab61e3455841d203bb235dcc5a4ddd0749e989dc13a8a1d5",
+        "io": "8c9ed434c28551ab80cf0c235b131fa81f5fa18e358e4ab193b9efa355e8044a",
+        "elapsed_ms": "0x1.0daebaae63a8ep+15",
+    },
+}
+
+
+class TestPinnedFaultStream:
+    """The disk layer's whole fault-armed stream, pinned bit for bit.
+
+    Comparing two mergers over one disk layer cannot catch a change to
+    that layer; these digests can.
+    """
+
+    @pytest.mark.parametrize("name", sorted(PINNED_PLANS))
+    def test_stream_matches_pinned_digests(self, name):
+        plan, payloads = PINNED_PLANS[name]
+        system, _, got = _pinned_sort(plan, payloads)
+        stats = system.faults.stats
+        assert stats.retries > 0
+        assert stats.disk_deaths == len(plan.all_deaths)
+        assert got == PINNED_DIGESTS[name]
+
+
+class TestLiveLedger:
+    @pytest.mark.parametrize("name", ["torn", "death"])
+    def test_ledger_keeps_only_live_groups(self, name):
+        system, res, _ = _pinned_sort(*PINNED_PLANS[name])
+        store = system._parity
+        groups = store.groups
+        # Freed groups left the ledger: thousands were built, and only
+        # those holding part of the output remain.
+        assert 0 < len(groups) < groups[-1].gid
+        for g in groups:
+            assert not g.dropped
+            assert any(not m.freed for m in g.members)
+            assert g.n_freed == sum(m.freed for m in g.members)
+        members = [m for g in groups for m in g.members]
+        assert len(store._by_addr) == len(members)
+        assert set(store._by_addr) == {m.addr for m in members}
+        # The unfreed tracked members are exactly the output's blocks; a
+        # freed member stays only while a sibling is unfreed.
+        unfreed = {m.addr for m in members if not m.freed}
+        assert unfreed == set(res.output.addresses)
+        assert len(store._parity_addrs) == sum(g.sealed for g in groups)
