@@ -25,8 +25,9 @@ block, the global minimum, and each run's next on-disk key — are single
 vectorized reductions (``argmin`` along rows, ``min`` over the matrix,
 ``min`` along columns) instead of Python loops with lazy heaps.
 
-The merge's galloping bound and its consumption rule live here too, so
-the demand drain and the ghost schedule drive share one definition.
+The merge's galloping bound and its tie rule (:func:`ties_precede`)
+live here too, so the drains' gather and the ghost schedule drive share
+one definition.
 """
 
 from __future__ import annotations
@@ -220,12 +221,11 @@ class ForecastStructure:
         return self._ptr[run][disk]
 
 
-def block_precedes(last: int, run: int, bound: tuple[float, int]) -> bool:
-    """Whether a block of *run* ending in key *last* lies wholly before *bound*."""
-    return (last, run) <= bound
+def ties_precede(run: int, bound_run: int) -> bool:
+    """Whether *run*'s records equal to the bound key precede the bound.
 
-
-def cut_at_bound(keys: np.ndarray, run: int, bound: tuple[float, int]) -> int:
-    """How many records of a block of *run* (sorted *keys*) precede *bound*."""
-    key, bound_run = bound
-    return int(keys.searchsorted(key, side="right" if run <= bound_run else "left"))
+    The consumption rule of :meth:`ForecastStructure.galloping_bound`:
+    a record of *run* with key ``k`` precedes ``(bound_key, bound_run)``
+    when ``k < bound_key``, or ``k == bound_key`` and this holds.
+    """
+    return run <= bound_run

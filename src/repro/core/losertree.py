@@ -17,7 +17,9 @@ and one stable ``argsort`` interleaves the block slices.
   run (:func:`_cycle_starts`), then replays only the cycles at which the
   engine can observe anything: a block's first touch, an output-stripe
   write, a depletion.  The quiet cycles between them advance the
-  simulated clock as one interval (:meth:`OverlapEngine.compute`).
+  simulated clock as one interval (:meth:`OverlapEngine.compute`), and
+  the writer is handed records only at stripe writes and at the batch's
+  end.
 
 Ordering contract (shared with a heapq merge): records are emitted in
 ``(key, run index, position in run)`` order.  Ties across runs go to
@@ -38,7 +40,7 @@ import numpy as np
 from ..errors import ScheduleError
 from ..telemetry import TELEMETRY_OFF
 from ..telemetry.schema import H_DRAIN_BATCH, MERGE_DRAIN_CYCLES, batch_edges
-from .forecasting import block_precedes, cut_at_bound
+from .forecasting import ties_precede
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..disks.files import StripedRun
@@ -53,25 +55,28 @@ class _Batch:
 
     ``pieces`` holds one ``(run, block, lo, hi, block size)`` per block
     slice, in run order; ``keys``/``pays`` hold the slices themselves.
-    ``stop[r]`` is the block at which run ``r``'s gather stopped.  When
-    ``pieces`` is empty the globally smallest record lies in the bound's
-    non-resident block, ``bound_run``'s leading block.
+    ``stop[r]`` is the block at which run ``r``'s gather stopped.
+    ``(bound_key, bound_run)`` is the galloping bound the batch was cut
+    at; when ``pieces`` is empty the globally smallest record lies in
+    the bound's non-resident block, ``bound_run``'s leading block.
     """
 
-    __slots__ = ("pieces", "keys", "pays", "stop", "bound_run")
+    __slots__ = ("pieces", "keys", "pays", "stop", "bound_key", "bound_run")
 
-    def __init__(self, pieces, keys, pays, stop, bound_run) -> None:
+    def __init__(self, pieces, keys, pays, stop, bound_key, bound_run) -> None:
         self.pieces = pieces
         self.keys = keys
         self.pays = pays
         self.stop = stop
+        self.bound_key = bound_key
         self.bound_run = bound_run
 
     def merged(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
         """``(keys, payloads, order)`` of the batch in merge order.
 
         ``order`` maps merged positions to positions in the run-order
-        concatenation of the slices (``None`` for a one-slice batch).
+        concatenation of the slices (``None`` for a one-slice batch,
+        whose keys and payloads are views of the block's storage).
         """
         keys, pays = self.keys, self.pays
         if len(keys) == 1:
@@ -89,35 +94,40 @@ def _gather(
     sched: "MergeScheduler",
     block_data: dict,
     offsets: list[int],
-    n_blocks: list[int],
+    last_keys: list[list[int]],
     validate: bool,
 ) -> _Batch:
     """Collect every resident record ordered before the galloping bound.
 
-    A block whose last key precedes the bound is taken whole; only the
-    one block per run that straddles it is searched.  Advances
-    ``offsets`` past the gathered records; the caller must consume the
-    whole batch before gathering again.
+    A block whose last key (from *last_keys*, the runs' metadata as
+    Python ints) precedes the bound is taken whole; only the one block
+    per run that straddles it is searched.  Advances ``offsets`` past
+    the gathered records; the caller must consume the whole batch
+    before gathering again.
     """
     job = sched.job
-    last_keys = job.last_keys
-    bound = sched.fds.galloping_bound()
+    bk, br = sched.fds.galloping_bound()
     pieces: list[tuple[int, int, int, int, int]] = []
     seg_keys: list[np.ndarray] = []
     seg_pays: list[np.ndarray] | None = None
     stop: list[int] = []
     leading = sched.leading
+    get = block_data.get
     for r in range(job.n_runs):
         b = leading[r]
         off = offsets[r]
-        while b < n_blocks[r] and (r, b) in block_data:
-            data, pay = block_data[(r, b)]
+        lasts = last_keys[r]
+        tie = ties_precede(r, br)
+        side = "right" if tie else "left"
+        while (entry := get((r, b))) is not None:
+            data, pay = entry
+            last = lasts[b]
             if validate and off == 0:
                 # First touch of this block: its contents must agree
                 # with the run metadata the forecasts were built from.
                 if (
                     int(data[0]) != int(job.first_keys[r][b])
-                    or int(data[-1]) != int(last_keys[r][b])
+                    or int(data[-1]) != last
                     or bool(np.any(data[1:] < data[:-1]))
                 ):
                     raise ScheduleError(
@@ -125,10 +135,10 @@ def _gather(
                         " contents disagree with run metadata"
                     )
             size = data.size
-            if block_precedes(last_keys[r][b], r, bound):
+            if last < bk or (last == bk and tie):
                 hi = size
             else:
-                hi = cut_at_bound(data, r, bound)
+                hi = int(data.searchsorted(bk, side=side))
             if hi <= off:
                 break
             pieces.append((r, b, off, hi, size))
@@ -144,9 +154,9 @@ def _gather(
             off = 0
         offsets[r] = off
         stop.append(b)
-    if not pieces and bound[1] < 0:  # pragma: no cover - guarded by finished()
+    if not pieces and br < 0:  # pragma: no cover - guarded by finished()
         raise ScheduleError("merge stalled with no on-disk blocks")
-    return _Batch(pieces, seg_keys, seg_pays, stop, bound[1])
+    return _Batch(pieces, seg_keys, seg_pays, stop, bk, br)
 
 
 def _limit_after(
@@ -211,15 +221,14 @@ def merge_loop_batched(
     merge's key-range cycles whenever runs interleave within a block.
     """
     job = sched.job
-    n_blocks = [job.blocks_in_run(r) for r in range(job.n_runs)]
-    last_keys = job.last_keys
+    last_keys = [lk.tolist() for lk in job.last_keys]
     offsets = [0] * job.n_runs
     tel = telemetry if telemetry is not None else TELEMETRY_OFF
     h_batch = tel.histogram(H_DRAIN_BATCH, batch_edges(system.block_size))
     m_cycles = tel.counter(MERGE_DRAIN_CYCLES)
     cycles = 0
     while not sched.finished():
-        batch = _gather(sched, block_data, offsets, n_blocks, validate)
+        batch = _gather(sched, block_data, offsets, last_keys, validate)
         if batch.pieces:
             cycles += len(batch.pieces)
             if batch.pays is None and len(batch.keys) > 1:
@@ -253,6 +262,10 @@ def merge_loop_batched(
 # ---------------------------------------------------------------------------
 
 
+#: Per-cycle engine events of a batch, as bit flags.
+_TOUCH, _DEPLETE, _CROSS = 1, 2, 4
+
+
 def _cycle_starts(
     keys: np.ndarray, piece: np.ndarray, run: np.ndarray, last_limit: int | None
 ) -> np.ndarray:
@@ -265,20 +278,22 @@ def _cycle_starts(
     of the next record of another run (*last_limit* for the final
     stretch; ``None`` when no other run has records left).  So a cycle
     starts where the slice (run or block) changes, and where a stretch's
-    keys first equal its limit.
+    keys first equal its limit.  No key exceeds its limit, so those are
+    the heads of the groups of equal keys that a run switch crosses or
+    that end the batch at *last_limit*.
     """
     n = keys.size
     start = np.empty(n, dtype=bool)
     start[0] = True
     np.not_equal(piece[1:], piece[:-1], out=start[1:])
-    stretch = np.flatnonzero(run[1:] != run[:-1]) + 1
-    lengths = np.diff(stretch, prepend=0, append=n)
-    limits = np.append(keys[stretch], 0 if last_limit is None else last_limit)
-    at_limit = keys == np.repeat(limits, lengths)
-    if last_limit is None:
-        at_limit[n - lengths[-1] :] = False
-    at_limit[1:] &= keys[1:] != keys[:-1]
-    start |= at_limit
+    tie = keys[1:] == keys[:-1]
+    # Groups reaching a limit, by one past a position in each.
+    reach = np.flatnonzero(tie & (run[1:] != run[:-1])) + 1
+    if last_limit is not None and int(keys[-1]) == last_limit:
+        reach = np.append(reach, n)
+    if reach.size:
+        heads = np.flatnonzero(np.append(True, ~tie))
+        start[heads[heads.searchsorted(reach - 1, side="right") - 1]] = True
     return np.flatnonzero(start)
 
 
@@ -299,17 +314,22 @@ def merge_loop_cycles(
     read-ahead policy only acts when a block is first touched
     (``wait_for``) or depleted, so only those cycles and the ones that
     complete an output stripe are replayed one by one, in heapq order:
-    ``wait_for``, ``writer.append`` (its stripe write sees the clock at
-    the start of the cycle), ``compute``, free and depletion, ``pump``.
-    A latency-adaptive engine's ``pump`` reads the clock, so it is
-    replayed after every cycle.  The clock, schedule, writes, frees and
-    cycle count all equal a heapq merge's.
+    ``wait_for``, ``writer.append`` up to a stripe-completing cycle's
+    end (its stripe write sees the clock at the start of the cycle),
+    ``compute``, free and depletion, ``pump``.  Only a stripe-completing
+    append writes and allocates, so the rest of the batch is appended
+    at its end — except a one-slice batch, a view of its block's
+    storage, which is appended before that block is freed.  A
+    latency-adaptive engine's ``pump`` reads the clock, so it is
+    replayed after every cycle.  The clock, schedule, writes, frees,
+    output addresses and cycle count all equal a heapq merge's.
 
     Returns the number of key-range cycles.
     """
     job = sched.job
     R = job.n_runs
     n_blocks = [job.blocks_in_run(r) for r in range(R)]
+    last_keys = [lk.tolist() for lk in job.last_keys]
     offsets = [0] * R
     tel = telemetry if telemetry is not None else TELEMETRY_OFF
     h_batch = tel.histogram(H_DRAIN_BATCH, batch_edges(system.block_size))
@@ -318,78 +338,89 @@ def merge_loop_cycles(
     every_cycle = eng.latency is not None
     cycles = 0
     while not sched.finished():
-        batch = _gather(sched, block_data, offsets, n_blocks, validate)
-        if not batch.pieces:
+        batch = _gather(sched, block_data, offsets, last_keys, validate)
+        pieces = batch.pieces
+        if not pieces:
             br = batch.bound_run
             sched.ensure_resident(br, sched.leading[br])
             continue
         keys, pays, order = batch.merged()
-        pieces = batch.pieces
-        p_run = np.array([p[0] for p in pieces])
-        lengths = [p[3] - p[2] for p in pieces]
+        n = keys.size
+        lengths = [hi - lo for _r, _b, lo, hi, _size in pieces]
         piece = np.repeat(np.arange(len(pieces)), lengths)
         if order is not None:
             piece = piece[order]
-        run = p_run[piece]
 
+        run = np.array([p[0] for p in pieces])[piece]
         # The batch's last stretch takes its limit from beyond the batch.
-        limit = _limit_after(
-            batch, sched, block_data, offsets, n_blocks, int(run[-1])
-        )
+        # That limit is at least the bound key, and every batch key is at
+        # most the bound key, so only a batch that ends at the bound key
+        # can reach it.
+        limit = None
+        if int(keys[-1]) == batch.bound_key:
+            limit = _limit_after(
+                batch, sched, block_data, offsets, n_blocks, int(run[-1])
+            )
         starts = _cycle_starts(keys, piece, run, limit)
-        counts = np.diff(starts, append=keys.size)
+        ends = np.append(starts[1:], n)
+        counts = ends - starts
         C = counts.size
         cycles += C
         h_batch.observe_many(counts)
 
-        # Per-cycle engine events.
-        cyc_piece = piece[starts]
-        first = np.unique(cyc_piece, return_index=True)[1]
-        last = C - 1 - np.unique(cyc_piece[::-1], return_index=True)[1]
-        touch = np.zeros(C, dtype=bool)
-        touch[first[np.array([p[2] == 0 for p in pieces])]] = True
-        deplete = np.zeros(C, dtype=bool)
-        deplete[last[np.array([p[3] == p[4] for p in pieces])]] = True
-        ends = np.cumsum(counts)
-        # Stripes the writer has written by the end of each cycle.
-        written = np.maximum((ends - writer.records_to_next_write) // stripe + 1, 0)
-        cross = np.diff(written, prepend=0) > 0
-        pump = np.ones(C, dtype=bool) if every_cycle else touch | deplete
-        events = np.flatnonzero(pump | cross).tolist()
+        # Per-cycle engine events.  A slice's first and last records
+        # (run-order positions, mapped to merged ones) lie in the cycles
+        # that touch and deplete its block.
+        t_pos, d_pos, at = [], [], 0
+        for (_r, _b, lo, hi, size), m in zip(pieces, lengths):
+            if lo == 0:
+                t_pos.append(at)
+            at += m
+            if hi == size:
+                d_pos.append(at - 1)
+        if order is not None:
+            inv = np.empty(n, dtype=np.intp)
+            inv[order] = np.arange(n)
+            t_pos, d_pos = inv[t_pos], inv[d_pos]
+        flags = np.zeros(C, dtype=np.int8)
+        flags[starts.searchsorted(t_pos)] = _TOUCH
+        flags[starts.searchsorted(d_pos, side="right") - 1] |= _DEPLETE
+        # A stripe is written when the writer's records reach
+        # records_to_next_write, and every D·B records after that.
+        crossings = np.arange(writer.records_to_next_write, n + 1, stripe)
+        flags[ends.searchsorted(crossings)] |= _CROSS
+        events = np.arange(C) if every_cycle else np.flatnonzero(flags)
 
-        touch_l = touch.tolist()
-        deplete_l = deplete.tolist()
-        cross_l = cross.tolist()
-        pump_l = pump.tolist()
-        ends_l = ends.tolist()
-        cyc_piece_l = cyc_piece.tolist()
         counts_l = counts.tolist()
         ci = 0  # first cycle not yet computed
         pos = 0  # merged records appended so far
-        for c in events:
-            r, b = pieces[cyc_piece_l[c]][:2]
-            if touch_l[c] or cross_l[c]:
+        for c, f, p, end in zip(
+            events.tolist(),
+            flags[events].tolist(),
+            piece[starts[events]].tolist(),
+            ends[events].tolist(),
+        ):
+            r, b = pieces[p][:2]
+            if f & (_TOUCH | _CROSS):
                 if ci < c:
                     eng.compute(counts_l[ci:c])
                     ci = c
-                if touch_l[c]:
+                if f & _TOUCH:
                     eng.wait_for(r, b)
-            if cross_l[c] or deplete_l[c]:
-                end = ends_l[c]
+            if f & _CROSS or (f & _DEPLETE and order is None):
                 writer.append(
                     keys[pos:end], pays[pos:end] if pays is not None else None
                 )
                 pos = end
-            if pump_l[c]:
+            if every_cycle or f & (_TOUCH | _DEPLETE):
                 eng.compute(counts_l[ci : c + 1])
                 ci = c + 1
-                if deplete_l[c]:
+                if f & _DEPLETE:
                     _retire(sched, block_data, runs, system, free_inputs, r, b)
                 eng.pump(sched)
         if ci < C:
             eng.compute(counts_l[ci:])
-        if pos < keys.size:
+        if pos < n:
             writer.append(keys[pos:], pays[pos:] if pays is not None else None)
     m_cycles.inc(cycles)
     return cycles
-

@@ -68,7 +68,7 @@ from ..telemetry.schema import (
     SPAN_PMERGE_STITCH,
     SPAN_PMERGE_WORKERS,
 )
-from .forecasting import block_precedes
+from .forecasting import ties_precede
 from .job import MergeJob
 from .merge import MergeResult, _check_forecast
 from .schedule import MergeScheduler
@@ -106,14 +106,15 @@ def ghost_drive(
     rounds = 0
     while not sched.finished():
         rounds += 1
-        bound = sched.fds.galloping_bound()
+        bk, br = sched.fds.galloping_bound()
         depleted: list[tuple[int, int, int]] = []  # (last_key, run, block)
         leading = sched.leading
         for r in range(R):
             b = leading[r]
+            tie = ties_precede(r, br)
             while b < n_blocks[r] and sched.is_resident(r, b):
                 last = int(job.last_keys[r][b])
-                if not block_precedes(last, r, bound):
+                if not (last < bk or (last == bk and tie)):
                     break
                 depleted.append((last, r, b))
                 b += 1
@@ -126,7 +127,6 @@ def ghost_drive(
 
         if sched.finished():
             break
-        br = bound[1]
         if br < 0:  # pragma: no cover - finished() guards this
             raise ScheduleError("ghost drive stalled with no on-disk blocks")
         # Everything before the bound is consumed; the serial loop's

@@ -80,7 +80,7 @@ class Histogram:
     identically — the property the JSONL round-trip relies on.
     """
 
-    __slots__ = ("name", "edges", "counts", "total", "n")
+    __slots__ = ("name", "edges", "_edge_array", "counts", "total", "n")
 
     kind = "histogram"
 
@@ -91,6 +91,7 @@ class Histogram:
             )
         self.name = name
         self.edges = tuple(edges)
+        self._edge_array = np.asarray(self.edges, dtype=np.float64)
         self.counts = [0] * (len(edges) + 1)
         self.total = 0.0
         self.n = 0
@@ -106,7 +107,7 @@ class Histogram:
         if v.size == 0:
             return
         bins = np.bincount(
-            np.searchsorted(self.edges, v, side="left"), minlength=len(self.counts)
+            self._edge_array.searchsorted(v, side="left"), minlength=len(self.counts)
         )
         for i in np.flatnonzero(bins).tolist():
             self.counts[i] += int(bins[i])

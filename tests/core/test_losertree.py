@@ -11,6 +11,7 @@ metrics.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 
 import numpy as np
@@ -29,8 +30,9 @@ from repro.core import (
 from repro.core.config import OVERLAP_MODES, OverlapConfig
 from repro.core.losertree import _cycle_starts
 from repro.disks import ParallelDiskSystem, StripedFile, StripedRun
+from repro.disks.disk import Disk
 from repro.disks.timing import DISK_1996
-from repro.faults import FaultPlan
+from repro.faults import DiskDeath, FaultPlan
 from repro.telemetry import Telemetry
 from repro.telemetry.trace import SystemTracer
 from repro.workloads import uniform_keys, uniform_permutation
@@ -159,6 +161,16 @@ class TestCycleStarts:
         )
         expect = [p for p in heapq_cycle_starts(runs_keys, b) if p < n]
         assert starts.tolist() == expect
+        # A batch that ends below the limit cannot reach it, so the
+        # limit may be left out; and where, besides, no run switch joins
+        # equal keys, every cycle starts at a slice change.
+        k, rr = keys[:n], run[:n]
+        if not heads or int(k[-1]) < min(heads):
+            piece = rr * 10_000 + pos[:n] // b
+            assert _cycle_starts(k, piece, rr, None).tolist() == expect
+            if not np.any((rr[1:] != rr[:-1]) & (k[1:] == k[:-1])):
+                changes = np.flatnonzero(piece[1:] != piece[:-1]) + 1
+                assert [0] + changes.tolist() == expect
 
 
 class TestMergerEquivalence:
@@ -445,6 +457,141 @@ class TestEngineTrace:
                 )
             )
         assert blobs[0] and blobs[0] == blobs[1]
+
+
+def _trace_digest(col) -> str:
+    """sha256 over every field of every trace record."""
+    assert col.dropped == 0
+    return hashlib.sha256(
+        repr(
+            [
+                (r.kind, r.cat, r.lane, r.domain, r.queue_ms, r.start_ms,
+                 r.end_ms, r.dep, r.attrs)
+                for r in col.records
+            ]
+        ).encode()
+    ).hexdigest()
+
+
+class TestEngineStreamAtBenchShape:
+    """The engine-paced stream at the overlap benchmark's shape.
+
+    D = B = 16 and ``SRMConfig.from_k(4, 16, 16)`` in the balanced
+    full-overlap regime with the trace armed.  Runs of 320 records give
+    the benchmark's 49 runs over about 16k keys, so most runs straddle
+    each galloping bound and batches hold many slices.
+    """
+
+    D = B = 16
+    N = 15_610
+    RUN_LENGTH = 320
+    METRICS = ("merge.drain_batch", "merge.drain_cycles", "writer.buffered_blocks")
+
+    def _sort(self, keys, payloads=None, backend=None, plan=None):
+        D, B = self.D, self.B
+        system = ParallelDiskSystem(D, B, timing=DISK_1996, backend=backend)
+        try:
+            if plan is not None:
+                system.attach_faults(plan)
+            # Copies: the input blocks may be views of the arrays given.
+            infile = StripedFile.from_records(
+                system,
+                keys.copy(),
+                payloads=None if payloads is None else payloads.copy(),
+            )
+            tel = Telemetry()
+            col = tel.attach_trace()
+            res = srm_mergesort(
+                system, infile, SRMConfig.from_k(4, D, B), rng=0,
+                run_length=self.RUN_LENGTH,
+                overlap=OverlapConfig(
+                    mode="full",
+                    prefetch_depth=2,
+                    cpu_us_per_record=DISK_1996.op_time_ms(B) * 1000 / B,
+                ),
+                telemetry=tel,
+            )
+            assert res.runs_formed == 49 and res.n_merge_passes == 1
+            out_keys, out_pays = res.peek_sorted_records()
+            assert np.array_equal(out_keys, np.sort(keys))
+            if payloads is not None:
+                assert np.array_equal(keys[out_pays], out_keys)
+            snap = tel.registry.snapshot()
+            return {
+                "keys": out_keys.tobytes(),
+                "pays": None if out_pays is None else out_pays.tobytes(),
+                "addresses": tuple(res.output.addresses),
+                "overlap": res.overlap_reports,
+                "schedule": res.merge_schedules,
+                "io": io_tuple(res.io),
+                "heap_cycles": res.heap_cycles,
+                "metrics": {name: snap[name] for name in self.METRICS},
+                "faults": None if plan is None else system.faults.stats.snapshot(),
+                "trace": _trace_digest(col),
+            }
+        finally:
+            system.close()
+
+    @pytest.mark.parametrize(
+        "case", ["distinct", "duplicate-heavy", "payloads-mmap"]
+    )
+    def test_engine_stream_matches_heapq(self, case):
+        rng = np.random.default_rng(19)
+        if case == "duplicate-heavy":
+            keys = rng.integers(0, 8, size=self.N)
+        else:
+            keys = rng.permutation(self.N).astype(np.int64)
+        payloads = backend = None
+        if case == "payloads-mmap":
+            payloads = np.arange(self.N, dtype=np.int64)
+            backend = "mmap"
+        outs = both_mergers(lambda: self._sort(keys, payloads, backend))
+        ref, got = outs["heapq"], outs["plane"]
+        for field in ref:
+            assert got[field] == ref[field], field
+
+    def test_one_slice_batch_reaches_the_writer_before_its_block_is_freed(
+        self, monkeypatch
+    ):
+        # A one-slice batch is a view of its block's storage, and a freed
+        # slot may be rewritten at once (on mmap, by a rebuild that a
+        # pump's read triggers).  Scribbling over each block as it is
+        # freed turns any later append of such a view into wrong output.
+        # Duplicate-heavy keys make one-slice batches that deplete.
+        free = Disk.free
+
+        def scribbling_free(disk, slot):
+            blk = disk._slots.get(slot)
+            if blk is not None:
+                blk.keys[...] = -1
+                blk.payloads[...] = -1
+            free(disk, slot)
+
+        monkeypatch.setattr(Disk, "free", scribbling_free)
+        keys = np.random.default_rng(23).integers(0, 8, size=self.N)
+        payloads = np.arange(self.N, dtype=np.int64)
+        outs = both_mergers(lambda: self._sort(keys, payloads))
+        for field, ref in outs["heapq"].items():
+            assert outs["plane"][field] == ref, field
+
+    def test_mmap_matches_memory_under_a_disk_death(self):
+        # On mmap a block read is a view of its slot, which the death's
+        # rebuild may reuse once freed; in memory it is an owned array.
+        rng = np.random.default_rng(23)
+        keys = rng.permutation(self.N).astype(np.int64)
+        payloads = np.arange(self.N, dtype=np.int64)
+        plan = FaultPlan(
+            seed=5,
+            read_fail_p=0.02,
+            write_fail_p=0.02,
+            redundancy="parity",
+            deaths=(DiskDeath(disk=3, after_ops=100),),
+        )
+        mem = self._sort(keys, payloads, plan=plan)
+        mm = self._sort(keys, payloads, backend="mmap", plan=plan)
+        assert mem["faults"]["disk_deaths"] == 1
+        for field in ("keys", "pays", "addresses", "overlap", "faults", "io"):
+            assert mm[field] == mem[field], field
 
 
 class TestEndToEndSortEquivalence:
