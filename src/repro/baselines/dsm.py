@@ -27,6 +27,7 @@ from ..disks.system import BlockAddress, ParallelDiskSystem
 from ..errors import ConfigError, DataError
 from ..rng import RngLike
 from ..core.config import DSMConfig
+from ..core.keyorder import stable_argsort
 from ..telemetry import TELEMETRY_OFF
 from ..telemetry.schema import (
     H_DRAIN_BATCH,
@@ -398,12 +399,12 @@ def dsm_mergesort(
         keys = np.concatenate([b.keys for b in blocks])
         if blocks[0].payloads is not None:
             payloads = np.concatenate([b.payloads for b in blocks])
-            order = np.argsort(keys, kind="stable")
+            order = stable_argsort(keys)
             keys = keys[order]
             payloads = payloads[order]
         else:
             payloads = None
-            keys.sort(kind="stable")
+            keys.sort()
         for addr in chunk:
             system.free(addr)
         h_len.observe(keys.size)

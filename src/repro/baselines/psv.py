@@ -349,7 +349,7 @@ def psv_mergesort(
         chunk = infile.addresses[i : i + blocks_per_run]
         blocks, _ = system.read_batch(chunk)
         keys = np.concatenate([b.keys for b in blocks])
-        keys.sort(kind="stable")
+        keys.sort()
         for addr in chunk:
             system.free(addr)
         h_len.observe(keys.size)

@@ -7,7 +7,8 @@ resident blocks is fixed, so every resident record ordered before the
 non-resident block (:meth:`ForecastStructure.galloping_bound`) — can be
 merged in one step: a block whose last key precedes the bound is taken
 whole, ``searchsorted`` cuts the one block per run that straddles it,
-and one stable ``argsort`` interleaves the block slices.
+and one ``(key, index)`` sort (:func:`~repro.core.keyorder.stable_argsort`)
+interleaves the block slices.
 
 * :func:`merge_loop_batched` — the demand path — writes each batch,
   fires its depletions at once and demand-fetches the bound's block:
@@ -24,9 +25,9 @@ and one stable ``argsort`` interleaves the block slices.
 Ordering contract (shared with a heapq merge): records are emitted in
 ``(key, run index, position in run)`` order.  Ties across runs go to
 the smaller run index — the heap's ``(key, run)`` tie-break — which the
-batch reproduces by concatenating run slices in run order and sorting
-with a stable kind (equal bare keys are indistinguishable, so the
-demand path sorts those with the faster unstable kind).  Both loops
+batch reproduces by concatenating run slices in run order and ordering
+them by ``(key, index)`` (equal bare keys are indistinguishable, so the
+demand path sorts those with a plain unstable sort).  Both loops
 issue the same ``ParRead``/flush stream as the heapq merge, and the
 engine path also the same clock, writes, frees and cycle count.
 """
@@ -41,6 +42,7 @@ from ..errors import ScheduleError
 from ..telemetry import TELEMETRY_OFF
 from ..telemetry.schema import H_DRAIN_BATCH, MERGE_DRAIN_CYCLES, batch_edges
 from .forecasting import ties_precede
+from .keyorder import stable_argsort
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..disks.files import StripedRun
@@ -82,7 +84,7 @@ class _Batch:
         if len(keys) == 1:
             return keys[0], pays[0] if pays is not None else None, None
         merged = np.concatenate(keys)
-        order = np.argsort(merged, kind="stable")
+        order = stable_argsort(merged)
         return (
             merged[order],
             np.concatenate(pays)[order] if pays is not None else None,

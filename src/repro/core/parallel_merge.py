@@ -70,6 +70,7 @@ from ..telemetry.schema import (
 )
 from .forecasting import ties_precede
 from .job import MergeJob
+from .keyorder import stable_argsort
 from .merge import MergeResult, _check_forecast
 from .schedule import MergeScheduler
 from .writer import RunWriter
@@ -285,7 +286,7 @@ def _merge_range_worker(
                     flat[base + layout.pay_off + s : base + layout.pay_off + e]
                 )
     keys = np.concatenate(key_parts)
-    order = np.argsort(keys, kind="stable")
+    order = stable_argsort(keys)
     merged = keys[order]
     out = np.memmap(
         scratch_path, dtype=np.int64, mode="r+", shape=(rows, total_records)
@@ -338,7 +339,7 @@ def _merge_range_inprocess(
     """Merge one range from pre-gathered per-run segments (any backend)."""
     key_parts, pay_parts = gathered
     keys = np.concatenate(key_parts)
-    order = np.argsort(keys, kind="stable")
+    order = stable_argsort(keys)
     merged = keys[order]
     pays = np.concatenate(pay_parts)[order] if pay_parts else None
     return merged, pays

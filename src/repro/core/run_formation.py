@@ -18,8 +18,11 @@ slice's accepted arrivals, and an arrival is accepted iff it is at least
 the emission it replaces; iterating that acceptance set up from empty
 reaches exactly the textbook per-record heap loop's answer in a few
 rounds (a slice still unsettled after a small round cap is bisected).
-The emissions then leave as one array slice, and the unemitted accepted
-records merge back into the sorted pool with one scatter.
+Acceptance depends on keys only, so the pool holds keys only; the
+epoch's records wait in arrival order, and each run is written once,
+when its epoch ends, in ``(key, arrival)`` order
+(:func:`~repro.core.keyorder.stable_argsort`).  Memory-load sort orders
+records with payloads by the same helper.
 
 Both methods charge realistic I/O: input blocks are read stripe-parallel
 and runs are written with perfect write parallelism in forecast format.
@@ -37,6 +40,7 @@ from ..errors import ConfigError, DataError
 from ..rng import RngLike, ensure_rng
 from ..telemetry import TELEMETRY_OFF
 from ..telemetry.schema import H_RUN_LENGTH, run_length_edges
+from .keyorder import stable_argsort
 from .layout import LayoutStrategy, choose_start_disks
 
 
@@ -91,7 +95,7 @@ def form_runs_load_sort(
         keys = np.concatenate([b.keys for b in blocks])
         if blocks[0].payloads is not None:
             payloads = np.concatenate([b.payloads for b in blocks])
-            order = np.argsort(keys, kind="stable")
+            order = stable_argsort(keys)
             keys = keys[order]
             payloads = payloads[order]
         else:
@@ -177,22 +181,35 @@ def _chunk_reader(system: ParallelDiskSystem, infile: StripedFile, free_input: b
 _ROUNDS = 8
 
 
+def _merged(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """*sorted_keys* and *keys* as one sorted array."""
+    out = np.concatenate([sorted_keys, np.sort(keys)])
+    out.sort(kind="stable")  # timsort: one merge of two sorted runs
+    return out
+
+
 class _BlockReplacementSelection:
     """Slice-granular replacement selection (exact per-record equivalent).
 
-    The current epoch's memory is one *pool* sorted by ``(key,
-    arrival)``; the next epoch accumulates in arrival order and is
-    stably sorted when it is promoted.  While input remains, every
-    arriving record pairs with one emission, so an arriving slice ``x``
-    of ``m <= |pool|`` records pairs with the next ``m`` emissions ``E``,
-    all from the current epoch.  ``E`` is the ``m`` smallest of ``pool ∪
-    A`` in ``(key, arrival)`` order, where ``A = {t : x_t >= key(E_t)}``
-    is the set of accepted arrivals: an accepted arrival never sorts
-    before an emission already made.  :meth:`_accepted` solves that for
-    ``A`` by iterating from ``A = ∅``; ``A`` only grows, and its least
-    fixed point is exactly the per-record heap loop's.  :meth:`_commit`
-    then emits ``E``, merges the unemitted accepted records back into
-    the pool with one scatter, and appends the rejects to the next epoch.
+    The current epoch's memory is a keys-only *pool*, sorted; the
+    epoch's records themselves (the promoted ones, then each slice's
+    accepted arrivals) accumulate in arrival order, as do the next
+    epoch's.  While input remains, every arriving record pairs with one
+    emission, so an arriving slice ``x`` of ``m <= |pool|`` records pairs
+    with the next ``m`` emissions ``E``, all from the current epoch.
+    ``E`` is the ``m`` smallest of ``pool ∪ A``, where ``A = {t : x_t >=
+    key(E_t)}`` is the set of accepted arrivals: an accepted arrival
+    never sorts before an emission already made.  :meth:`_accepted`
+    solves that for ``A`` by iterating from ``A = ∅``; ``A`` only grows,
+    and its least fixed point is exactly the per-record heap loop's.
+    Acceptance depends on keys only, so :meth:`_commit` merges just the
+    accepted keys into the pool and drops the ``m`` emitted ones.
+
+    Every record of an epoch is emitted in that epoch's run, and the
+    heap loop emits them in ``(key, arrival)`` order (an accepted record
+    is at least the last emission and newer than every pooled record).
+    So each run is written once, when its epoch ends: the epoch's
+    records ordered by :func:`~repro.core.keyorder.stable_argsort`.
     """
 
     def __init__(
@@ -209,32 +226,30 @@ class _BlockReplacementSelection:
         self.disk_stream = disk_stream
         self.run_id = first_run_id
         self.refill = _chunk_reader(system, infile, free_input)
-        self.has_payloads = False
-        # Current-epoch pool, sorted by (key, arrival).
+        # Current epoch: its unemitted keys, sorted, and its records in
+        # arrival order.
         self.pool_k = np.empty(0, dtype=np.int64)
-        self.pool_p: np.ndarray | None = None
-        # Next-epoch accumulation, in arrival order.
+        self.cur_k: list[np.ndarray] = []
+        self.cur_p: list[np.ndarray] = []
+        # Next epoch, in arrival order.
         self.nxt_k: list[np.ndarray] = []
         self.nxt_p: list[np.ndarray] = []
-        # Current output run accumulation.
-        self.out_k: list[np.ndarray] = []
-        self.out_p: list[np.ndarray] = []
         self.runs: list[StripedRun] = []
 
     # -- run boundaries ---------------------------------------------------
 
-    def _emit(self, keys: np.ndarray, pays: np.ndarray | None) -> None:
-        if not keys.size:
-            return
-        self.out_k.append(keys)
-        if self.has_payloads:
-            self.out_p.append(pays)
-
     def _close_run(self) -> None:
-        if not self.out_k:
+        """Write the current epoch's records as one run."""
+        if not self.cur_k:
             return
-        keys = np.concatenate(self.out_k)
-        pays = np.concatenate(self.out_p) if self.has_payloads else None
+        keys = np.concatenate(self.cur_k)
+        self.cur_k = []
+        order = stable_argsort(keys)  # (key, arrival)
+        keys = keys[order]
+        pays = None
+        if self.cur_p:
+            pays = np.concatenate(self.cur_p)[order]
+            self.cur_p = []
         self.runs.append(
             StripedRun.from_sorted_keys(
                 self.system,
@@ -245,27 +260,17 @@ class _BlockReplacementSelection:
             )
         )
         self.run_id += 1
-        self.out_k = []
-        self.out_p = []
-
-    def _set_pool(self, parts_k: list[np.ndarray], parts_p: list[np.ndarray]) -> None:
-        """Make the arrival-ordered *parts* the pool (stable sort)."""
-        if not parts_k:
-            self.pool_k = np.empty(0, dtype=np.int64)
-            self.pool_p = None
-            return
-        keys = np.concatenate(parts_k)
-        order = np.argsort(keys, kind="stable")
-        self.pool_k = keys[order]
-        if self.has_payloads:
-            self.pool_p = np.concatenate(parts_p)[order]
 
     def _promote_next_epoch(self) -> None:
-        """Current epoch drained: close the run, promote the next epoch."""
+        """Current epoch drained: close its run, promote the next epoch."""
         self._close_run()
-        self._set_pool(self.nxt_k, self.nxt_p)
-        self.nxt_k = []
-        self.nxt_p = []
+        self.cur_k, self.cur_p = self.nxt_k, self.nxt_p
+        self.nxt_k, self.nxt_p = [], []
+        self.pool_k = (
+            np.sort(np.concatenate(self.cur_k))
+            if self.cur_k
+            else np.empty(0, dtype=np.int64)
+        )
 
     # -- slice processing -------------------------------------------------
 
@@ -290,39 +295,21 @@ class _BlockReplacementSelection:
             if low.size == n_low:
                 return mask
             n_low = low.size
-            # Timsort finds the sorted head as one run: a cheap merge.
-            emit = np.sort(np.concatenate([head, low]), kind="stable")[:m]
+            emit = _merged(head, low)[:m]
         return None
 
     def _commit(self, xk: np.ndarray, xp: np.ndarray | None, mask: np.ndarray) -> None:
-        """Emit the slice's ``m`` records and fold its accepted ones in."""
-        m = xk.size
+        """Drop the slice's ``m`` emitted keys and record its arrivals."""
         ak = xk[mask]
-        order = np.argsort(ak, kind="stable")  # (key, arrival)
-        ak = ak[order]
-        # Arrivals are newer than the whole pool: equal keys slot after.
-        pos = np.searchsorted(self.pool_k, ak, side="right")
-        pos += np.arange(ak.size)
-        n = self.pool_k.size + ak.size
-        old = np.ones(n, dtype=bool)
-        old[pos] = False
-        keys = np.empty(n, dtype=np.int64)
-        keys[pos] = ak
-        keys[old] = self.pool_k
-        self.pool_k = keys[m:]
-        # Emissions are copied out so they do not pin the merged arrays.
-        pays = None
-        if self.has_payloads:
-            pays = np.empty_like(keys)
-            pays[pos] = xp[mask][order]
-            pays[old] = self.pool_p
-            self.pool_p = pays[m:]
-            pays = pays[:m].copy()
-        self._emit(keys[:m].copy(), pays)
-        rej = ~mask
-        if rej.any():
+        if ak.size:
+            self.cur_k.append(ak)
+            if xp is not None:
+                self.cur_p.append(xp[mask])
+        self.pool_k = _merged(self.pool_k, ak)[xk.size :]
+        if ak.size < xk.size:
+            rej = ~mask
             self.nxt_k.append(xk[rej])
-            if self.has_payloads:
+            if xp is not None:
                 self.nxt_p.append(xp[rej])
 
     def _process(self, xk: np.ndarray, xp: np.ndarray | None) -> None:
@@ -341,8 +328,6 @@ class _BlockReplacementSelection:
     def run(self) -> list[StripedRun]:
         M = self.memory_records
         # Initial fill: the first M records are epoch 0.
-        parts_k: list[np.ndarray] = []
-        parts_p: list[np.ndarray] = []
         filled = 0
         carry: tuple[np.ndarray, np.ndarray | None] | None = None
         while filled < M:
@@ -350,16 +335,15 @@ class _BlockReplacementSelection:
             if chunk is None:
                 break
             k, p = chunk
-            self.has_payloads = p is not None
             need = M - filled
             if k.size > need:
                 carry = (k[need:], None if p is None else p[need:])
                 k, p = k[:need], None if p is None else p[:need]
-            parts_k.append(k)
+            self.nxt_k.append(k)
             if p is not None:
-                parts_p.append(p)
+                self.nxt_p.append(p)
             filled += k.size
-        self._set_pool(parts_k, parts_p)
+        self._promote_next_epoch()
 
         block = carry if carry is not None else self.refill()
         while block is not None:
@@ -374,9 +358,7 @@ class _BlockReplacementSelection:
                     self._promote_next_epoch()
             block = self.refill()
 
-        # Input exhausted: the pool ends this run, the next epoch the last.
-        self._emit(self.pool_k, self.pool_p)
+        # Input exhausted: the current epoch ends this run, the next the last.
         self._promote_next_epoch()
-        self._emit(self.pool_k, self.pool_p)
         self._close_run()
         return self.runs

@@ -26,6 +26,7 @@ from ..errors import ConfigError
 from ..rng import RngLike, ensure_rng
 from .config import SRMConfig
 from .job import MergeJob
+from .keyorder import stable_argsort
 from .layout import LayoutStrategy, choose_start_disks
 from .schedule import ScheduleStats
 from .simulator import simulate_merge
@@ -115,7 +116,7 @@ def simulate_mergesort(
             raise ConfigError("cannot sort an empty input")
         # Stable rank order reproduces the engines' tie handling.
         ranks = np.empty(keys.size, dtype=np.int64)
-        ranks[np.argsort(keys, kind="stable")] = np.arange(keys.size)
+        ranks[stable_argsort(keys)] = np.arange(keys.size)
     n = int(ranks.size)
     B, D, R = config.block_size, config.n_disks, config.merge_order
     length = run_length if run_length is not None else config.memory_records
@@ -166,7 +167,7 @@ def simulate_mergesort(
             )
             stats = simulate_merge(job, validate=validate)
             result.merge_schedules.append(stats)
-            merged = np.sort(np.concatenate([a for a, _ in group]), kind="stable")
+            merged = np.sort(np.concatenate([a for a, _ in group]))
             out_runs.append((merged, int(starts_out[g])))
             reads += stats.total_reads
             writes += _write_ops(-(-merged.size // B), D)

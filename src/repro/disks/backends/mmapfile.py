@@ -211,16 +211,12 @@ class MmapDiskStore(MutableMapping):
             raise KeyError(slot)
         lay = self._backend.layout
         row = self._row(slot, grow=False)
-        n = int(row[0])
-        nf = int(row[3])
-        flags = int(row[4])
-        forecast = ()
-        if nf:
-            mask = int(row[_NOKEY_MASK_WORD])
-            forecast = tuple(
-                NO_KEY if mask & (1 << i) else int(row[lay.forecast_off + i])
-                for i in range(nf)
-            )
+        # One conversion decodes the header and forecast words.
+        head = row[: lay.key_off].tolist()
+        n, run_id, index, nf, flags, checksum, mask = head[:HEADER_WORDS]
+        forecast = head[lay.forecast_off : lay.forecast_off + nf]
+        if mask:
+            forecast = [NO_KEY if mask & (1 << i) else v for i, v in enumerate(forecast)]
         payloads = None
         words = n
         if flags & FLAG_PAYLOADS:
@@ -230,11 +226,11 @@ class MmapDiskStore(MutableMapping):
         self._backend._bytes_read += 8 * words
         return Block(
             keys=row[lay.key_off : lay.key_off + n],
-            run_id=int(row[1]),
-            index=int(row[2]),
-            forecast=forecast,
+            run_id=run_id,
+            index=index,
+            forecast=tuple(forecast),
             payloads=payloads,
-            checksum=int(row[5]) if flags & FLAG_CHECKSUM else None,
+            checksum=checksum if flags & FLAG_CHECKSUM else None,
         )
 
     def __delitem__(self, slot: int) -> None:

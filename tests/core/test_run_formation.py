@@ -167,23 +167,24 @@ class TestReplacementSelection:
 class TestReplacementSelectionEngines:
     """The block-granular plane must be bit-identical to the per-record oracle."""
 
-    def _form(self, keys, M, form, D=3, B=4, seed=9, payloads=None):
-        system = ParallelDiskSystem(D, B)
-        infile = StripedFile.from_records(system, keys, payloads=payloads)
-        before = system.stats.snapshot()
-        runs = form(system, infile, M, rng=seed)
-        io = system.stats.since(before)
-        contents = [
-            (
-                a.disk,
-                system.disks[a.disk].read(a.slot).keys.tobytes(),
-                None
-                if payloads is None
-                else system.disks[a.disk].read(a.slot).payloads.tobytes(),
-            )
-            for r in runs
-            for a in r.addresses
-        ]
+    def _form(self, keys, M, form, D=3, B=4, seed=9, payloads=None, backend=None):
+        with ParallelDiskSystem(D, B, backend=backend) as system:
+            infile = StripedFile.from_records(system, keys, payloads=payloads)
+            before = system.stats.snapshot()
+            runs = form(system, infile, M, rng=seed)
+            io = system.stats.since(before)
+            contents = [
+                (
+                    a.disk,
+                    a.slot,
+                    system.disks[a.disk].read(a.slot).keys.tobytes(),
+                    None
+                    if payloads is None
+                    else system.disks[a.disk].read(a.slot).payloads.tobytes(),
+                )
+                for r in runs
+                for a in r.addresses
+            ]
         return contents, (
             io.parallel_reads,
             io.parallel_writes,
@@ -228,6 +229,30 @@ class TestReplacementSelectionEngines:
     def test_memory_larger_than_input(self):
         keys = np.random.default_rng(4).permutation(100).astype(np.int64)
         self._assert_engines_agree(keys, 5_000)
+
+    @pytest.mark.parametrize(
+        "keys,M",
+        [
+            pytest.param(
+                np.random.default_rng(6).integers(0, 8, 3_000), 250, id="ties"
+            ),
+            pytest.param(np.arange(2_000), 300, id="sorted"),
+            pytest.param(np.arange(2_000)[::-1].copy(), 300, id="reverse"),
+        ],
+    )
+    def test_mmap_backend_with_payloads(self, keys, M):
+        # Slot records on mmap are decoded from the files: ties must keep
+        # their payloads in arrival order there too.
+        keys = keys.astype(np.int64)
+        payloads = np.random.default_rng(7).permutation(keys.size).astype(np.int64)
+        self._assert_engines_agree(
+            keys, M, payloads=payloads, D=4, B=16, backend="mmap"
+        )
+        if np.all(keys[1:] >= keys[:-1]):  # sorted input: one run of it all
+            with ParallelDiskSystem(4, 16, backend="mmap") as system:
+                infile = StripedFile.from_records(system, keys, payloads=payloads)
+                runs = form_runs_replacement_selection(system, infile, M, rng=9)
+                assert [r.n_records for r in runs] == [keys.size]
 
     def test_default_layout_covers_input(self):
         system, keys, infile = make_input(n=400)
