@@ -8,8 +8,8 @@ computation, which is important in practice".
 
 from __future__ import annotations
 
-from repro.analysis import merge_makespan, simulate_merge_timeline
-from repro.core import MergeJob, simulate_merge
+from repro.analysis import execute_merge_timeline, merge_makespan
+from repro.core import OVERLAP_MODES, MergeJob, OverlapConfig, simulate_merge
 from repro.disks import DISK_1996
 from repro.workloads import random_partition_runs
 
@@ -62,7 +62,7 @@ def test_overlap_headroom(benchmark, report):
 
 
 def test_event_driven_timeline(benchmark, report):
-    """The discrete-event execution: prefetch vs demand, measured."""
+    """The overlap engine's execution: demand vs read-ahead vs full, measured."""
     blocks = 120 if paper_scale() else 60
     runs = random_partition_runs(4 * D, blocks * B, rng=23)
     job = MergeJob.from_key_runs(runs, B, D, rng=24)
@@ -70,21 +70,26 @@ def test_event_driven_timeline(benchmark, report):
     cpu = t_io * 1000 / B  # balanced regime
 
     def run():
-        fast = simulate_merge_timeline(job, DISK_1996, B, cpu, prefetch=True)
-        slow = simulate_merge_timeline(job, DISK_1996, B, cpu, prefetch=False)
-        return fast, slow
+        return {
+            mode: execute_merge_timeline(
+                job, DISK_1996, B, OverlapConfig(mode=mode, cpu_us_per_record=cpu)
+            )
+            for mode in OVERLAP_MODES
+        }
 
-    fast, slow = benchmark.pedantic(run, rounds=1, iterations=1)
+    reps = benchmark.pedantic(run, rounds=1, iterations=1)
     lines = [
-        f"balanced merge of {job.n_blocks} blocks, D = {D} (event simulation)",
+        f"balanced merge of {job.n_blocks} blocks, D = {D} (overlap engine)",
         f"{'mode':<10} {'makespan ms':>12} {'cpu stall ms':>13} "
-        f"{'cpu util':>9} {'io util':>8}",
-        f"{'demand':<10} {slow.makespan_ms:>12.0f} {slow.cpu_stall_ms:>13.0f} "
-        f"{slow.cpu_utilization:>9.2f} {slow.io_utilization:>8.2f}",
-        f"{'prefetch':<10} {fast.makespan_ms:>12.0f} {fast.cpu_stall_ms:>13.0f} "
-        f"{fast.cpu_utilization:>9.2f} {fast.io_utilization:>8.2f}",
-        f"prefetch speedup: {slow.makespan_ms / fast.makespan_ms:.2f}x",
+        f"{'cpu util':>9} {'disk util':>10}",
     ]
+    for mode, rep in reps.items():
+        lines.append(
+            f"{mode:<10} {rep.makespan_ms:>12.0f} {rep.cpu_stall_ms:>13.0f} "
+            f"{rep.cpu_utilization:>9.2f} {rep.disk_utilization:>10.2f}"
+        )
+    slow, fast = reps["none"], reps["full"]
+    lines.append(f"full-overlap speedup: {slow.makespan_ms / fast.makespan_ms:.2f}x")
     report("ablation_timeline", "\n".join(lines))
     assert fast.makespan_ms < slow.makespan_ms
     assert fast.cpu_stall_ms < slow.cpu_stall_ms

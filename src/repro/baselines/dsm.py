@@ -169,18 +169,19 @@ class DSMSortResult:
 
 
 class _SuperblockReader:
-    """Streams one run superblock-by-superblock (1 parallel I/O each)."""
+    """Streams one run superblock-by-superblock (1 parallel I/O each).
+
+    Each superblock's slots are freed as soon as it is read.
+    """
 
     def __init__(
         self,
         system: ParallelDiskSystem,
         run: SuperblockRun,
-        free: bool,
         telemetry=None,
     ):
         self.system = system
         self.run = run
-        self.free = free
         self.next_stripe = 0
         self.data: np.ndarray | None = None
         self.pay: np.ndarray | None = None
@@ -201,9 +202,8 @@ class _SuperblockReader:
         blocks = self.system.read_stripe(stripe)
         self.stripe_reads += 1
         self._h_width.observe(len(stripe))
-        if self.free:
-            for addr in stripe:
-                self.system.free(addr)
+        for addr in stripe:
+            self.system.free(addr)
         self.next_stripe += 1
         live = [b for b in blocks if b is not None]
         self.data = np.concatenate([b.keys for b in live])
@@ -305,7 +305,6 @@ def merge_superblock_runs(
     system: ParallelDiskSystem,
     runs: list[SuperblockRun],
     output_run_id: int,
-    free_inputs: bool = True,
     telemetry=None,
 ) -> SuperblockRun:
     """Merge superblock runs the DSM way (single-disk logic on stripes)."""
@@ -322,10 +321,7 @@ def merge_superblock_runs(
     )
     h_batch = tel.histogram(H_DRAIN_BATCH, batch_edges(system.block_size))
     m_cycles = tel.counter(MERGE_DRAIN_CYCLES)
-    readers = [
-        _SuperblockReader(system, r, free_inputs, telemetry=telemetry)
-        for r in runs
-    ]
+    readers = [_SuperblockReader(system, r, telemetry=telemetry) for r in runs]
     writer = _SuperblockWriter(system, output_run_id)
     heap = [(rd.current_key(), i) for i, rd in enumerate(readers)]
     heapq.heapify(heap)

@@ -136,7 +136,6 @@ def psv_merge(
     system: ParallelDiskSystem,
     runs: list[SingleDiskRun],
     buffer_blocks_per_run: int,
-    free_inputs: bool = True,
     telemetry=None,
 ) -> PSVMergeResult:
     """Merge one-per-disk runs with stripe reads and per-run buffers.
@@ -191,8 +190,7 @@ def psv_merge(
         blocks = system.read_stripe(stripe)
         h_width.observe(len(stripe))
         for j, blk in zip(targets, blocks):
-            if free_inputs:
-                system.free(runs[j].addresses[next_block[j]])
+            system.free(runs[j].addresses[next_block[j]])
             next_block[j] += 1
             buffers[j].append(blk.keys)
         max_buffered = max(max_buffered, sum(len(b) for b in buffers))

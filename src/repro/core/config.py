@@ -53,15 +53,12 @@ class LatencyAwareConfig:
 
     None of this changes *what* the sort produces — output stays
     bit-identical — only the read-ahead/flush schedule and therefore the
-    simulated makespan.  With no ``LatencyAwareConfig`` attached (or
-    ``enabled=False``) the engine and scheduler are bit-identical to the
-    fixed-policy reference planes, schedule included.
+    simulated makespan.  With no ``LatencyAwareConfig`` attached the
+    engine and scheduler are bit-identical to the fixed-policy reference
+    planes, schedule included.
 
     Attributes
     ----------
-    enabled:
-        Master switch; ``False`` makes the config inert (measurement
-        off, schedule bit-identical to the default path).
     ewma_alpha:
         Weight of the newest service-time sample in the per-disk EWMA,
         in ``(0, 1]``.
@@ -78,7 +75,6 @@ class LatencyAwareConfig:
         even if the nominal window is full.
     """
 
-    enabled: bool = True
     ewma_alpha: float = 0.35
     slow_threshold: float = 1.25
     depth_boost: int = 2
@@ -126,11 +122,11 @@ class OverlapConfig:
         (trace-record attrs), so the critical-path attribution of a
         shared timeline decomposes per job/tenant.
     latency:
-        Optional :class:`LatencyAwareConfig`.  When attached (and
-        enabled), the engine measures per-disk service times and steers
-        prefetch depth and flush victims away from slow disks.  The
-        default ``None`` keeps the fixed policy: output *and* schedule
-        bit-identical to the reference planes.
+        Optional :class:`LatencyAwareConfig`.  When attached, the engine
+        measures per-disk service times and steers prefetch depth and
+        flush victims away from slow disks.  The default ``None`` keeps
+        the fixed policy: output *and* schedule bit-identical to the
+        reference planes.
     """
 
     mode: str = "full"

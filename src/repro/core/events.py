@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING
 
 from ..disks.service import ServiceEwma, ServiceNetwork
 from ..disks.timing import DiskTimingModel
-from ..errors import ConfigError
 from ..telemetry import NULL_METRIC, TELEMETRY_OFF
 from ..telemetry.schema import (
     ADAPTIVE_DEPTH_BOOSTS,
@@ -43,7 +42,7 @@ from ..telemetry.schema import (
     H_OVERLAP_QUEUE_DEPTH,
 )
 from ..telemetry.trace import NetTracer
-from .config import OVERLAP_MODES, LatencyAwareConfig
+from .config import OverlapConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .schedule import MergeScheduler
@@ -77,8 +76,8 @@ class OverlapReport:
     writes:
         Parallel write operations (output stripes).
     adaptive:
-        True when the engine ran with an enabled
-        :class:`~repro.core.config.LatencyAwareConfig`.
+        True when the engine ran with a
+        :class:`~repro.core.config.LatencyAwareConfig` attached.
     depth_boosts / floor_issues:
         Pumps that ran with a deepened read-ahead window, and eager
         reads issued by the slow-disk floor beyond the nominal window.
@@ -137,27 +136,21 @@ class OverlapEngine:
         Records per block.
     n_disks:
         ``D``.
-    cpu_us_per_record:
-        Internal merge processing cost per record, in microseconds.
-    mode:
-        ``"none"`` (demand-paced), ``"prefetch"`` (read-ahead only), or
-        ``"full"`` (read-ahead + write-behind).
-    prefetch_depth:
-        Read-ahead window in eager ``ParRead`` operations; the engine
-        keeps at most ``prefetch_depth * D`` prefetched-but-unconsumed
-        blocks in memory.  Ignored when ``mode="none"``.
+    overlap:
+        The validated :class:`~repro.core.config.OverlapConfig`: overlap
+        mode, read-ahead window (the engine keeps at most
+        ``prefetch_depth * D`` prefetched-but-unconsumed blocks in
+        memory), per-record CPU cost, job tag and, when attached, the
+        latency-adaptive policy that arms a per-disk service-time EWMA
+        on the network and steers the read-ahead window and eager-issue
+        floor toward slow disks (see :meth:`pump`).  ``latency=None``
+        keeps the fixed policy bit-identical.
     faults:
         Optional :class:`~repro.faults.plan.FaultInjector` shared with
         the disk system: the service network scales service times by
         straggler factors, floors starts at stall-window ends, and
         drains the retry/backoff penalties the synchronous data path
         accumulated — so fault cost shows up in the simulated makespan.
-    latency:
-        Optional :class:`~repro.core.config.LatencyAwareConfig`.  When
-        given and enabled, the engine arms a per-disk service-time EWMA
-        on the network and steers the read-ahead window and eager-issue
-        floor toward slow disks (see :meth:`pump`); ``None`` (or
-        ``enabled=False``) keeps the fixed policy bit-identical.
     """
 
     def __init__(
@@ -165,27 +158,15 @@ class OverlapEngine:
         timing: DiskTimingModel,
         block_size: int,
         n_disks: int,
-        cpu_us_per_record: float,
-        mode: str = "full",
-        prefetch_depth: int = 2,
+        overlap: OverlapConfig,
         telemetry=None,
         faults=None,
-        job_tag: str | None = None,
-        latency: LatencyAwareConfig | None = None,
     ) -> None:
-        if mode not in OVERLAP_MODES:
-            raise ConfigError(
-                f"overlap mode must be one of {OVERLAP_MODES}, got {mode!r}"
-            )
-        if prefetch_depth < 0:
-            raise ConfigError(f"prefetch depth must be >= 0, got {prefetch_depth}")
-        if cpu_us_per_record < 0:
-            raise ConfigError(f"cpu cost must be >= 0, got {cpu_us_per_record}")
-        self.mode = mode
-        self.prefetch_depth = prefetch_depth
+        self.mode = overlap.mode
+        self.prefetch_depth = overlap.prefetch_depth
         self.net = ServiceNetwork(n_disks, timing, block_size, faults=faults)
-        self._cpu_ms_per_record = cpu_us_per_record / 1000.0
-        self._window = prefetch_depth * n_disks  # read-ahead, in blocks
+        self._cpu_ms_per_record = overlap.cpu_us_per_record / 1000.0
+        self._window = overlap.prefetch_depth * n_disks  # read-ahead, in blocks
         #: Simulated CPU clock.
         self.now = 0.0
         self.cpu_busy_ms = 0.0
@@ -202,9 +183,9 @@ class OverlapEngine:
         self._write_done = 0.0
         self._eager_issue = False  # set by pump() around maybe_prefetch()
         self._tel = telemetry if telemetry is not None else TELEMETRY_OFF
-        # Latency-adaptive policy: armed only when a config is attached
-        # AND enabled, so the default path stays bit-identical.
-        self.latency = latency if latency is not None and latency.enabled else None
+        # Latency-adaptive policy: armed only when a config is attached,
+        # so the default path stays bit-identical.
+        self.latency = overlap.latency
         self.depth_boosts = 0
         self.floor_issues = 0
         if self.latency is not None:
@@ -235,11 +216,11 @@ class OverlapEngine:
         if self._trace is not None:
             self._dom = self._trace.new_domain("merge")
             self.net.tracer = NetTracer(self._trace, self._dom)
-            if job_tag is not None:
+            if overlap.job_tag is not None:
                 # Every queued disk op carries the owning job's id, so
                 # per-tenant attribution can decompose an engine-driven
                 # timeline the same way it splits the demand clock.
-                self.net.tracer.context = {"job": job_tag}
+                self.net.tracer.context = {"job": overlap.job_tag}
 
     # -- scheduler callbacks ---------------------------------------------
 
@@ -414,7 +395,7 @@ class OverlapEngine:
     def pump(self, sched: "MergeScheduler") -> int:
         """Issue eager case-2a reads while the read-ahead window has room.
 
-        With an enabled :class:`~repro.core.config.LatencyAwareConfig`
+        With a :class:`~repro.core.config.LatencyAwareConfig` attached,
         the window deepens by ``depth_boost`` ParReads while a slow disk
         still offers blocks (its long service hides behind more merge
         compute), and an eager-issue *floor* tops up after the window

@@ -187,11 +187,10 @@ def _limit_after(
     return min(heads, default=None)
 
 
-def _retire(sched, block_data, runs, system, free_inputs, r: int, b: int) -> None:
-    """Block *b* of run *r* was consumed to its last record."""
+def _retire(sched, block_data, runs, system, r: int, b: int) -> None:
+    """Block *b* of run *r* was consumed to its last record: free its slot."""
     del block_data[(r, b)]
-    if free_inputs:
-        system.free(runs[r].addresses[b])
+    system.free(runs[r].addresses[b])
     sched.on_leading_depleted(r)
 
 
@@ -206,7 +205,6 @@ def merge_loop_batched(
     block_data: dict,
     runs: "list[StripedRun]",
     system: "ParallelDiskSystem",
-    free_inputs: bool,
     validate: bool,
     telemetry=None,
 ) -> int:
@@ -248,7 +246,7 @@ def merge_loop_batched(
                 if hi == size
             )
             for _, r, b in depleted:
-                _retire(sched, block_data, runs, system, free_inputs, r, b)
+                _retire(sched, block_data, runs, system, r, b)
             if sched.finished():
                 break
         # The globally smallest unconsumed record lives in the bound's
@@ -305,7 +303,6 @@ def merge_loop_cycles(
     block_data: dict,
     runs: "list[StripedRun]",
     system: "ParallelDiskSystem",
-    free_inputs: bool,
     validate: bool,
     eng: "OverlapEngine",
     telemetry=None,
@@ -418,7 +415,7 @@ def merge_loop_cycles(
                 eng.compute(counts_l[ci : c + 1])
                 ci = c + 1
                 if f & _DEPLETE:
-                    _retire(sched, block_data, runs, system, free_inputs, r, b)
+                    _retire(sched, block_data, runs, system, r, b)
                 eng.pump(sched)
         if ci < C:
             eng.compute(counts_l[ci:])

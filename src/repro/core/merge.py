@@ -83,12 +83,14 @@ def merge_runs(
     output_run_id: int,
     output_start_disk: int,
     validate: bool = False,
-    free_inputs: bool = True,
     overlap: OverlapConfig | None = None,
     timing: DiskTimingModel | None = None,
     telemetry=None,
 ) -> MergeResult:
     """Merge *runs* into one striped run on *system*.
+
+    Each input block's disk slot is released once the block is fully
+    consumed.
 
     Parameters
     ----------
@@ -102,8 +104,6 @@ def merge_runs(
     validate:
         Enable scheduler invariant checks plus forecast-implant
         verification on every block read.
-    free_inputs:
-        Release each input block's disk slot once fully consumed.
     overlap:
         When given, an :class:`OverlapEngine` advances reads, writes,
         and chunked merge compute on a shared simulated clock; the
@@ -144,13 +144,9 @@ def merge_runs(
             timing if timing is not None else DISK_1996,
             system.block_size,
             system.n_disks,
-            overlap.cpu_us_per_record,
-            mode=overlap.mode,
-            prefetch_depth=overlap.prefetch_depth,
+            overlap,
             telemetry=telemetry,
             faults=system.faults,
-            job_tag=overlap.job_tag,
-            latency=overlap.latency,
         )
 
     # Resident block contents: (keys, payloads-or-None).
@@ -206,12 +202,12 @@ def merge_runs(
 
     if eng is not None:
         heap_cycles = merge_loop_cycles(
-            sched, writer, block_data, runs, system, free_inputs, validate,
+            sched, writer, block_data, runs, system, validate,
             eng, telemetry=telemetry,
         )
     else:
         heap_cycles = merge_loop_batched(
-            sched, writer, block_data, runs, system, free_inputs, validate,
+            sched, writer, block_data, runs, system, validate,
             telemetry=telemetry,
         )
 

@@ -87,7 +87,6 @@ def ghost_drive(
     sched: MergeScheduler,
     runs: list[StripedRun],
     system: ParallelDiskSystem,
-    free_inputs: bool = True,
 ) -> int:
     """Replay the batched drain's I/O schedule from block metadata only.
 
@@ -122,8 +121,7 @@ def ghost_drive(
 
         depleted.sort()
         for _, r, b in depleted:
-            if free_inputs:
-                system.free(runs[r].addresses[b])
+            system.free(runs[r].addresses[b])
             sched.on_leading_depleted(r)
 
         if sched.finished():
@@ -388,7 +386,6 @@ def parallel_merge_runs(
     output_start_disk: int,
     workers: int = 2,
     validate: bool = False,
-    free_inputs: bool = True,
     telemetry=None,
 ) -> MergeResult:
     """Merge *runs* with ``workers`` processes; schedule-identical to serial.
@@ -525,7 +522,7 @@ def parallel_merge_runs(
             job, validate=validate, on_read=on_read, telemetry=telemetry
         )
         sched.initial_load()
-        rounds = ghost_drive(sched, runs, system, free_inputs=free_inputs)
+        rounds = ghost_drive(sched, runs, system)
         if not sched.finished():
             raise ScheduleError("ghost drive ended with unexhausted runs")
 

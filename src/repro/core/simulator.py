@@ -65,11 +65,7 @@ def build_event_stream(job: MergeJob) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return keys[order], kinds[order], runs[order], blocks[order]
 
 
-def simulate_merge(
-    job: MergeJob,
-    validate: bool = False,
-    prefetch: bool = False,
-) -> ScheduleStats:
+def simulate_merge(job: MergeJob, validate: bool = False) -> ScheduleStats:
     """Simulate one SRM merge of *job*'s runs; return its I/O counts.
 
     Parameters
@@ -78,10 +74,6 @@ def simulate_merge(
         Block boundaries and layout of the runs to merge.
     validate:
         Enable the scheduler's run-time invariant checks (slower).
-    prefetch:
-        Also issue eager case-2a reads after every event, modelling the
-        I/O-compute overlap mode (never flushes; see
-        :meth:`MergeScheduler.maybe_prefetch`).
     """
     sched = MergeScheduler(job, validate=validate)
     sched.initial_load()
@@ -98,8 +90,6 @@ def simulate_merge(
                     f"depletion of ({r}, {b}) but leading block is {leading[r]}"
                 )
             deplete(r)
-        if prefetch:
-            sched.maybe_prefetch()
     if not sched.finished():
         raise ScheduleError("event stream ended before all runs were exhausted")
     return sched.stats()

@@ -165,7 +165,7 @@ class ParallelDiskSystem:
                 plan, self.n_disks, retry=retry, telemetry=telemetry
             )
         self.faults = inj
-        self._deaths_planned = bool(inj.plan.all_deaths)
+        self._deaths_planned = bool(inj.plan.deaths)
         self.retry_policy = inj.retry if retry is None else retry
         self.breaker = CircuitBreaker()
         if inj.plan.redundancy == "parity":

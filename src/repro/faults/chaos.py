@@ -345,7 +345,7 @@ def default_scenarios(
             description=f"disk {victim} dies mid-sort; degraded mode",
             plan=FaultPlan(
                 seed=seed + 2,
-                death=DiskDeath(disk=victim, after_ops=death_after),
+                deaths=(DiskDeath(disk=victim, after_ops=death_after),),
             ),
             expect=frozenset({"death"}),
         ),
@@ -463,7 +463,7 @@ def default_scenarios(
                 seed=seed + 6,
                 read_fail_p=0.05,
                 latency_factors={1 % n_disks: 3.0},
-                death=DiskDeath(disk=victim, after_ops=death_after),
+                deaths=(DiskDeath(disk=victim, after_ops=death_after),),
             ),
             overlap=True,
             expect=frozenset({"retries", "death"}),
@@ -878,7 +878,7 @@ def run_service_chaos(
             "but uncorrupted",
             FaultPlan(
                 seed=seed + 22,
-                death=DiskDeath(disk=victim, after_ops=death_after),
+                deaths=(DiskDeath(disk=victim, after_ops=death_after),),
             ),
             frozenset({"death"}),
         ),

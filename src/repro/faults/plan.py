@@ -157,9 +157,6 @@ class FaultPlan:
         spindles are scaled (felt by the overlap engine's clock).
     stalls:
         Stall windows on the simulated service clock.
-    death:
-        Optional permanent disk death (legacy single-death field; the
-        injector merges it with *deaths*).
     deaths:
         A sequence of permanent disk deaths, each on its own victim;
         deaths may fire during another disk's recovery.
@@ -177,7 +174,6 @@ class FaultPlan:
     fail_disks: Optional[tuple[int, ...]] = None
     latency_factors: Mapping[int, float] = field(default_factory=dict)
     stalls: tuple[StallWindow, ...] = ()
-    death: Optional[DiskDeath] = None
     write_fail_p: float = 0.0
     torn_write_p: float = 0.0
     deaths: tuple[DiskDeath, ...] = ()
@@ -204,7 +200,7 @@ class FaultPlan:
                     f"latency factor for disk {disk} must be > 0, got {f}"
                 )
         object.__setattr__(self, "deaths", tuple(self.deaths))
-        victims = [d.disk for d in self.all_deaths]
+        victims = [d.disk for d in self.deaths]
         if len(victims) != len(set(victims)):
             raise ConfigError(
                 f"each disk may die at most once, got victims {victims}"
@@ -216,12 +212,6 @@ class FaultPlan:
             )
 
     @property
-    def all_deaths(self) -> tuple[DiskDeath, ...]:
-        """The full death schedule: the legacy ``death`` plus ``deaths``."""
-        legacy = (self.death,) if self.death is not None else ()
-        return legacy + self.deaths
-
-    @property
     def is_noop(self) -> bool:
         """True when the plan injects nothing at all."""
         return (
@@ -231,7 +221,7 @@ class FaultPlan:
             and self.torn_write_p == 0.0
             and not self.latency_factors
             and not self.stalls
-            and not self.all_deaths
+            and not self.deaths
             and self.redundancy == "none"
         )
 
@@ -261,7 +251,7 @@ class FaultPlan:
             )
         if self.stalls:
             parts.append(f"stalls={len(self.stalls)}")
-        for death in self.all_deaths:
+        for death in self.deaths:
             parts.append(
                 f"death(disk={death.disk}, after={death.after_ops} ops)"
             )
@@ -354,20 +344,20 @@ def _validate_targets(plan: FaultPlan, n_disks: int) -> None:
     targets = [("fail_disks", d) for d in plan.fail_disks or ()]
     targets += [("latency factor", d) for d in plan.latency_factors]
     targets += [("stall window", w.disk) for w in plan.stalls]
-    targets += [("death", d.disk) for d in plan.all_deaths]
+    targets += [("death", d.disk) for d in plan.deaths]
     for kind, disk in targets:
         if disk >= n_disks:
             raise ConfigError(
                 f"{kind} targets disk {disk}, system has D={n_disks}"
             )
-    if plan.all_deaths:
+    if plan.deaths:
         if n_disks < 2:
             raise ConfigError(
                 "a disk death needs at least one survivor (D >= 2)"
             )
-        if len(plan.all_deaths) >= n_disks:
+        if len(plan.deaths) >= n_disks:
             raise ConfigError(
-                f"{len(plan.all_deaths)} deaths on D={n_disks} disks would "
+                f"{len(plan.deaths)} deaths on D={n_disks} disks would "
                 "leave no survivor"
             )
 
@@ -408,7 +398,7 @@ class FaultInjector:
         self._rngs = spawn(plan.seed, n_disks)
         self._ops = [0] * n_disks
         self._dead: set[int] = set()
-        self._death_after = {d.disk: d.after_ops for d in plan.all_deaths}
+        self._death_after = {d.disk: d.after_ops for d in plan.deaths}
         #: Backoff penalties accumulated by the synchronous retry loop,
         #: drained into the queueing model by ``ServiceNetwork.submit``.
         self._penalty_ms = [0.0] * n_disks

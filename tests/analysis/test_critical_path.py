@@ -19,7 +19,6 @@ from repro.analysis.critical_path import (
     analyze_collector,
     combine_attribution,
 )
-from repro.analysis.timeline import TimelineResult
 from repro.baselines import dsm_sort
 from repro.core.config import DSMConfig
 from repro.cluster import ClusterConfig, cluster_sort
@@ -130,7 +129,7 @@ class TestExactness:
             ),
             # Replica rebuild: charged migration writes, nothing else.
             "disk_death": FaultPlan(
-                seed=4, death=DiskDeath(disk=2, after_ops=60)
+                seed=4, deaths=(DiskDeath(disk=2, after_ops=60),)
             ),
         }[plan]
         keys = uniform_permutation(4000, rng=14)
@@ -214,11 +213,3 @@ class TestZeroDurationRegressions:
         )
         assert rep.cpu_utilization == 0.0
         assert rep.cpu_stall_ms == 0.0
-
-    def test_timeline_result_zero_makespan(self):
-        res = TimelineResult(
-            makespan_ms=0.0, cpu_busy_ms=0.0, io_busy_ms=0.0,
-            cpu_stall_ms=0.0, total_reads=0, total_writes=0, prefetch=False,
-        )
-        assert res.cpu_utilization == 0.0
-        assert res.io_utilization == 0.0

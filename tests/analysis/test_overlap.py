@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import merge_makespan
-from repro.core import MergeJob, simulate_merge
+from repro.core import MergeJob, OverlapConfig, simulate_merge
 from repro.disks import DISK_1996
 from repro.errors import ConfigError
 from repro.workloads import random_partition_runs
@@ -87,7 +87,8 @@ class TestOverlapGap:
         job = MergeJob.from_key_runs(runs, B, D, rng=seed + 1)
         cpu = DISK_1996.op_time_ms(B) * 1000 / B
         est = merge_makespan(stats, DISK_1996, B, cpu)
-        rep = execute_merge_timeline(job, DISK_1996, B, cpu, mode=mode)
+        overlap = OverlapConfig(mode=mode, cpu_us_per_record=cpu)
+        rep = execute_merge_timeline(job, DISK_1996, B, overlap)
         return overlap_gap(est, rep)
 
     def test_fields_pass_through(self):

@@ -1,12 +1,11 @@
-"""Tests for the discrete-event merge timeline simulation."""
+"""Tests for the engine-backed merge timeline (``execute_merge_timeline``)."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.analysis import merge_makespan, simulate_merge_timeline
-from repro.core import MergeJob, simulate_merge
+from repro.analysis import execute_merge_timeline, merge_makespan
+from repro.core import OVERLAP_MODES, MergeJob, OverlapConfig, simulate_merge
 from repro.disks import DISK_1996
 from repro.errors import ConfigError
 from repro.workloads import random_partition_runs
@@ -17,83 +16,88 @@ def make_job(R=8, D=4, blocks=40, B=8, seed=3):
     return MergeJob.from_key_runs(runs, B, D, rng=seed + 1), B
 
 
+def balanced_us(B):
+    """Per-record CPU cost at which merging a block takes one block read."""
+    return DISK_1996.op_time_ms(B) * 1000 / B
+
+
+def execute(job, B, cpu, mode="full"):
+    overlap = OverlapConfig(mode=mode, cpu_us_per_record=cpu)
+    return execute_merge_timeline(job, DISK_1996, B, overlap)
+
+
 class TestBasics:
     def test_conservation(self):
         job, B = make_job()
-        res = simulate_merge_timeline(job, DISK_1996, B, cpu_us_per_record=20)
-        # Busy times never exceed the makespan; makespan covers both.
-        assert res.cpu_busy_ms <= res.makespan_ms + 1e-9
-        assert res.io_busy_ms <= res.makespan_ms + 1e-9
-        assert res.makespan_ms >= max(res.cpu_busy_ms, res.io_busy_ms) - 1e-9
+        for mode in OVERLAP_MODES:
+            rep = execute(job, B, balanced_us(B), mode)
+            # Neither the CPU nor any disk is busy beyond the makespan.
+            assert rep.makespan_ms >= rep.cpu_busy_ms - 1e-9
+            assert rep.makespan_ms >= rep.io_busy_ms / job.n_disks - 1e-9
+            assert 0.0 <= rep.disk_utilization <= 1.0
 
     def test_cpu_busy_is_block_count_times_cost(self):
         job, B = make_job()
-        res = simulate_merge_timeline(job, DISK_1996, B, cpu_us_per_record=20)
-        assert res.cpu_busy_ms == pytest.approx(job.n_blocks * B * 20 / 1000)
+        rep = execute(job, B, 20)
+        assert rep.cpu_busy_ms == pytest.approx(job.n_blocks * B * 20 / 1000)
 
     def test_write_count(self):
         job, B = make_job(R=8, D=4, blocks=40)
-        res = simulate_merge_timeline(job, DISK_1996, B, 20)
-        assert res.total_writes == -(-job.n_blocks // 4)
+        rep = execute(job, B, 20)
+        assert rep.writes == -(-job.n_blocks // 4)
 
     def test_zero_cpu_cost(self):
+        # Demand-paced with free compute, the merge only ever waits.
         job, B = make_job()
-        res = simulate_merge_timeline(job, DISK_1996, B, 0)
-        assert res.cpu_busy_ms == 0
-        assert res.makespan_ms == pytest.approx(res.io_busy_ms)
+        rep = execute(job, B, 0, mode="none")
+        assert rep.cpu_busy_ms == 0
+        assert rep.makespan_ms == pytest.approx(rep.cpu_stall_ms)
 
     def test_validation(self):
         job, B = make_job()
         with pytest.raises(ConfigError):
-            simulate_merge_timeline(job, DISK_1996, B, -1)
+            execute(job, B, -1)
         with pytest.raises(ConfigError):
-            simulate_merge_timeline(job, DISK_1996, 0, 1)
+            execute(job, 0, 1)
 
 
 class TestPrefetchValue:
     def test_prefetch_never_slower(self):
         job, B = make_job()
-        t_io = DISK_1996.op_time_ms(B)
-        balanced = t_io * 1000 / B
+        balanced = balanced_us(B)
         for cpu in (balanced / 10, balanced, balanced * 10):
-            fast = simulate_merge_timeline(job, DISK_1996, B, cpu, prefetch=True)
-            slow = simulate_merge_timeline(job, DISK_1996, B, cpu, prefetch=False)
+            fast = execute(job, B, cpu, mode="full")
+            slow = execute(job, B, cpu, mode="none")
             assert fast.makespan_ms <= slow.makespan_ms + 1e-6
 
     def test_prefetch_hides_stalls_when_balanced(self):
         job, B = make_job(R=16, D=4, blocks=60)
-        t_io = DISK_1996.op_time_ms(B)
-        cpu = t_io * 1000 / B  # cpu-per-block == io-per-op
-        fast = simulate_merge_timeline(job, DISK_1996, B, cpu, prefetch=True)
-        slow = simulate_merge_timeline(job, DISK_1996, B, cpu, prefetch=False)
+        fast = execute(job, B, balanced_us(B), mode="full")
+        slow = execute(job, B, balanced_us(B), mode="none")
         assert fast.cpu_stall_ms < slow.cpu_stall_ms
         assert fast.makespan_ms < 0.85 * slow.makespan_ms
 
     def test_read_counts_match_pure_io_simulation(self):
-        # The timeline's demand-mode reads equal the count-only simulator's.
+        # The demand-paced engine issues the count-only simulator's reads.
         job, B = make_job()
-        res = simulate_merge_timeline(job, DISK_1996, B, 20, prefetch=False)
-        stats = simulate_merge(job)
-        assert res.total_reads == stats.total_reads
+        rep = execute(job, B, balanced_us(B), mode="none")
+        assert rep.demand_reads == simulate_merge(job).total_reads
+        assert rep.eager_reads == 0
 
     def test_consistent_with_analytic_model(self):
-        # The analytic pipelined estimate and the event simulation agree
-        # within a modest factor on a balanced workload.
+        # The analytic pipelined estimate and the engine agree within a
+        # modest factor on a balanced workload.
         job, B = make_job(R=12, D=4, blocks=50)
-        stats = simulate_merge(job)
-        t_io = DISK_1996.op_time_ms(B)
-        cpu = t_io * 1000 / B
-        analytic = merge_makespan(stats, DISK_1996, B, cpu)
-        event = simulate_merge_timeline(job, DISK_1996, B, cpu, prefetch=True)
-        ratio = event.makespan_ms / analytic.pipelined_ms
-        assert 0.5 <= ratio <= 2.0
+        cpu = balanced_us(B)
+        analytic = merge_makespan(simulate_merge(job), DISK_1996, B, cpu)
+        rep = execute(job, B, cpu, mode="full")
+        assert 0.5 <= rep.makespan_ms / analytic.pipelined_ms <= 2.0
 
     def test_utilizations(self):
         job, B = make_job()
-        t_io = DISK_1996.op_time_ms(B)
-        res = simulate_merge_timeline(job, DISK_1996, B, t_io * 1000 / B)
-        assert 0 < res.cpu_utilization <= 1
-        assert 0 < res.io_utilization <= 1
+        rep = execute(job, B, balanced_us(B))
+        assert 0 < rep.cpu_utilization <= 1
+        assert 0 < rep.disk_utilization <= 1
 
 
 class TestExecuteTimeline:
@@ -101,31 +105,24 @@ class TestExecuteTimeline:
 
     def _balanced(self, **kw):
         job, B = make_job(**kw)
-        cpu = DISK_1996.op_time_ms(B) * 1000 / B
-        return job, B, cpu
+        return job, B, balanced_us(B)
 
     def test_demand_mode_read_counts_match_simulator(self):
-        from repro.analysis import execute_merge_timeline
-
         job, B, cpu = self._balanced()
-        rep = execute_merge_timeline(job, DISK_1996, B, cpu, mode="none")
+        rep = execute(job, B, cpu, mode="none")
         stats = simulate_merge(job)
         assert rep.demand_reads == stats.total_reads
         assert rep.eager_reads == 0
 
     def test_overlap_beats_demand_when_balanced(self):
-        from repro.analysis import execute_merge_timeline
-
         job, B, cpu = self._balanced(R=16, D=4, blocks=60)
-        slow = execute_merge_timeline(job, DISK_1996, B, cpu, mode="none")
-        fast = execute_merge_timeline(job, DISK_1996, B, cpu, mode="full")
+        slow = execute(job, B, cpu, mode="none")
+        fast = execute(job, B, cpu, mode="full")
         assert fast.makespan_ms < slow.makespan_ms
         assert fast.cpu_stall_ms < slow.cpu_stall_ms
 
     def test_conservation(self):
-        from repro.analysis import execute_merge_timeline
-
         job, B, cpu = self._balanced()
-        rep = execute_merge_timeline(job, DISK_1996, B, cpu)
+        rep = execute(job, B, cpu)
         assert rep.makespan_ms >= rep.cpu_busy_ms - 1e-9
         assert 0.0 <= rep.disk_utilization <= 1.0

@@ -70,10 +70,12 @@ class TestConfig:
             OverlapConfig(cpu_us_per_record=-0.5)
 
     def test_engine_validates_too(self):
+        # The engine is built from an OverlapConfig, whose constructor
+        # is the one place its settings are checked.
         with pytest.raises(ConfigError):
-            OverlapEngine(DISK_1996, B, D, 1.0, mode="bogus")
+            OverlapEngine(DISK_1996, B, D, OverlapConfig(mode="bogus"))
         with pytest.raises(ConfigError):
-            OverlapEngine(DISK_1996, B, D, 1.0, prefetch_depth=-2)
+            OverlapEngine(DISK_1996, B, D, OverlapConfig(prefetch_depth=-2))
 
 
 class TestObservationOnly:
@@ -179,7 +181,8 @@ class TestComputeIntervals:
         tel = Telemetry()
         if trace:
             tel.attach_trace()
-        return OverlapEngine(DISK_1996, B, D, 1946.3, telemetry=tel), tel
+        overlap = OverlapConfig(cpu_us_per_record=1946.3)
+        return OverlapEngine(DISK_1996, B, D, overlap, telemetry=tel), tel
 
     def test_interval_clock_equals_cycle_by_cycle(self):
         whole, _ = self._engine()
@@ -214,10 +217,8 @@ class TestDepthHistogram:
         from repro.telemetry.schema import H_OVERLAP_QUEUE_DEPTH
 
         tel = Telemetry(harness="test")
-        OverlapEngine(
-            DISK_1996, B, D, 1.0, mode="full", prefetch_depth=depth,
-            telemetry=tel,
-        )
+        overlap = OverlapConfig(mode="full", prefetch_depth=depth)
+        OverlapEngine(DISK_1996, B, D, overlap, telemetry=tel)
         return tel.registry.get(H_OVERLAP_QUEUE_DEPTH).snapshot()["edges"]
 
     def test_depth_zero_keeps_demand_parread_resolution(self):
@@ -235,29 +236,20 @@ class TestDepthHistogram:
 class TestAdaptiveEngine:
     """Unit surface of the latency-adaptive plane on the engine."""
 
-    def _engine(self, latency=None):
+    def _engine(self):
         from repro.core import LatencyAwareConfig
 
-        if latency is None:
-            latency = LatencyAwareConfig()
-        return OverlapEngine(
-            DISK_1996, B, D, 1.0, mode="full", prefetch_depth=1,
-            latency=latency,
+        overlap = OverlapConfig(
+            mode="full", prefetch_depth=1, latency=LatencyAwareConfig()
         )
+        return OverlapEngine(DISK_1996, B, D, overlap)
 
     def test_fixed_engine_has_no_slow_disks(self):
-        eng = OverlapEngine(DISK_1996, B, D, 1.0, mode="full")
+        eng = OverlapEngine(DISK_1996, B, D, OverlapConfig(mode="full"))
         assert eng.latency is None
         assert eng.net.ewma is None
         assert eng.slow_disks() == ()
         assert eng.disk_cost(0) == 0.0
-
-    def test_disabled_config_keeps_fixed_path(self):
-        from repro.core import LatencyAwareConfig
-
-        eng = self._engine(LatencyAwareConfig(enabled=False))
-        assert eng.latency is None
-        assert eng.net.ewma is None
 
     def test_homogeneous_service_classifies_nobody(self):
         eng = self._engine()

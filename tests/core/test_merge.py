@@ -185,13 +185,6 @@ class TestIOBehaviour:
         # Only the output run's blocks remain on disk.
         assert system.used_blocks == res.output.n_blocks
 
-    def test_inputs_kept_when_requested(self, rng):
-        system = ParallelDiskSystem(2, 2)
-        runs_keys = partition_runs(rng, 2, 8)
-        runs = build_runs(system, runs_keys, [0, 1])
-        res = merge_runs(system, runs, 9, 0, free_inputs=False)
-        assert system.used_blocks == res.output.n_blocks + sum(r.n_blocks for r in runs)
-
     def test_forecast_validation_runs(self, rng):
         # validate=True checks every implanted key against the §4 format.
         system = ParallelDiskSystem(3, 2)

@@ -87,11 +87,6 @@ class TestSimulation:
         )
         assert simulate_merge(worst).total_reads > simulate_merge(rand).total_reads
 
-    def test_prefetch_mode_completes(self, rng):
-        job = MergeJob.from_key_runs(partition_runs(rng, 6, 30), 2, 3, rng=7)
-        stats = simulate_merge(job, validate=True, prefetch=True)
-        assert stats.blocks_read >= stats.n_blocks
-
     @given(
         seed=st.integers(0, 10_000),
         r=st.integers(2, 6),

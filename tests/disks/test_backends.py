@@ -306,7 +306,7 @@ class TestDegradedModeOnMmap:
         sys_ = mmap_system(tmp_path, D=4, B=4)
         sys_.attach_faults(
             FaultPlan(seed=1, redundancy="parity",
-                      death=DiskDeath(disk=2, after_ops=6))
+                      deaths=(DiskDeath(disk=2, after_ops=6),))
         )
         addrs, blocks = [], []
         for i in range(12):

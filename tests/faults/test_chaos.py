@@ -43,8 +43,8 @@ def _plans():
             "stall",
             FaultPlan(seed=4, stalls=(StallWindow(0, 1.0, 25.0),)),
         ),
-        ("death_early", FaultPlan(seed=5, death=DiskDeath(3, 0))),
-        ("death_mid", FaultPlan(seed=6, death=DiskDeath(2, mid))),
+        ("death_early", FaultPlan(seed=5, deaths=(DiskDeath(3, 0),))),
+        ("death_mid", FaultPlan(seed=6, deaths=(DiskDeath(2, mid),))),
         (
             "everything",
             FaultPlan(
@@ -52,7 +52,7 @@ def _plans():
                 read_fail_p=0.05,
                 corrupt_p=0.03,
                 latency_factors={1: 2.0},
-                death=DiskDeath(3, mid),
+                deaths=(DiskDeath(3, mid),),
             ),
         ),
         ("write_storm", FaultPlan(seed=11, write_fail_p=0.12)),
@@ -99,7 +99,7 @@ class TestSRMBitIdentity:
         assert res.system.faults.stats.undetected_corruptions == 0
 
     def test_same_plan_same_io_accounting(self, keys, srm_cfg):
-        plan = FaultPlan(seed=9, read_fail_p=0.1, death=DiskDeath(1, 60))
+        plan = FaultPlan(seed=9, read_fail_p=0.1, deaths=(DiskDeath(1, 60),))
         _, a = srm_sort(keys, srm_cfg, rng=SEED, faults=plan)
         _, b = srm_sort(keys, srm_cfg, rng=SEED, faults=plan)
         assert a.total_parallel_ios == b.total_parallel_ios
@@ -111,7 +111,7 @@ class TestSRMBitIdentity:
         assert res.total_parallel_ios == reference[1]
 
     def test_degraded_output_run_still_checks(self, keys, srm_cfg):
-        plan = FaultPlan(seed=5, death=DiskDeath(3, 0))
+        plan = FaultPlan(seed=5, deaths=(DiskDeath(3, 0),))
         _, res = srm_sort(keys, srm_cfg, rng=SEED, faults=plan)
         # The run format invariants hold modulo the waived placement
         # rule for dead-disk stripe positions.
@@ -141,7 +141,7 @@ class TestSRMBitIdentity:
 
     def test_payloads_survive_disk_death(self, keys, srm_cfg):
         payloads = np.arange(N, dtype=np.int64)
-        plan = FaultPlan(seed=10, death=DiskDeath(1, 80))
+        plan = FaultPlan(seed=10, deaths=(DiskDeath(1, 80),))
         _, res = srm_sort(
             keys, srm_cfg, rng=SEED, payloads=payloads, faults=plan
         )

@@ -110,7 +110,7 @@ class TestDegradedAllocation:
 
 class TestPlannedDeathDuringIO:
     def test_planned_death_fires_on_read(self, rng):
-        plan = FaultPlan(seed=2, death=DiskDeath(disk=1, after_ops=2))
+        plan = FaultPlan(seed=2, deaths=(DiskDeath(disk=1, after_ops=2),))
         system = _system(plan=plan)
         run = _run(system, rng, n_blocks=8)
         on_disk1 = [a for a in run.addresses if a.disk == 1]
@@ -129,7 +129,7 @@ class TestPlannedDeathDuringIO:
             system.attach_faults(FaultPlan(seed=3))
 
     def test_writes_after_death_land_on_survivors(self, rng):
-        plan = FaultPlan(seed=2, death=DiskDeath(disk=0, after_ops=0))
+        plan = FaultPlan(seed=2, deaths=(DiskDeath(disk=0, after_ops=0),))
         system = _system(plan=plan)
         run = _run(system, rng, n_blocks=4, start_disk=0)
         # after_ops=0: the first operation touching disk 0 kills it, so

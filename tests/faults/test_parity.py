@@ -503,7 +503,7 @@ class TestPinnedFaultStream:
         system, _, got = _pinned_sort(plan, payloads)
         stats = system.faults.stats
         assert stats.retries > 0
-        assert stats.disk_deaths == len(plan.all_deaths)
+        assert stats.disk_deaths == len(plan.deaths)
         assert got == PINNED_DIGESTS[name]
 
 

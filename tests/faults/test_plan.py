@@ -39,7 +39,7 @@ class TestFaultPlanValidation:
             seed=3,
             read_fail_p=0.1,
             fail_disks=(2,),
-            death=DiskDeath(disk=1, after_ops=5),
+            deaths=(DiskDeath(disk=1, after_ops=5),),
         )
         text = plan.describe()
         assert "read_fail_p=0.1" in text
@@ -61,7 +61,7 @@ class TestInjectorValidation:
     def test_death_needs_a_survivor(self):
         with pytest.raises(ConfigError):
             FaultInjector(
-                FaultPlan(death=DiskDeath(disk=0, after_ops=0)), n_disks=1
+                FaultPlan(deaths=(DiskDeath(disk=0, after_ops=0),)), n_disks=1
             )
 
     def test_death_sequence_targets_must_exist(self):
@@ -78,8 +78,10 @@ class TestInjectorValidation:
     def test_each_disk_dies_at_most_once(self):
         with pytest.raises(ConfigError):
             FaultPlan(
-                death=DiskDeath(disk=1, after_ops=0),
-                deaths=(DiskDeath(disk=1, after_ops=9),),
+                deaths=(
+                    DiskDeath(disk=1, after_ops=0),
+                    DiskDeath(disk=1, after_ops=9),
+                )
             )
 
     def test_redundancy_mode_is_validated(self):
@@ -182,7 +184,7 @@ class TestDeterminism:
 
 class TestInjectorAccounting:
     def test_death_due_fires_after_threshold_ops(self):
-        plan = FaultPlan(seed=0, death=DiskDeath(disk=1, after_ops=2))
+        plan = FaultPlan(seed=0, deaths=(DiskDeath(disk=1, after_ops=2),))
         inj = FaultInjector(plan, 3)
         assert not inj.death_due(1)  # only 0 of the 2 required ops served
         inj.note_op(1)
@@ -196,7 +198,7 @@ class TestInjectorAccounting:
         assert inj.stats.recovery_blocks == 7
 
     def test_death_due_immediately_when_after_ops_zero(self):
-        plan = FaultPlan(seed=0, death=DiskDeath(disk=0, after_ops=0))
+        plan = FaultPlan(seed=0, deaths=(DiskDeath(disk=0, after_ops=0),))
         inj = FaultInjector(plan, 2)
         assert inj.death_due(0)
 

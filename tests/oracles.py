@@ -33,7 +33,7 @@ from repro.telemetry.schema import H_DRAIN_BATCH, MERGE_DRAIN_CYCLES, batch_edge
 
 
 def merge_loop_heapq(
-    sched, writer, block_data, runs, system, free_inputs, validate,
+    sched, writer, block_data, runs, system, validate,
     eng=None, telemetry=None,
 ) -> int:
     """Heap-driven merge loop; a drop-in for either data-plane loop.
@@ -82,8 +82,7 @@ def merge_loop_heapq(
 
         if hi == data.size:
             del block_data[(r, b)]
-            if free_inputs:
-                system.free(runs[r].addresses[b])
+            system.free(runs[r].addresses[b])
             sched.on_leading_depleted(r)
             offsets[r] = 0
             if not sched.run_exhausted(r):

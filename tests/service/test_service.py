@@ -127,7 +127,7 @@ class TestFaultedAccounting:
     @pytest.mark.parametrize(
         "plan",
         [
-            FaultPlan(seed=9, death=DiskDeath(disk=3, after_ops=150)),
+            FaultPlan(seed=9, deaths=(DiskDeath(disk=3, after_ops=150),)),
             FaultPlan(seed=10, torn_write_p=0.05, redundancy="parity"),
         ],
         ids=["disk_death", "torn_parity"],
@@ -149,7 +149,7 @@ class TestFaultedAccounting:
         result = svc.run()
         assert [j.state for j in result.jobs] == [COMPLETED] * 4
         fstats = svc.system.faults.stats
-        if plan.death is not None:
+        if plan.deaths:
             assert fstats.recovery_blocks > 0
         else:
             assert fstats.torn_writes_detected > 0
