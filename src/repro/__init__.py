@@ -52,7 +52,6 @@ from .core import (
     lemma6_read_bound,
     merge_runs,
     simulate_merge,
-    sort_records_on_system,
     srm_mergesort,
     srm_sort,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "lemma6_read_bound",
     "merge_runs",
     "simulate_merge",
-    "sort_records_on_system",
     "srm_mergesort",
     "srm_sort",
     "Block",

@@ -21,8 +21,8 @@ A walk that dereferences a ring-evicted dep reports ``truncated=True``
 and gives up exactness instead of inventing numbers.
 
 Per-lane utilization, idle-gap histograms, and straggler flags ride
-along so ``repro inspect --attribution`` can answer *which* disk, node,
-or link made the run slow.
+along so ``repro inspect --attribution`` can answer *which* disk made
+the run slow.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "analyze_events",
     "analyze_collector",
     "combine_attribution",
-    "tenant_attribution",
 ]
 
 #: Fixed idle-gap bucket edges (ms) so histograms compare across runs.
@@ -252,34 +251,6 @@ def analyze_collector(
 ) -> dict[str, DomainAttribution]:
     """Attribute the domains of an in-memory :class:`TraceCollector`."""
     return analyze_events(list(collector.to_events()))
-
-
-def tenant_attribution(
-    events: Iterable[dict], domain: str = "service:0"
-) -> dict[str, float]:
-    """Decompose one domain's makespan per tenant (``attrs["tenant"]``).
-
-    The service tracer tags every channel record with the granted job's
-    ``{"job", "tenant"}`` and records arrival gaps as ``(idle)``, so the
-    critical-path walk over a service domain tiles ``[0, makespan]``
-    with tenant-labeled segments.  The returned per-tenant milliseconds
-    therefore sum *exactly* (same floats the walk produced) to the
-    service makespan — the per-tenant answer to "who was the farm
-    working for, when?".  Records without a tenant tag (none, in a
-    healthy service trace) land under ``"(untagged)"``.
-    """
-    recs, _ = trace_events_from_stream(events)
-    drecs = [r for r in recs if r["dom"] == domain]
-    if not drecs:
-        return {}
-    _, _, path, _, _ = _walk_critical_path(drecs)
-    by_index = {r["i"]: r for r in drecs}
-    out: dict[str, float] = {}
-    for seg in path:
-        attrs = by_index[seg.index].get("attrs") or {}
-        tenant = attrs.get("tenant", "(untagged)")
-        out[tenant] = out.get(tenant, 0.0) + seg.contrib_ms
-    return out
 
 
 def combine_attribution(

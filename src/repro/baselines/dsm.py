@@ -416,7 +416,7 @@ def dsm_mergesort(
     )
 
     R = config.merge_order
-    next_run_id = len(runs)
+    run_id = len(runs)
     pass_index = 0
     while len(runs) > 1:
         pass_index += 1
@@ -436,10 +436,10 @@ def dsm_mergesort(
                 continue
             out_runs.append(
                 merge_superblock_runs(
-                    system, group, next_run_id, telemetry=telemetry
+                    system, group, run_id, telemetry=telemetry
                 )
             )
-            next_run_id += 1
+            run_id += 1
             n_merges += 1
         pass_span.set(n_merges=n_merges, n_runs_out=len(out_runs))
         pass_span.close()

@@ -10,7 +10,6 @@ Usage::
     python -m repro sort --n 100000 --disks 4 --block 64 --k 4 [--dsm]
     python -m repro sort --telemetry run.jsonl
     python -m repro sort --trace run.jsonl [--overlap full]
-    python -m repro cluster-sort --n 100000 --nodes 4 [--check] [--lose-node 1]
     python -m repro inspect run.jsonl [--check] [--attribution]
     python -m repro trace run.jsonl [--out run.trace.json]
     python -m repro chaos [--quick] [--check] [--out chaos.jsonl]
@@ -194,90 +193,6 @@ def _cmd_sort(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_cluster_sort(args: argparse.Namespace) -> int:
-    from .cluster import ClusterConfig, NodeLoss, cluster_sort
-    from .verify import check_cluster_shards
-    from .workloads import zipf_keys
-
-    if args.workload == "zipf":
-        keys = zipf_keys(args.n, alpha=1.2, n_distinct=max(2, args.n // 100),
-                         rng=args.seed)
-    else:
-        keys = uniform_permutation(args.n, rng=args.seed)
-    cfg = SRMConfig.from_k(args.k, args.disks, args.block)
-    cluster = ClusterConfig(n_nodes=args.nodes, oversample=args.oversample)
-    loss = None
-    if args.lose_node is not None:
-        loss = NodeLoss(node=args.lose_node, after_round=args.lose_after_round)
-    telemetry = None
-    if args.telemetry is not None or args.trace is not None:
-        telemetry = Telemetry(
-            algo="cluster",
-            n_records=args.n,
-            n_nodes=args.nodes,
-            n_disks=args.disks,
-            block_size=args.block,
-            seed=args.seed,
-        )
-        if args.trace is not None:
-            telemetry.attach_trace()
-    backend = args.backend
-    if args.workdir is not None:
-        if backend != "mmap":
-            print("error: --workdir requires --backend mmap", file=sys.stderr)
-            return 2
-        backend = f"mmap:{args.workdir}"
-    t0 = time.perf_counter()
-    out, res = cluster_sort(
-        keys, cluster, cfg, rng=args.seed, telemetry=telemetry, node_loss=loss,
-        backend=backend,
-    )
-    dt = time.perf_counter() - t0
-    if telemetry is not None:
-        telemetry.set_meta(merge_order=cfg.merge_order)
-        telemetry.finish()
-        for path in {args.telemetry, args.trace} - {None}:
-            telemetry.write_jsonl(path)
-    ok = bool(np.array_equal(out, np.sort(keys)))
-    ex = res.exchange
-    print(f"cluster: sorted {args.n} records on P={args.nodes} nodes "
-          f"(D={args.disks}, B={args.block}, R={cfg.merge_order}) "
-          f"in {dt:.2f}s  (correct: {ok})")
-    print(f"  shards: {res.shard_sizes}  partition skew: "
-          f"{res.partition_skew:.3f}")
-    print(f"  exchange: {ex.rounds} rounds, {ex.blocks_crossed} blocks "
-          f"crossed links ({ex.self_blocks} stayed local), "
-          f"link time {ex.link_ms:.1f} ms")
-    if ex.node_losses:
-        print(f"  node losses: {ex.node_losses} "
-              f"({ex.rebuild_blocks_resent} blocks re-sent, "
-              f"{ex.rebuild_read_ios} recovery reads charged)")
-    print(f"  parallel I/Os: {res.total_parallel_ios} total, "
-          f"{res.max_node_parallel_ios} on the busiest node")
-    phases = ", ".join(
-        f"{k} {v:.0f}" for k, v in res.makespan_breakdown.items()
-    )
-    print(f"  makespan: {res.makespan_ms:.0f} ms ({phases})")
-    if args.trace is not None and telemetry is not None:
-        col = telemetry.trace
-        print(f"  trace: {col.emitted} records emitted "
-              f"({col.dropped} dropped) -> {args.trace}")
-    if args.check:
-        from .errors import DataError
-
-        try:
-            check_cluster_shards(res)
-        except DataError as exc:
-            print(f"\ncluster check FAILED: {exc}", file=sys.stderr)
-            return 1
-        if not ok:
-            print("\ncluster check FAILED: output is not sorted(input)",
-                  file=sys.stderr)
-            return 1
-        print("\ncluster check passed (shards valid, globally ordered)")
-    return 0 if ok else 1
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     from .telemetry import load_events
     from .telemetry.trace import trace_events_from_stream, write_chrome_trace
@@ -405,7 +320,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         block_size=args.block,
         seed=args.seed,
         quick=args.quick,
-        cluster_nodes=args.nodes,
     )
     print(report.render())
     if args.out is not None:
@@ -457,102 +371,6 @@ def _cmd_cliff(args: argparse.Namespace) -> int:
                 print(f"  - {f}", file=sys.stderr)
             return 1
         print("\ncliff check passed")
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import math
-
-    from .analysis.critical_path import analyze_events, tenant_attribution
-    from .service import run_arrival_script
-    from .service.policy import POLICIES
-    from .workloads import (
-        batch_arrivals,
-        bursty_arrivals,
-        load_arrivals,
-        poisson_arrivals,
-    )
-
-    cfg = SRMConfig.from_k(args.k, args.disks, args.block)
-    n_jobs = 4 if args.quick else args.jobs
-    lo = 300 if args.quick else args.min_records
-    hi = 800 if args.quick else args.max_records
-
-    def build_arrivals(n_tenants: int):
-        if args.arrivals_file is not None:
-            return load_arrivals(args.arrivals_file)
-        if args.arrivals == "poisson":
-            return poisson_arrivals(
-                n_jobs, rate_per_s=args.rate, n_tenants=n_tenants,
-                min_records=lo, max_records=hi, rng=args.seed,
-            )
-        if args.arrivals == "burst":
-            return bursty_arrivals(
-                n_jobs, burst_size=max(2, n_jobs // 2),
-                burst_gap_ms=1_000.0 / max(args.rate, 1e-9),
-                n_tenants=n_tenants, min_records=lo, max_records=hi,
-                rng=args.seed,
-            )
-        return batch_arrivals(
-            n_jobs, n_tenants=n_tenants, min_records=lo, max_records=hi,
-            rng=args.seed,
-        )
-
-    if args.sweep:
-        combos = [(p, nt) for p in POLICIES for nt in (2, 3)]
-    else:
-        combos = [(args.policy, args.tenants)]
-    if args.out is not None:
-        open(args.out, "w").close()  # one file, rows appended per combo
-
-    failures: list[str] = []
-    for policy, n_tenants in combos:
-        arrivals = build_arrivals(n_tenants)
-        tenants = sorted({a.tenant for a in arrivals})
-        # First tenant weighted 2x so wfq visibly differs from rr.
-        weights = {t: (2.0 if i == 0 else 1.0) for i, t in enumerate(tenants)}
-        tel = Telemetry(run="serve", policy=policy, n_tenants=len(tenants))
-        tel.attach_trace()
-        result = run_arrival_script(
-            arrivals, cfg, policy=policy, tenant_weights=weights,
-            max_slots=args.slots, telemetry=tel,
-        )
-        if args.check:
-            for f in result.verify_against_solo():
-                failures.append(f"[{policy} x{len(tenants)}] {f}")
-            events = tel.finish()
-            att = tenant_attribution(events, "service:0")
-            att_sum = sum(att.values())
-            dom = analyze_events(events).get("service:0")
-            if dom is None or not dom.exact:
-                failures.append(
-                    f"[{policy} x{len(tenants)}] service trace not exact"
-                )
-            if not math.isclose(att_sum, result.makespan_ms, rel_tol=1e-9):
-                failures.append(
-                    f"[{policy} x{len(tenants)}] tenant attribution sums to "
-                    f"{att_sum:.6f} ms, makespan is {result.makespan_ms:.6f} ms"
-                )
-        print(result.render())
-        print()
-        if args.out is not None:
-            result.write_jsonl(args.out)
-        if args.telemetry is not None:
-            # One stream per invocation: under --sweep the last combo wins.
-            tel.write_jsonl(args.telemetry)
-    if args.out is not None:
-        print(f"wrote {args.out}")
-    if args.telemetry is not None:
-        print(f"wrote {args.telemetry} (inspect with: "
-              f"repro inspect {args.telemetry} --attribution)")
-    if args.check:
-        if failures:
-            print("serve check FAILED:", file=sys.stderr)
-            for f in failures:
-                print(f"  - {f}", file=sys.stderr)
-            return 1
-        print("serve check passed: every tenant bit-identical to solo, "
-              "work conserved, attribution exact")
     return 0
 
 
@@ -630,43 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "with 'repro inspect PATH --attribution'")
     s.set_defaults(func=_cmd_sort)
 
-    cs = sub.add_parser(
-        "cluster-sort",
-        help="sharded multi-node sort: splitters, all-to-all, shard merges",
-    )
-    cs.add_argument("--n", type=int, default=100_000)
-    cs.add_argument("--nodes", type=int, default=4,
-                    help="cluster size P (each node owns its own disks)")
-    cs.add_argument("--disks", type=int, default=4,
-                    help="disks per node")
-    cs.add_argument("--block", type=int, default=64)
-    cs.add_argument("--k", type=int, default=4)
-    cs.add_argument("--seed", type=int, default=0)
-    cs.add_argument("--oversample", type=int, default=32,
-                    help="samples per node per splitter")
-    cs.add_argument("--workload", choices=["uniform", "zipf"],
-                    default="uniform",
-                    help="input distribution (zipf stresses the splitters)")
-    cs.add_argument("--lose-node", type=int, default=None, metavar="NODE",
-                    help="kill NODE mid-exchange and rebuild it, charged")
-    cs.add_argument("--lose-after-round", type=int, default=1,
-                    help="exchange round after which the node dies "
-                    "(with --lose-node)")
-    cs.add_argument("--check", action="store_true",
-                    help="exit 1 unless shards pass on-disk + global-order "
-                    "verification")
-    cs.add_argument("--backend", choices=["memory", "mmap"], default="memory",
-                   help="per-node block storage backend (mmap = out-of-core)")
-    cs.add_argument("--workdir", metavar="DIR", default=None,
-                   help="directory for mmap disk files; each node gets its "
-                        "own node<n>/ subdirectory")
-    cs.add_argument("--telemetry", metavar="PATH", default=None,
-                    help="capture a structured JSONL trace to PATH")
-    cs.add_argument("--trace", metavar="PATH", default=None,
-                    help="arm causal event tracing and write the "
-                         "telemetry stream to PATH")
-    cs.set_defaults(func=_cmd_cluster_sort)
-
     ins = sub.add_parser(
         "inspect",
         help="render a telemetry JSONL trace as a per-phase run report",
@@ -678,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "critical path == makespan for exact trace domains)")
     ins.add_argument("--attribution", action="store_true",
                      help="decompose each traced domain's makespan along "
-                     "its critical path (read/write/compute/stall/link/"
+                     "its critical path (read/write/compute/stall/"
                      "recovery), with per-lane utilization and stragglers")
     ins.set_defaults(func=_cmd_inspect)
 
@@ -719,46 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("demo", help="quick SRM-vs-DSM comparison")
     d.set_defaults(func=_cmd_demo)
 
-    sv = sub.add_parser(
-        "serve",
-        help="multi-tenant sort service: fair dispatch over one shared farm",
-    )
-    sv.add_argument("--policy", choices=("rr", "wfq", "srpt"), default="rr",
-                    help="fairness policy (default: %(default)s)")
-    sv.add_argument("--sweep", action="store_true",
-                    help="run all 3 policies x 2 tenant counts (2 and 3)")
-    sv.add_argument("--arrivals", choices=("poisson", "burst", "batch"),
-                    default="poisson",
-                    help="arrival script shape (default: %(default)s)")
-    sv.add_argument("--arrivals-file", metavar="PATH", default=None,
-                    help="replay a JSON arrival script instead of generating")
-    sv.add_argument("--jobs", type=int, default=8,
-                    help="jobs in the generated script (default: %(default)s)")
-    sv.add_argument("--tenants", type=int, default=2,
-                    help="tenants in the generated script (default: %(default)s)")
-    sv.add_argument("--rate", type=float, default=40.0,
-                    help="mean arrivals per simulated second (default: %(default)s)")
-    sv.add_argument("--min-records", type=int, default=500)
-    sv.add_argument("--max-records", type=int, default=1500)
-    sv.add_argument("--disks", type=int, default=4)
-    sv.add_argument("--block", type=int, default=8)
-    sv.add_argument("--k", type=int, default=2, help="merge order R = kD")
-    sv.add_argument("--slots", type=int, default=8,
-                    help="admission queue slots (default: %(default)s)")
-    sv.add_argument("--seed", type=int, default=1234)
-    sv.add_argument("--quick", action="store_true",
-                    help="reduced scale (CI smoke): 4 jobs, 300-800 records")
-    sv.add_argument("--check", action="store_true",
-                    help="exit 1 unless every tenant is bit-identical to its "
-                         "solo run, the service is work-conserving, and the "
-                         "per-tenant attribution sums to the makespan")
-    sv.add_argument("--out", metavar="PATH", default=None,
-                    help="append per-run summary + job rows as JSONL to PATH")
-    sv.add_argument("--telemetry", metavar="PATH", default=None,
-                    help="write the service telemetry stream (spans, "
-                         "service.* metrics, tagged trace) to PATH")
-    sv.set_defaults(func=_cmd_serve)
-
     ch = sub.add_parser(
         "chaos",
         help="fault-injection sweep: every plan must sort bit-identically",
@@ -771,9 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--block", type=int, default=16)
     ch.add_argument("--seed", type=int, default=1234,
                     help="root seed for data, layout, and fault streams")
-    ch.add_argument("--nodes", type=int, default=4,
-                    help="also run the cluster sweep (node loss, skewed "
-                    "partitions) on this many nodes; 0 disables")
     ch.add_argument("--quick", action="store_true",
                     help="core scenarios only: transient/corrupt/death plus "
                          "write storm, torn writes, parity rebuild, and "

@@ -23,7 +23,6 @@ from .mergesort import (
     PassStats,
     SortResult,
     run_merge_passes,
-    sort_records_on_system,
     srm_mergesort,
     srm_sort,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "PassStats",
     "SortResult",
     "run_merge_passes",
-    "sort_records_on_system",
     "srm_mergesort",
     "srm_sort",
     "PhaseBound",

@@ -117,10 +117,6 @@ class OverlapConfig:
     cpu_us_per_record:
         Internal merge processing cost per record, in microseconds,
         charged against the simulated clock.
-    job_tag:
-        Optional job id stamped on every disk op the engine queues
-        (trace-record attrs), so the critical-path attribution of a
-        shared timeline decomposes per job/tenant.
     latency:
         Optional :class:`LatencyAwareConfig`.  When attached, the engine
         measures per-disk service times and steers prefetch depth and
@@ -132,7 +128,6 @@ class OverlapConfig:
     mode: str = "full"
     prefetch_depth: int = 2
     cpu_us_per_record: float = 1.0
-    job_tag: str | None = None
     latency: "LatencyAwareConfig | None" = None
 
     def __post_init__(self) -> None:

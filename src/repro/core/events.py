@@ -216,11 +216,6 @@ class OverlapEngine:
         if self._trace is not None:
             self._dom = self._trace.new_domain("merge")
             self.net.tracer = NetTracer(self._trace, self._dom)
-            if overlap.job_tag is not None:
-                # Every queued disk op carries the owning job's id, so
-                # per-tenant attribution can decompose an engine-driven
-                # timeline the same way it splits the demand clock.
-                self.net.tracer.context = {"job": overlap.job_tag}
 
     # -- scheduler callbacks ---------------------------------------------
 

@@ -118,17 +118,14 @@ def run_merge_passes(
     overlap: OverlapConfig | None = None,
     timing: DiskTimingModel | None = None,
     telemetry=None,
-    next_run_id: int | None = None,
     merge_workers: int | None = None,
 ) -> StripedRun:
     """Merge *runs* down to a single run with ``ceil(log_R)`` passes.
 
-    The shared back half of every external sort in this repo: the SRM
-    driver calls it after run formation, and each cluster node calls it
-    on the runs it received from the exchange phase.  Pass accounting
-    (``PassStats``, schedules, heap cycles, overlap reports) accumulates
-    into *result*; the final single run is returned.  A one-run input
-    returns immediately with no I/O.
+    The back half of the SRM driver, called after run formation.  Pass
+    accounting (``PassStats``, schedules, heap cycles, overlap reports)
+    accumulates into *result*; the final single run is returned.  A
+    one-run input returns immediately with no I/O.
 
     ``merge_workers`` > 1 routes every merge through the
     process-parallel Merge Path plane
@@ -151,8 +148,7 @@ def run_merge_passes(
         from .parallel_merge import parallel_merge_runs
     tel = telemetry if telemetry is not None else TELEMETRY_OFF
     R = config.merge_order
-    if next_run_id is None:
-        next_run_id = len(runs)
+    run_id = len(runs)
     pass_index = len(result.passes)
     while len(runs) > 1:
         pass_index += 1
@@ -166,21 +162,17 @@ def run_merge_passes(
             n_runs_in=len(runs),
         )
         reads = writes = flush_ops = blocks_flushed = n_merges = 0
-        # On a shared (service) farm the job's own counters live in
-        # system.stats_sink; bracketing the per-merge delta there keeps
-        # PassStats clean of other tenants' interleaved rounds.
-        acct = getattr(system, "stats_sink", None) or system.stats
         for g, group in enumerate(groups):
             if len(group) == 1:
                 # A leftover run passes through untouched (no I/O).
                 out_runs.append(group[0])
                 continue
-            before = acct.snapshot()
+            before = system.stats.snapshot()
             if parallel_workers is not None:
                 mres = parallel_merge_runs(
                     system,
                     group,
-                    output_run_id=next_run_id,
+                    output_run_id=run_id,
                     output_start_disk=int(starts[g]),
                     workers=parallel_workers,
                     validate=validate,
@@ -190,15 +182,15 @@ def run_merge_passes(
                 mres = merge_runs(
                     system,
                     group,
-                    output_run_id=next_run_id,
+                    output_run_id=run_id,
                     output_start_disk=int(starts[g]),
                     validate=validate,
                     overlap=overlap,
                     timing=timing,
                     telemetry=telemetry,
                 )
-            next_run_id += 1
-            delta = acct.since(before)
+            run_id += 1
+            delta = system.stats.since(before)
             reads += delta.parallel_reads
             writes += delta.parallel_writes
             flush_ops += mres.schedule.flush_ops
@@ -380,48 +372,6 @@ def _record_backend_stats(tel, sort_span, system: ParallelDiskSystem) -> None:
     )
 
 
-def sort_records_on_system(
-    system: ParallelDiskSystem,
-    keys: np.ndarray,
-    config: SRMConfig,
-    strategy: LayoutStrategy = LayoutStrategy.RANDOMIZED,
-    rng: RngLike = None,
-    validate: bool = False,
-    run_length: int | None = None,
-    formation: str = "load_sort",
-    payloads: np.ndarray | None = None,
-    overlap: OverlapConfig | None = None,
-    timing: DiskTimingModel | None = None,
-    telemetry=None,
-    merge_workers: int | None = None,
-) -> SortResult:
-    """Install *keys* as an input file on *system* and sort them.
-
-    The single-job driver refactored out of :func:`srm_sort` so that it
-    can run against a system the caller owns — in particular the
-    multi-tenant service's *shared* farm, where many of these drivers
-    interleave one parallel-I/O round at a time (gated through
-    ``system.round_hook``).  Input installation charges no I/O; all
-    accounting starts at the first ``ParRead``.
-    """
-    keys = np.asarray(keys, dtype=np.int64)
-    infile = StripedFile.from_records(system, keys, payloads=payloads)
-    return srm_mergesort(
-        system,
-        infile,
-        config,
-        strategy=strategy,
-        rng=rng,
-        validate=validate,
-        run_length=run_length,
-        formation=formation,
-        overlap=overlap,
-        timing=timing,
-        telemetry=telemetry,
-        merge_workers=merge_workers,
-    )
-
-
 def srm_sort(
     keys: np.ndarray,
     config: SRMConfig,
@@ -441,8 +391,9 @@ def srm_sort(
     """Convenience: sort a key array on a fresh simulated disk system.
 
     Returns the sorted array (read back without charging I/O) and the
-    :class:`SortResult` with all accounting.  When *payloads* are given
-    they travel with their keys; fetch them via
+    :class:`SortResult` with all accounting; installing the input
+    charges no I/O either.  When *payloads* are given they travel with
+    their keys; fetch them via
     :meth:`SortResult.peek_sorted_records`.  *faults* — a
     :class:`~repro.faults.plan.FaultPlan` — arms deterministic fault
     injection on the fresh system before any block is placed.
@@ -471,16 +422,16 @@ def srm_sort(
             system.timing = timing if timing is not None else DISK_1996
         demand_tracer = SystemTracer(collector, collector.new_domain("demand"))
         system.tracer = demand_tracer
-    result = sort_records_on_system(
+    infile = StripedFile.from_records(system, keys, payloads=payloads)
+    result = srm_mergesort(
         system,
-        keys,
+        infile,
         config,
         strategy=strategy,
         rng=rng,
         validate=validate,
         run_length=run_length,
         formation=formation,
-        payloads=payloads,
         overlap=overlap,
         timing=timing,
         telemetry=telemetry,

@@ -4,8 +4,7 @@ See :mod:`repro.disks.backends.base` for the contract.  Select one via
 the ``backend=`` parameter threaded through
 :class:`~repro.disks.system.ParallelDiskSystem`,
 :func:`~repro.core.mergesort.srm_sort`,
-:func:`~repro.baselines.dsm.dsm_sort`,
-:func:`~repro.cluster.sort.cluster_sort` and ``repro sort --backend``:
+:func:`~repro.baselines.dsm.dsm_sort` and ``repro sort --backend``:
 
 * ``None`` / ``"memory"`` — in-RAM dicts (default, historical behavior)
 * ``"mmap"`` — file-per-disk memory-mapped storage in a self-cleaning

@@ -25,7 +25,7 @@ asking for stores.  One backend serves exactly one system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import MutableMapping
 
 from ...errors import ConfigError
@@ -91,9 +91,8 @@ class BackendSpec:
     """A recipe for creating storage backends.
 
     Unlike a :class:`StorageBackend` *instance* (bound to one system), a
-    spec can be handed to drivers that build many systems — the cluster
-    layer creates one backend per node from the same spec, placing each
-    node's files under its own subdirectory.
+    spec can be handed to drivers that build many systems; each call to
+    :meth:`create` returns a fresh backend.
     """
 
     kind: str = "memory"
@@ -115,14 +114,6 @@ class BackendSpec:
             raise ConfigError(
                 f"initial_slots must be >= 1, got {self.initial_slots}"
             )
-
-    def child(self, label: str) -> "BackendSpec":
-        """A spec scoped to a named subdirectory (per cluster node)."""
-        if self.kind != "mmap" or self.workdir is None:
-            return self
-        import os
-
-        return replace(self, workdir=os.path.join(self.workdir, label))
 
     def create(self) -> StorageBackend:
         """Instantiate an (unattached) backend from this spec."""

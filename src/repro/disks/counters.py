@@ -122,36 +122,6 @@ class IOStats:
             writes_per_disk=self.writes_per_disk - earlier.writes_per_disk,
         )
 
-    def add(self, delta: "IOStats") -> None:
-        """Accumulate *delta* (a :meth:`since` result) into these counters.
-
-        The service executor charges each job the exact counter delta of
-        its granted rounds; summing those deltas per job reproduces the
-        counters a solo run would have accumulated.
-        """
-        if delta.n_disks != self.n_disks:
-            raise ValueError("deltas are from systems with different D")
-        self.parallel_reads += delta.parallel_reads
-        self.parallel_writes += delta.parallel_writes
-        self.blocks_read += delta.blocks_read
-        self.blocks_written += delta.blocks_written
-        self.reads_per_disk += delta.reads_per_disk
-        self.writes_per_disk += delta.writes_per_disk
-
-    def same_counts(self, other: "IOStats") -> bool:
-        """Bit-exact equality of every counter, including per-disk arrays."""
-        return (
-            self.n_disks == other.n_disks
-            and self.parallel_reads == other.parallel_reads
-            and self.parallel_writes == other.parallel_writes
-            and self.blocks_read == other.blocks_read
-            and self.blocks_written == other.blocks_written
-            and bool(np.array_equal(self.reads_per_disk, other.reads_per_disk))
-            and bool(
-                np.array_equal(self.writes_per_disk, other.writes_per_disk)
-            )
-        )
-
     def reset(self) -> None:
         """Zero all counters."""
         self.parallel_reads = 0

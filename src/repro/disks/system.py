@@ -95,24 +95,9 @@ class ParallelDiskSystem:
         #: Channel rounds consumed (== parallel ops when channel matches).
         self.channel_rounds = 0
         #: Optional causal tracer (:class:`~repro.telemetry.trace
-        #: .SystemTracer` or a cluster ``StagedTracer``): every charged
-        #: clock advance emits one timeline record on the channel lane.
+        #: .SystemTracer`): every charged clock advance emits one
+        #: timeline record on the channel lane.
         self.tracer = None
-        #: Optional pre-operation hook called once at the top of every
-        #: charged stripe operation (read, charged read, write) *before*
-        #: any work happens.  The multi-tenant service installs a round
-        #: gate here: the hook blocks the calling job until the fairness
-        #: policy grants it the next parallel-I/O round, which is what
-        #: lets many sorts interleave on one shared system at round
-        #: granularity.  ``None`` (default) costs nothing.
-        self.round_hook = None
-        #: Optional secondary :class:`IOStats` mirror.  Every charged
-        #: operation recorded in :attr:`stats` is also recorded here.
-        #: The service points this at the granted job's private counters
-        #: for the duration of its round, giving exact per-job
-        #: accounting (and uncontaminated per-pass deltas inside the
-        #: driver) on a shared farm.  ``None`` (default) costs nothing.
-        self.stats_sink = None
         #: Fault injection state (see :meth:`attach_faults`).  ``None``
         #: keeps every I/O on the original fault-free fast path.
         self.faults = None
@@ -304,18 +289,14 @@ class ParallelDiskSystem:
     ) -> None:
         """Account one parallel *kind* round on the distinct *disks*.
 
-        The single place a charged round lands: :attr:`stats` and
-        :attr:`stats_sink` count it, the clock advances, and the causal
-        :attr:`tracer` records it as *trace_kind* (default *kind*).
+        The single place a charged round lands: :attr:`stats` counts it,
+        the clock advances, and the causal :attr:`tracer` records it as
+        *trace_kind* (default *kind*).
         """
         if kind == "read":
             self.stats.record_read(disks)
-            if self.stats_sink is not None:
-                self.stats_sink.record_read(disks)
         else:
             self.stats.record_write(disks)
-            if self.stats_sink is not None:
-                self.stats_sink.record_write(disks)
         n_active = len(disks)
         width = self.channel_width or n_active
         rounds = -(-n_active // width)
@@ -364,10 +345,6 @@ class ParallelDiskSystem:
         -------
         list of blocks positionally matching *addresses*.
         """
-        if self.round_hook is not None and any(
-            a is not None for a in addresses
-        ):
-            self.round_hook()
         if self.faults is not None:
             return self._read_stripe_faulty(addresses)
         live = [a for a in addresses if a is not None]
@@ -399,8 +376,6 @@ class ParallelDiskSystem:
         live = [a for a in addresses if a is not None]
         if not live:
             return
-        if self.round_hook is not None:
-            self.round_hook()
         disks = [a.disk for a in live]
         self._check_one_per_disk(disks)
         for a in live:
@@ -425,8 +400,6 @@ class ParallelDiskSystem:
         """
         if not writes:
             return []
-        if self.round_hook is not None:
-            self.round_hook()
         if self.faults is not None:
             return self._write_stripe_faulty(writes)
         disks = [a.disk for a, _ in writes]

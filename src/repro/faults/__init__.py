@@ -33,8 +33,6 @@ from .chaos import (
     ScenarioResult,
     default_scenarios,
     run_chaos,
-    run_cluster_chaos,
-    run_service_chaos,
 )
 from .degraded import (
     DeathReport,
@@ -62,8 +60,6 @@ __all__ = [
     "ScenarioResult",
     "default_scenarios",
     "run_chaos",
-    "run_cluster_chaos",
-    "run_service_chaos",
     "DeathReport",
     "ScrubReport",
     "migrate_dead_disk",

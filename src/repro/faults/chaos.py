@@ -79,10 +79,7 @@ class ChaosScenario:
         ``"double_death"`` (at least two disks died),
         ``"adaptive"`` (the latency-adaptive rerun must produce
         bit-identical output at a makespan no worse than the fixed
-        policy's).  Cluster-sweep results add ``"node_loss"`` (a node
-        died and its rebuild charged re-sent blocks and re-reads) and
-        ``"skew"`` (partition skew must stay under the recorded
-        ``_skew_bound``).
+        policy's).
     adaptive:
         Rerun the scenario with the latency-adaptive scheduler armed
         (same plan, same seed) and record the adaptive-vs-fixed pair:
@@ -233,29 +230,6 @@ class ChaosReport:
                     msgs.append(
                         f"{tag}: adaptive makespan {a_ms:.1f}ms is worse "
                         f"than the fixed policy's {r.makespan_ms:.1f}ms"
-                    )
-            if "node_loss" in expect:
-                if s.get("node_losses", 0) < 1:
-                    msgs.append(
-                        f"{tag}: scenario kills a node but none was lost"
-                    )
-                elif (
-                    s.get("rebuild_blocks_resent", 0) <= 0
-                    or s.get("rebuild_read_ios", 0) <= 0
-                ):
-                    msgs.append(
-                        f"{tag}: node was rebuilt but the recovery charged "
-                        "no re-sent blocks or re-reads"
-                    )
-            if "skew" in expect:
-                skew = s.get("partition_skew")
-                bound = s.get("_skew_bound", 2.0)
-                if skew is None:
-                    msgs.append(f"{tag}: no partition skew was recorded")
-                elif skew > bound:
-                    msgs.append(
-                        f"{tag}: partition skew {skew:.3f} exceeds the "
-                        f"{bound:.1f} bound (bad splitters)"
                     )
         return msgs
 
@@ -510,17 +484,13 @@ def run_chaos(
     seed: int = 1234,
     quick: bool = False,
     algorithms: tuple[str, ...] = ("srm", "dsm"),
-    cluster_nodes: int = 0,
-    service: bool = True,
 ) -> ChaosReport:
     """Run the chaos sweep and return the report.
 
     The same input array is sorted fault-free once per algorithm (the
     bit-identity reference and the I/O baseline), then once per
     applicable scenario.  Deterministic end to end: the input, the run
-    placements, and every fault draw derive from *seed*.  With
-    *cluster_nodes* > 1 the report also carries the
-    :func:`run_cluster_chaos` sweep on a cluster of that many nodes.
+    placements, and every fault draw derive from *seed*.
     """
     rng = np.random.default_rng(seed)
     keys = rng.integers(0, 2**40, size=n_records, dtype=np.int64)
@@ -662,277 +632,7 @@ def run_chaos(
                     error=f"{type(exc).__name__}: {exc}",
                 )
             report.results.append(result)
-    if cluster_nodes > 1:
-        report.results.extend(
-            run_cluster_chaos(
-                n_records=n_records,
-                n_nodes=cluster_nodes,
-                n_disks=n_disks,
-                k=k,
-                block_size=block_size,
-                seed=seed,
-            )
-        )
-    if service:
-        report.results.extend(
-            run_service_chaos(
-                n_disks=n_disks, k=k, block_size=block_size, seed=seed
-            )
-        )
     return report
-
-
-def run_cluster_chaos(
-    n_records: int = 20_000,
-    n_nodes: int = 4,
-    n_disks: int = 4,
-    k: int = 2,
-    block_size: int = 16,
-    seed: int = 1234,
-    skew_bound: float = 2.0,
-) -> list[ScenarioResult]:
-    """The cluster resilience sweep: node loss and skewed partitions.
-
-    Two scenarios against a ``P = n_nodes`` cluster sort:
-
-    * ``node_loss`` — a node dies mid-exchange (after round 1); the sort
-      must still be bit-identical to the fault-free cluster reference,
-      and the rebuild must have charged re-sent blocks plus re-reads;
-    * ``skewed`` — Zipf(1.2) input; the output must be correct *and* the
-      sample-based splitters must hold partition skew (max/mean shard
-      size) under *skew_bound*.
-
-    Returns :class:`ScenarioResult` rows (algorithm ``"cluster"``) ready
-    to append to a :class:`ChaosReport`; both scenarios also validate
-    every shard's on-disk invariants via
-    :func:`repro.verify.check_cluster_shards`.
-    """
-    from ..cluster import ClusterConfig, NodeLoss, cluster_sort
-    from ..telemetry.schema import (
-        CLUSTER_NODE_LOSSES,
-        CLUSTER_REBUILD_BLOCKS,
-        CLUSTER_REBUILD_READ_IOS,
-    )
-    from ..verify import check_cluster_shards
-    from ..workloads import zipf_keys
-
-    cfg = SRMConfig.from_k(k=k, n_disks=n_disks, block_size=block_size)
-    cluster = ClusterConfig(n_nodes=n_nodes)
-    rng = np.random.default_rng(seed)
-    keys = rng.integers(0, 2**40, size=n_records, dtype=np.int64)
-    ref_out, ref_res = cluster_sort(keys, cluster, cfg, rng=seed + 17)
-
-    def run_one(
-        name: str,
-        description: str,
-        data: np.ndarray,
-        reference: np.ndarray,
-        ref_ios: int,
-        loss: "NodeLoss | None",
-        expect: frozenset,
-    ) -> ScenarioResult:
-        tel = Telemetry(harness="chaos", scenario=name, algorithm="cluster")
-        try:
-            out, res = cluster_sort(
-                data, cluster, cfg, rng=seed + 17,
-                telemetry=tel, node_loss=loss,
-            )
-            check_cluster_shards(res)
-            stats = {
-                "node_losses": res.exchange.node_losses,
-                "rebuild_blocks_resent": res.exchange.rebuild_blocks_resent,
-                "rebuild_read_ios": res.exchange.rebuild_read_ios,
-                "partition_skew": round(res.partition_skew, 4),
-                "exchange_rounds": res.exchange.rounds,
-                "blocks_crossed": res.exchange.blocks_crossed,
-                "_skew_bound": skew_bound,
-                "_expect": sorted(expect),
-            }
-            reg = tel.registry
-            metrics_ok = True
-            for key, metric in (
-                ("node_losses", CLUSTER_NODE_LOSSES),
-                ("rebuild_blocks_resent", CLUSTER_REBUILD_BLOCKS),
-                ("rebuild_read_ios", CLUSTER_REBUILD_READ_IOS),
-            ):
-                if stats[key] > 0 and (
-                    metric not in reg
-                    or reg.get(metric).snapshot()["value"] != stats[key]
-                ):
-                    metrics_ok = False
-            return ScenarioResult(
-                scenario=name,
-                algorithm="cluster",
-                description=description,
-                identical=bool(np.array_equal(out, reference)),
-                stats=stats,
-                parallel_ios=res.total_parallel_ios,
-                io_overhead_pct=100.0 * (res.total_parallel_ios / ref_ios - 1.0),
-                makespan_ms=res.makespan_ms,
-                metrics_ok=metrics_ok,
-            )
-        except Exception as exc:  # noqa: BLE001 - the report carries it
-            return ScenarioResult(
-                scenario=name,
-                algorithm="cluster",
-                description=description,
-                identical=False,
-                stats={},
-                parallel_ios=0,
-                io_overhead_pct=0.0,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-
-    victim = 1 % n_nodes
-    results = [
-        run_one(
-            "node_loss",
-            f"node {victim} dies after exchange round 1; rebuilt from "
-            "durable input, charged",
-            keys,
-            ref_out,
-            ref_res.total_parallel_ios,
-            NodeLoss(node=victim, after_round=min(1, n_nodes - 1)),
-            frozenset({"node_loss"}),
-        )
-    ]
-    zipf = zipf_keys(n_records, alpha=1.2, n_distinct=500, rng=seed + 23)
-    z_ref, z_res = cluster_sort(zipf, cluster, cfg, rng=seed + 17)
-    results.append(
-        run_one(
-            "skewed",
-            f"Zipf(1.2) duplicate-heavy input; splitters must keep "
-            f"partition skew under {skew_bound:.1f}",
-            zipf,
-            np.sort(zipf),
-            z_res.total_parallel_ios,
-            None,
-            frozenset({"skew"}),
-        )
-    )
-    return results
-
-
-def run_service_chaos(
-    n_jobs: int = 4,
-    n_disks: int = 4,
-    k: int = 2,
-    block_size: int = 16,
-    seed: int = 1234,
-) -> list[ScenarioResult]:
-    """Blast-radius sweep for the multi-tenant service's shared farm.
-
-    Faults on a shared system hit whichever tenant's round happens to be
-    running, so the contract is isolation, not solo bit-identity (the
-    interleaving itself shifts which ops the fault stream lands on):
-    every tenant's job must still complete with its output a sorted
-    permutation of its input, with zero undetected corruptions — one
-    tenant's disk death must never corrupt a neighbor.
-
-    Two scenarios against a fully backlogged two-tenant batch:
-
-    * ``service_transient`` — transient read failures spread across all
-      tenants' rounds, absorbed by retries;
-    * ``service_death`` — a disk dies mid-service; every tenant runs
-      degraded but correct.
-
-    Returns :class:`ScenarioResult` rows (algorithm ``"service"``).
-    """
-    from ..service import ServiceConfig, SortService, TenantSpec
-    from ..workloads import batch_arrivals
-
-    cfg = SRMConfig.from_k(k=k, n_disks=n_disks, block_size=block_size)
-    arrivals = batch_arrivals(
-        n_jobs, n_tenants=2, min_records=500, max_records=1_200, rng=seed
-    )
-    tenants = tuple(
-        TenantSpec(t) for t in sorted({a.tenant for a in arrivals})
-    )
-
-    def build(tel: Telemetry) -> SortService:
-        svc = SortService(
-            ServiceConfig(base_config=cfg, tenants=tenants, policy="rr"),
-            telemetry=tel,
-        )
-        svc.submit_arrivals(arrivals)
-        return svc
-
-    # Fault-free reference: the I/O baseline and the death position
-    # (after_ops counts per-disk block ops; each parallel I/O touches a
-    # disk at most once, so half the total lands mid-service).
-    ref = build(Telemetry(harness="chaos", scenario="service_reference")).run()
-    ref_ios = sum(j.io.parallel_ios for j in ref.jobs)
-    death_after = max(1, ref_ios // 2)
-    victim = n_disks - 1
-
-    scenarios = [
-        (
-            "service_transient",
-            "8% transient read failures across all tenants' rounds",
-            FaultPlan(seed=seed + 21, read_fail_p=0.08),
-            frozenset({"retries"}),
-        ),
-        (
-            "service_death",
-            f"disk {victim} dies mid-service; every tenant degraded "
-            "but uncorrupted",
-            FaultPlan(
-                seed=seed + 22,
-                deaths=(DiskDeath(disk=victim, after_ops=death_after),),
-            ),
-            frozenset({"death"}),
-        ),
-    ]
-    results: list[ScenarioResult] = []
-    for name, description, plan, expect in scenarios:
-        tel = Telemetry(harness="chaos", scenario=name, algorithm="service")
-        try:
-            svc = build(tel)
-            # Before any block lands: writes are checksum-sealed from
-            # the first installed input block onward.
-            svc.system.attach_faults(plan, telemetry=tel)
-            outcome = svc.run()
-            isolated = all(
-                job.state == "completed"
-                and job.driver.sorted_keys is not None
-                and bool(
-                    np.array_equal(
-                        job.driver.sorted_keys, np.sort(job.spec.keys)
-                    )
-                )
-                for job in outcome.jobs
-            )
-            stats = svc.system.faults.stats.snapshot()
-            stats["_expect"] = sorted(expect)
-            stats["jobs_completed"] = len(outcome.completed)
-            stats["n_tenants"] = len(tenants)
-            ios = sum(j.io.parallel_ios for j in outcome.jobs)
-            results.append(
-                ScenarioResult(
-                    scenario=name,
-                    algorithm="service",
-                    description=description,
-                    identical=isolated,
-                    stats=stats,
-                    parallel_ios=ios,
-                    io_overhead_pct=100.0 * (ios / ref_ios - 1.0),
-                    metrics_ok=_metrics_ok(tel, stats),
-                )
-            )
-        except Exception as exc:  # noqa: BLE001 - the report carries it
-            results.append(
-                ScenarioResult(
-                    scenario=name,
-                    algorithm="service",
-                    description=description,
-                    identical=False,
-                    stats={},
-                    parallel_ios=0,
-                    io_overhead_pct=0.0,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
-    return results
 
 
 def _armed(sc: ChaosScenario, n_disks: int, tel: Telemetry):

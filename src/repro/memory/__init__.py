@@ -1,5 +1,5 @@
 """Internal-memory management (the §5.1 buffer partition)."""
 
-from .pool import BufferPool, ServicePool, TenantPartition
+from .pool import BufferPool
 
-__all__ = ["BufferPool", "ServicePool", "TenantPartition"]
+__all__ = ["BufferPool"]

@@ -168,155 +168,3 @@ class BufferPool:
             )
         self.mw_occupied -= n_blocks
 
-
-# ---------------------------------------------------------------------------
-# Multi-tenant sub-pools (the shared service's contended resource).
-# ---------------------------------------------------------------------------
-
-
-class TenantPartition:
-    """One tenant's carve-out of the service's internal-memory frames.
-
-    A sort job needs one full §5.1 partition — ``2R + 4D`` frames
-    (:attr:`BufferPool.total_frames` for its config) — for its whole
-    lifetime.  Admission reserves the frames here; completion (or abort)
-    releases them.  The accounting is exact and violently checked:
-    releasing more than is reserved raises :class:`ScheduleError`
-    (catching the double-free bug class), and a closed partition rejects
-    every further transition.
-    """
-
-    __slots__ = ("name", "capacity_frames", "reserved_frames", "weight", "_closed")
-
-    def __init__(self, name: str, capacity_frames: int, weight: float = 1.0) -> None:
-        if not name:
-            raise ConfigError("tenant partition needs a non-empty name")
-        if capacity_frames <= 0:
-            raise ConfigError(
-                f"tenant {name!r}: partition size must be positive, "
-                f"got {capacity_frames} frames"
-            )
-        if not weight > 0.0:
-            raise ConfigError(
-                f"tenant {name!r}: weight must be positive, got {weight}"
-            )
-        self.name = name
-        self.capacity_frames = capacity_frames
-        self.weight = float(weight)
-        self.reserved_frames = 0
-        self._closed = False
-
-    @property
-    def free_frames(self) -> int:
-        return self.capacity_frames - self.reserved_frames
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def fits(self, frames: int) -> bool:
-        """Could *frames* ever be reserved here (quota check, phase 1)?"""
-        return 0 < frames <= self.capacity_frames
-
-    def try_reserve(self, frames: int) -> bool:
-        """Reserve *frames* if currently free; False if the job must wait.
-
-        A request that could *never* fit (``frames > capacity``) is a
-        quota violation and raises instead of silently queueing forever.
-        """
-        self._check_open()
-        if frames <= 0:
-            raise ConfigError(
-                f"tenant {self.name!r}: cannot reserve {frames} frames"
-            )
-        if frames > self.capacity_frames:
-            raise ConfigError(
-                f"tenant {self.name!r}: job needs {frames} frames but the "
-                f"quota is {self.capacity_frames} — the job can never run"
-            )
-        if frames > self.free_frames:
-            return False
-        self.reserved_frames += frames
-        return True
-
-    def release(self, frames: int) -> None:
-        """Return *frames* reserved by a completed or aborted job."""
-        self._check_open()
-        if frames < 0:
-            raise ConfigError(
-                f"tenant {self.name!r}: cannot release {frames} frames"
-            )
-        if frames > self.reserved_frames:
-            raise ScheduleError(
-                f"tenant {self.name!r}: double free — releasing {frames} "
-                f"frames with only {self.reserved_frames} reserved"
-            )
-        self.reserved_frames -= frames
-
-    def close(self) -> None:
-        """Tear the partition down; all reservations must be back."""
-        self._check_open()
-        if self.reserved_frames != 0:
-            raise ScheduleError(
-                f"tenant {self.name!r}: closing with {self.reserved_frames} "
-                "frames still reserved"
-            )
-        self._closed = True
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise ScheduleError(
-                f"tenant {self.name!r}: partition already closed (double free)"
-            )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"TenantPartition({self.name!r}, "
-            f"{self.reserved_frames}/{self.capacity_frames} frames)"
-        )
-
-
-class ServicePool:
-    """The shared farm's memory frames, partitioned per tenant.
-
-    The Arge–Thorup view: internal memory, not the disks, is the scarce
-    resource a multi-tenant sorter must ration.  Each tenant gets a
-    fixed carve-out (its quota); jobs reserve whole §5.1 partitions from
-    their tenant's carve-out and two tenants can never eat into each
-    other's frames.
-    """
-
-    def __init__(self) -> None:
-        self._partitions: dict[str, TenantPartition] = {}
-
-    def create_partition(
-        self, name: str, capacity_frames: int, weight: float = 1.0
-    ) -> TenantPartition:
-        if name in self._partitions:
-            raise ConfigError(f"tenant {name!r} already has a partition")
-        part = TenantPartition(name, capacity_frames, weight)
-        self._partitions[name] = part
-        return part
-
-    def partition(self, name: str) -> TenantPartition:
-        part = self._partitions.get(name)
-        if part is None:
-            raise ConfigError(f"unknown tenant {name!r}")
-        return part
-
-    def remove_partition(self, name: str) -> None:
-        """Close and drop a tenant's partition (all frames must be free)."""
-        self.partition(name).close()
-        del self._partitions[name]
-
-    @property
-    def tenants(self) -> list[str]:
-        return sorted(self._partitions)
-
-    @property
-    def total_frames(self) -> int:
-        return sum(p.capacity_frames for p in self._partitions.values())
-
-    @property
-    def reserved_frames(self) -> int:
-        return sum(p.reserved_frames for p in self._partitions.values())

@@ -40,6 +40,36 @@ class ExternalSortStats:
         return self.parallel_reads + self.parallel_writes
 
 
+def _config(
+    algorithm: str,
+    formation: str,
+    memory_records: int,
+    n_disks: int,
+    block_size: int,
+) -> SRMConfig | DSMConfig:
+    """Validate the sort's settings and derive its configuration.
+
+    Runs before any input is looked at, so an empty input is held to
+    the same settings as a non-empty one.
+    """
+    if algorithm == "srm":
+        if formation not in ("load_sort", "replacement_selection"):
+            raise ConfigError(f"unknown formation method {formation!r}")
+        return SRMConfig.from_memory(memory_records, n_disks, block_size)
+    if algorithm == "dsm":
+        if formation != "load_sort":
+            raise ConfigError("DSM supports only load_sort run formation")
+        return DSMConfig.from_memory(memory_records, n_disks, block_size)
+    raise ConfigError(f"unknown algorithm {algorithm!r} (srm or dsm)")
+
+
+def _empty_stats(algorithm: str) -> ExternalSortStats:
+    return ExternalSortStats(
+        algorithm=algorithm, n_records=0, merge_order=0, runs_formed=0,
+        merge_passes=0, parallel_reads=0, parallel_writes=0,
+    )
+
+
 def external_sort(
     keys: np.ndarray,
     memory_records: int,
@@ -65,14 +95,11 @@ def external_sort(
 
     Returns the sorted array and an :class:`ExternalSortStats` summary.
     """
+    cfg = _config(algorithm, formation, memory_records, n_disks, block_size)
     keys = np.asarray(keys, dtype=np.int64)
     if keys.size == 0:
-        return keys.copy(), ExternalSortStats(
-            algorithm=algorithm, n_records=0, merge_order=0, runs_formed=0,
-            merge_passes=0, parallel_reads=0, parallel_writes=0,
-        )
+        return keys.copy(), _empty_stats(algorithm)
     if algorithm == "srm":
-        cfg = SRMConfig.from_memory(memory_records, n_disks, block_size)
         out, res = srm_sort(
             keys,
             cfg,
@@ -81,13 +108,8 @@ def external_sort(
             run_length=memory_records,
             formation=formation,
         )
-    elif algorithm == "dsm":
-        if formation != "load_sort":
-            raise ConfigError("DSM supports only load_sort run formation")
-        cfg = DSMConfig.from_memory(memory_records, n_disks, block_size)
-        out, res = dsm_sort(keys, cfg, run_length=memory_records)
     else:
-        raise ConfigError(f"unknown algorithm {algorithm!r} (srm or dsm)")
+        out, res = dsm_sort(keys, cfg, run_length=memory_records)
     stats = ExternalSortStats(
         algorithm=algorithm,
         n_records=int(keys.size),
@@ -117,25 +139,19 @@ def external_sort_records(
     formed in input order, internal sorts are stable, and the merge
     breaks key ties by ascending run id).
     """
+    cfg = _config(algorithm, "load_sort", memory_records, n_disks, block_size)
     keys = np.asarray(keys, dtype=np.int64)
     payloads = np.asarray(payloads, dtype=np.int64)
     if payloads.shape != keys.shape:
         raise ConfigError("payloads must align with keys")
     if keys.size == 0:
-        return keys.copy(), payloads.copy(), ExternalSortStats(
-            algorithm=algorithm, n_records=0, merge_order=0, runs_formed=0,
-            merge_passes=0, parallel_reads=0, parallel_writes=0,
-        )
+        return keys.copy(), payloads.copy(), _empty_stats(algorithm)
     if algorithm == "srm":
-        cfg = SRMConfig.from_memory(memory_records, n_disks, block_size)
         _, res = srm_sort(
             keys, cfg, rng=rng, run_length=memory_records, payloads=payloads
         )
-    elif algorithm == "dsm":
-        cfg = DSMConfig.from_memory(memory_records, n_disks, block_size)
-        _, res = dsm_sort(keys, cfg, run_length=memory_records, payloads=payloads)
     else:
-        raise ConfigError(f"unknown algorithm {algorithm!r} (srm or dsm)")
+        _, res = dsm_sort(keys, cfg, run_length=memory_records, payloads=payloads)
     out_keys, out_pay = res.peek_sorted_records()
     stats = ExternalSortStats(
         algorithm=algorithm,

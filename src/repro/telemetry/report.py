@@ -27,12 +27,9 @@ from ..occupancy.bounds import gf_expected_max_bound
 from .schema import (
     EV_OVERLAP_DISKS,
     H_FLUSH_OCCUPANCY,
-    SPAN_CLUSTER_SORT,
     SPAN_MERGE,
     SPAN_MERGE_PASS,
     SPAN_RUN_FORMATION,
-    SPAN_SERVICE,
-    SPAN_SERVICE_JOB,
     SPAN_SORT,
     validate_events,
 )
@@ -238,20 +235,10 @@ class RunReport:
         formation phase).
         """
         failures: list[str] = []
-        if self.spans_named(SPAN_SERVICE):
-            # Multi-tenant service trace: job drivers run with telemetry
-            # detached (their solo-identity guarantee is checked by
-            # `repro serve --check`), so there is no per-job sort span
-            # tree — require the per-job service spans instead.
-            if not self.spans_named(SPAN_SERVICE_JOB):
-                failures.append("service span without any service_job spans")
-        else:
-            if not self.spans_named(SPAN_SORT) and not self.spans_named(
-                SPAN_CLUSTER_SORT
-            ):
-                failures.append("no sort span in stream")
-            if not self.spans_named(SPAN_RUN_FORMATION):
-                failures.append("no run_formation span in stream")
+        if not self.spans_named(SPAN_SORT):
+            failures.append("no sort span in stream")
+        if not self.spans_named(SPAN_RUN_FORMATION):
+            failures.append("no run_formation span in stream")
         for row in self.merge_rows():
             bound = row["v_bound"]
             if bound is None:
@@ -395,21 +382,6 @@ class RunReport:
             ]
             if parts:
                 lines.append("  attribution: " + ", ".join(parts))
-            if dom.startswith("service"):
-                from ..analysis.critical_path import tenant_attribution
-
-                per_tenant = tenant_attribution(self.events, dom)
-                if per_tenant:
-                    total = sum(per_tenant.values())
-                    lines.append(
-                        "  per-tenant: "
-                        + ", ".join(
-                            f"{t} {ms:.1f} ms "
-                            f"({100.0 * ms / total if total else 0.0:.1f}%)"
-                            for t, ms in sorted(per_tenant.items())
-                        )
-                        + f"  [sum {total:.3f} ms]"
-                    )
             if a.lanes:
                 lines.append(
                     f"  {'lane':<14} {'ops':>6} {'busy_ms':>10} "

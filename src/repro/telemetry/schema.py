@@ -29,16 +29,10 @@ __all__ = [
     "SPAN_MERGE_PASS",
     "SPAN_MERGE",
     "SPAN_WRITE_BEHIND",
-    "SPAN_CLUSTER_SORT",
-    "SPAN_SPLITTER_SELECT",
-    "SPAN_EXCHANGE",
-    "SPAN_SHARD_MERGE",
     "SPAN_PMERGE",
     "SPAN_PMERGE_PARTITION",
     "SPAN_PMERGE_WORKERS",
     "SPAN_PMERGE_STITCH",
-    "SPAN_SERVICE",
-    "SPAN_SERVICE_JOB",
     "IO_PARALLEL_READS",
     "IO_PARALLEL_WRITES",
     "IO_BLOCKS_READ",
@@ -75,15 +69,6 @@ __all__ = [
     "FAULT_TORN_DETECTED",
     "FAULT_RECOVERY_READ_IOS",
     "FAULT_PARITY_BLOCKS",
-    "CLUSTER_EXCHANGE_BLOCKS",
-    "CLUSTER_EXCHANGE_ROUNDS",
-    "CLUSTER_SELF_BLOCKS",
-    "CLUSTER_SAMPLE_READS",
-    "CLUSTER_LINK_MS",
-    "CLUSTER_PARTITION_SKEW",
-    "CLUSTER_NODE_LOSSES",
-    "CLUSTER_REBUILD_BLOCKS",
-    "CLUSTER_REBUILD_READ_IOS",
     "BACKEND_BLOCKS_WRITTEN",
     "BACKEND_BLOCKS_READ",
     "BACKEND_BYTES_WRITTEN",
@@ -96,23 +81,10 @@ __all__ = [
     "PMERGE_RECORDS",
     "PMERGE_PARTITION_PROBES",
     "PMERGE_GHOST_ROUNDS",
-    "SERVICE_JOBS_SUBMITTED",
-    "SERVICE_JOBS_ADMITTED",
-    "SERVICE_JOBS_COMPLETED",
-    "SERVICE_JOBS_REJECTED",
-    "SERVICE_JOBS_ABORTED",
-    "SERVICE_ROUNDS_DISPATCHED",
-    "SERVICE_QUOTA_WAITS",
-    "SERVICE_IDLE_MS",
     "H_FAULT_BACKOFF",
-    "H_SERVICE_JOB_ROUNDS",
     "EV_OVERLAP_DISKS",
     "EV_DISK_DEATH",
-    "EV_NODE_LOSS",
-    "EV_EXCHANGE_ROUND",
     "EV_PMERGE_WORKER",
-    "EV_QUOTA_VIOLATION",
-    "EV_JOB_ABORTED",
     "read_width_edges",
     "occupancy_edges",
     "run_length_edges",
@@ -133,14 +105,6 @@ SPAN_MERGE_PASS = "merge_pass"
 SPAN_MERGE = "merge"
 SPAN_WRITE_BEHIND = "write_behind"
 
-# Cluster-layer phases (``repro cluster-sort``): the root scale-out
-# span, sample-based splitter selection, the all-to-all exchange, and
-# one per-node shard merge.
-SPAN_CLUSTER_SORT = "cluster_sort"
-SPAN_SPLITTER_SELECT = "splitter_select"
-SPAN_EXCHANGE = "exchange"
-SPAN_SHARD_MERGE = "shard_merge"
-
 # Process-parallel Merge Path plane (``repro.core.parallel_merge``):
 # the root span of one parallel merge, then its three stages — co-rank
 # partitioning, the worker-pool drain, and stitching scratch output
@@ -149,12 +113,6 @@ SPAN_PMERGE = "pmerge"
 SPAN_PMERGE_PARTITION = "pmerge_partition"
 SPAN_PMERGE_WORKERS = "pmerge_workers"
 SPAN_PMERGE_STITCH = "pmerge_stitch"
-
-# Multi-tenant sort service (``repro serve``): the root span of one
-# service run, and one child span per job covering admission through
-# completion (attrs carry tenant, rounds, and the per-job I/O counts).
-SPAN_SERVICE = "service"
-SPAN_SERVICE_JOB = "service_job"
 
 # -- counters --------------------------------------------------------------
 
@@ -225,30 +183,6 @@ FAULT_RECOVERY_READ_IOS = "faults.recovery_read_ios"
 #: Rotating parity blocks written under ``redundancy="parity"``.
 FAULT_PARITY_BLOCKS = "faults.parity_blocks_written"
 
-# Cluster scale-out counters (``repro cluster-sort``).  All are zero on
-# a single-node run.
-
-#: Blocks that crossed a node-to-node link during the exchange.
-CLUSTER_EXCHANGE_BLOCKS = "cluster.exchange_blocks"
-#: All-to-all exchange rounds executed (``P - 1`` fault-free, plus any
-#: replayed while rebuilding a lost node).
-CLUSTER_EXCHANGE_ROUNDS = "cluster.exchange_rounds"
-#: Blocks whose owner was their source node (no link crossed).
-CLUSTER_SELF_BLOCKS = "cluster.self_blocks"
-#: Charged parallel reads spent drawing splitter samples from runs.
-CLUSTER_SAMPLE_READS = "cluster.sample_reads"
-#: Simulated link transfer time of the exchange critical path, in ms
-#: (per round, the slowest link; rounds sum).
-CLUSTER_LINK_MS = "cluster.link_ms"
-#: Splitter quality: max shard size / mean shard size (1.0 = perfect).
-CLUSTER_PARTITION_SKEW = "cluster.partition_skew"
-#: Nodes lost mid-exchange and rebuilt from source runs.
-CLUSTER_NODE_LOSSES = "cluster.node_losses"
-#: Blocks re-sent to a replacement node during rebuild.
-CLUSTER_REBUILD_BLOCKS = "cluster.rebuild_blocks_resent"
-#: Charged parallel reads spent re-reading source runs for a rebuild.
-CLUSTER_REBUILD_READ_IOS = "cluster.rebuild_read_ios"
-
 # Storage-backend counters (``backend.*``).  Populated from
 # ``StorageBackend.stats()`` when a sort/merge finishes on a non-default
 # backend; all zero for the in-memory backend (which pays no encoding).
@@ -284,26 +218,6 @@ PMERGE_PARTITION_PROBES = "pmerge.partition_probes"
 #: stream (one per drain round; ~= merge ParReads + 1).
 PMERGE_GHOST_ROUNDS = "pmerge.ghost_rounds"
 
-# Multi-tenant service counters (``service.*``).  All zero outside
-# ``repro serve`` / ``SortService`` runs.
-
-#: Jobs submitted to the service (every arrival, admitted or not).
-SERVICE_JOBS_SUBMITTED = "service.jobs_submitted"
-#: Jobs that cleared all three admission phases and got a driver.
-SERVICE_JOBS_ADMITTED = "service.jobs_admitted"
-#: Jobs that ran to completion.
-SERVICE_JOBS_COMPLETED = "service.jobs_completed"
-#: Jobs rejected at admission (quota violation or bad geometry).
-SERVICE_JOBS_REJECTED = "service.jobs_rejected"
-#: Jobs cancelled mid-flight; their frames and slot were reclaimed.
-SERVICE_JOBS_ABORTED = "service.jobs_aborted"
-#: Parallel-I/O rounds granted by the dispatcher (phase 5).
-SERVICE_ROUNDS_DISPATCHED = "service.rounds_dispatched"
-#: Admission retries spent waiting for tenant frames or a queue slot.
-SERVICE_QUOTA_WAITS = "service.quota_waits"
-#: Simulated time the shared farm idled with no runnable job.
-SERVICE_IDLE_MS = "service.idle_ms"
-
 # -- histograms ------------------------------------------------------------
 
 #: Blocks moved per parallel read (Theorem 1's parallelism; <= D).
@@ -324,8 +238,6 @@ H_WRITER_OCCUPANCY = "writer.buffered_blocks"
 H_OVERLAP_QUEUE_DEPTH = "overlap.queue_depth"
 #: Backoff delay charged per retry, in ms (capped exponential).
 H_FAULT_BACKOFF = "faults.backoff_ms"
-#: Parallel-I/O rounds per completed service job.
-H_SERVICE_JOB_ROUNDS = "service.job_rounds"
 
 # -- point events ----------------------------------------------------------
 
@@ -334,23 +246,9 @@ EV_OVERLAP_DISKS = "overlap_disks"
 #: A disk died (planned death or breaker escalation); attrs carry the
 #: disk id, trigger, and blocks recovered onto the survivors.
 EV_DISK_DEATH = "disk_death"
-#: A cluster node was lost mid-exchange; attrs carry the node id, the
-#: round it died after, and the rebuild charges.
-EV_NODE_LOSS = "node_loss"
-#: One all-to-all exchange round; attrs carry the round index, its
-#: critical (slowest-link) time, and per-link ``{src, dst, blocks,
-#: records, ms}`` alpha-beta charges.
-EV_EXCHANGE_ROUND = "exchange_round"
 #: One parallel-merge worker finished its range drain; attrs carry the
 #: worker index, records merged, and wall-clock drain seconds.
 EV_PMERGE_WORKER = "pmerge_worker"
-#: A job asked for more frames than its tenant's quota can ever hold;
-#: attrs carry the job, tenant, need, and quota.
-EV_QUOTA_VIOLATION = "quota_violation"
-#: A job was cancelled mid-flight; attrs carry the job, tenant, and the
-#: rounds it had consumed.
-EV_JOB_ABORTED = "job_aborted"
-
 
 # -- bucket layouts --------------------------------------------------------
 #

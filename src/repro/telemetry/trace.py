@@ -9,15 +9,15 @@ Every traced operation becomes one :class:`TraceRecord` with
 
 * ``queue_ms`` / ``start_ms`` / ``end_ms`` — simulated-clock timestamps
   (when the request was issued, when service began, when it completed);
-* a ``lane`` (``disk3``, ``cpu``, ``channel``, ``node2``, ``link``,
-  ``worker1``) and a ``domain`` grouping one timeline (``merge:1``,
-  ``demand:0``, ``cluster:0``, ``wall:0``);
-* a ``cat`` in ``{read, write, compute, stall, link, recovery}`` — the
+* a ``lane`` (``disk3``, ``cpu``, ``channel``, ``worker1``) and a
+  ``domain`` grouping one timeline (``merge:1``, ``demand:0``,
+  ``wall:0``);
+* a ``cat`` in ``{read, write, compute, stall, recovery}`` — the
   attribution bucket the record charges time to;
 * a causal predecessor ``dep`` — the index of the record whose
   completion *bound* this record's start (the queue predecessor on a
-  busy disk, the issuing CPU batch, the stall's awaited arrival, the
-  previous phase's barrier).  Producers choose the dep so that
+  busy disk, the issuing CPU batch, the stall's awaited arrival).
+  Producers choose the dep so that
   ``dep.end_ms >= start_ms`` holds bit-exactly; that invariant is what
   lets the critical-path walk tile the makespan with no float slack.
 
@@ -50,14 +50,13 @@ __all__ = [
     "TraceCollector",
     "NetTracer",
     "SystemTracer",
-    "StagedTracer",
     "chrome_trace",
     "write_chrome_trace",
     "trace_events_from_stream",
 ]
 
 #: The attribution buckets every record charges into.
-TRACE_CATEGORIES = ("read", "write", "compute", "stall", "link", "recovery")
+TRACE_CATEGORIES = ("read", "write", "compute", "stall", "recovery")
 
 #: Map a producer ``kind`` to its attribution category.
 KIND_CATEGORY = {
@@ -68,8 +67,6 @@ KIND_CATEGORY = {
     "read_stall": "stall",
     "write_stall": "stall",
     "fault_stall": "stall",
-    "link": "link",
-    "link_round": "link",
     "recovery": "recovery",
     "backoff": "recovery",
 }
@@ -242,18 +239,13 @@ class NetTracer:
     path names the fault, not just a longer read.
     """
 
-    __slots__ = (
-        "collector", "domain", "issuer_dep", "last_batch", "_tail", "context",
-    )
+    __slots__ = ("collector", "domain", "issuer_dep", "last_batch", "_tail")
 
     def __init__(self, collector: TraceCollector, domain: str) -> None:
         self.collector = collector
         self.domain = domain
         #: Set by the issuing side before each ``ServiceNetwork.submit``.
         self.issuer_dep: int | None = None
-        #: Optional attrs merged into every op record (e.g. ``{"job":
-        #: "t0-j1", "tenant": "t0"}``) so queued ops decompose per job.
-        self.context: dict | None = None
         #: Record index of the final record of each op in the last batch,
         #: positionally matching the submitted ``disk_ids``.
         self.last_batch: list[int] = []
@@ -288,10 +280,7 @@ class NetTracer:
                 issue_ms, candidate, not_before, dep=dep,
             )
         mid = start + core_ms
-        rec = col.add(
-            kind, lane, self.domain, issue_ms, start, mid, dep=dep,
-            attrs=dict(self.context) if self.context else None,
-        )
+        rec = col.add(kind, lane, self.domain, issue_ms, start, mid, dep=dep)
         if service_ms != core_ms:
             # Retry penalties + charged recovery block-ops tail the op.
             rec = col.add(
@@ -320,100 +309,25 @@ class SystemTracer:
     charged stripe op, parity write, and backoff extends one global
     timeline — so the trace is a single ``channel`` lane whose records
     tile ``[0, elapsed_ms]`` exactly, each depending on the previous.
-
-    ``context`` tags every record with extra attrs; the multi-tenant
-    service sets it to the granted job's ``{"job", "tenant"}`` before
-    each round, which is what lets the critical-path attribution
-    decompose the shared makespan per tenant.  :meth:`idle` records the
-    gaps the service spends waiting for the next arrival, so the tagged
-    timeline still tiles ``[0, makespan]`` exactly.
     """
 
-    __slots__ = ("collector", "domain", "_tail", "context")
+    __slots__ = ("collector", "domain", "_tail")
 
     def __init__(self, collector: TraceCollector, domain: str) -> None:
         self.collector = collector
         self.domain = domain
         self._tail: int | None = None
-        #: Optional attrs merged into every record (service job tags).
-        self.context: dict | None = None
 
     def op(self, kind: str, n_disks: int, t0: float, t1: float) -> None:
         if t1 == t0:
             return
-        attrs = {"disks": n_disks} if n_disks else {}
-        if self.context:
-            attrs.update(self.context)
         self._tail = self.collector.add(
             kind, "channel", self.domain, t0, t0, t1, dep=self._tail,
-            attrs=attrs or None,
-        )
-
-    def idle(self, t0: float, t1: float) -> None:
-        """Record a service idle gap (no runnable job) as a stall."""
-        if t1 == t0:
-            return
-        self._tail = self.collector.add(
-            "idle", "channel", self.domain, t0, t0, t1, dep=self._tail,
-            cat="stall", attrs={"tenant": "(idle)"},
+            attrs={"disks": n_disks} if n_disks else None,
         )
 
     def finish(self, makespan_ms: float, exact: bool = True) -> None:
         self.collector.summary(self.domain, makespan_ms, exact)
-
-
-class StagedTracer:
-    """Per-node demand tracer that rebases onto the cluster clock.
-
-    Cluster nodes run on private clocks; the driver folds each phase's
-    slowest node into the cluster makespan.  This tracer buffers records
-    in node-local time and, at each phase barrier, :meth:`flush`\\ es
-    them rebased as ``phase_start + (t - origin)`` — the same
-    subtraction/addition the driver's phase fold performs, so the
-    slowest node's final record lands bit-exactly on the next phase
-    start.
-    """
-
-    __slots__ = ("lane", "_pending", "origin")
-
-    def __init__(self, lane: str) -> None:
-        self.lane = lane
-        self._pending: list[tuple[str, float, float, int]] = []
-        self.origin = 0.0
-
-    def begin_phase(self, origin: float) -> None:
-        self.origin = origin
-
-    def op(self, kind: str, n_disks: int, t0: float, t1: float) -> None:
-        if t1 == t0:
-            return
-        self._pending.append((kind, t0, t1, n_disks))
-
-    def flush(
-        self,
-        collector: TraceCollector,
-        domain: str,
-        phase_start: float,
-        barrier_dep: int | None,
-    ) -> tuple[int | None, float]:
-        """Rebase and emit buffered records; returns (last id, last end)."""
-        origin = self.origin
-        dep = barrier_dep
-        last: int | None = None
-        last_end = phase_start
-        for kind, t0, t1, n_disks in self._pending:
-            dep = collector.add(
-                kind, self.lane, domain,
-                phase_start + (t0 - origin),
-                phase_start + (t0 - origin),
-                phase_start + (t1 - origin),
-                dep=dep,
-                attrs={"disks": n_disks} if n_disks else None,
-            )
-            last = dep
-            last_end = phase_start + (t1 - origin)
-        self._pending.clear()
-        return last, last_end
 
 
 # ---------------------------------------------------------------------------

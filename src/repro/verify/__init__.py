@@ -2,7 +2,6 @@
 
 from .checks import (
     assert_sorted_permutation,
-    check_cluster_shards,
     check_striped_run,
     check_superblock_run,
     is_permutation_of,
@@ -11,7 +10,6 @@ from .checks import (
 
 __all__ = [
     "assert_sorted_permutation",
-    "check_cluster_shards",
     "check_striped_run",
     "check_superblock_run",
     "is_permutation_of",

@@ -119,54 +119,6 @@ def audit_checksums(system: ParallelDiskSystem) -> dict:
     return {"checked": checked, "sealed": sealed, "stale": stale}
 
 
-def check_cluster_shards(result) -> None:
-    """Validate a :class:`~repro.cluster.sort.ClusterSortResult`.
-
-    Raises :class:`DataError` on the first violation of the cluster
-    contract:
-
-    * every node's shard is a valid on-disk striped run on that node's
-      own disk system (placement, forecasts, metadata — the full
-      :func:`check_striped_run`);
-    * shard key ranges respect the splitters: node ``j``'s keys lie in
-      ``(s_{j-1}, s_j]`` — every record landed on its owner;
-    * shards are globally ordered across node boundaries, so the
-      node-order concatenation is sorted;
-    * shard sizes sum to the input size (no record lost or duplicated
-      by the exchange, even across a node rebuild).
-    """
-    splitters = np.asarray(result.splitters, dtype=np.int64)
-    total = 0
-    prev_last = None
-    for node in result.nodes:
-        if node.shard is None:
-            continue
-        check_striped_run(node.system, node.shard)
-        keys = node.peek_shard()
-        total += keys.size
-        j = node.index
-        if j > 0 and splitters.size and keys[0] <= int(splitters[j - 1]):
-            raise DataError(
-                f"node {j} holds key {int(keys[0])} <= splitter "
-                f"{int(splitters[j - 1])} owned by an earlier node"
-            )
-        if j < splitters.size and keys[-1] > int(splitters[j]):
-            raise DataError(
-                f"node {j} holds key {int(keys[-1])} > its splitter "
-                f"{int(splitters[j])}"
-            )
-        if prev_last is not None and keys[0] < prev_last:
-            raise DataError(
-                f"node {j}'s shard overlaps its predecessor "
-                f"({int(keys[0])} < {int(prev_last)})"
-            )
-        prev_last = keys[-1]
-    if total != result.n_records:
-        raise DataError(
-            f"shards hold {total} records, input had {result.n_records}"
-        )
-
-
 def check_superblock_run(system: ParallelDiskSystem, run) -> None:
     """Validate a DSM superblock run's on-disk invariants.
 

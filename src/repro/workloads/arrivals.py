@@ -1,12 +1,12 @@
-"""Job-arrival generators for the multi-tenant sort service.
+"""Job-arrival generators: seeded scripts of sort jobs over time.
 
-A service run is driven by a declarative *arrival script*: a list of
-:class:`JobArrival` rows saying which tenant submits how many records at
-what simulated time.  This module generates such scripts — seeded
-Poisson streams, bursty on/off streams, and simultaneous batches — and
-round-trips them through JSON trace files, so ``repro serve``, the
-chaos harness, and the bench contention section all replay identical
-workloads from one seed.
+An *arrival script* is a list of :class:`JobArrival` rows saying which
+tenant submits how many records at what simulated time.  This module
+generates such scripts — seeded Poisson streams, bursty on/off streams,
+and simultaneous batches — and round-trips them through JSON trace
+files.  Nothing in ``repro`` consumes a script since the multi-tenant
+service was deleted; the module is kept with its tests until a later
+change removes it (see ROADMAP).
 
 Every generator is deterministic for a fixed seed, returns arrivals
 sorted by time (ties broken by job index), and sizes drawn uniformly

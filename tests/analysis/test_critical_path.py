@@ -4,7 +4,7 @@ The load-bearing contract of the trace plane: for every simulated-clock
 domain, the longest causal path through the trace records has length
 **bit-identical** to the simulated makespan — not approximately, the
 same float.  That holds for SRM demand sorts, all three overlap-engine
-modes, DSM, the cluster plane (phase-rebased), and faulted runs whose
+modes, DSM, and faulted runs whose
 stall/recovery tails ride the same clock.
 """
 
@@ -21,7 +21,6 @@ from repro.analysis.critical_path import (
 )
 from repro.baselines import dsm_sort
 from repro.core.config import DSMConfig
-from repro.cluster import ClusterConfig, cluster_sort
 from repro.core import SRMConfig, srm_sort
 from repro.core.config import OverlapConfig
 from repro.core.events import OverlapReport
@@ -77,23 +76,6 @@ class TestExactness:
         col = tel.attach_trace()
         dsm_sort(keys, DSMConfig.from_memory(1024, 4, 32), telemetry=tel)
         assert_all_exact(col)
-
-    def test_cluster_phase_rebasing(self):
-        keys = uniform_permutation(4000, rng=6)
-        tel = Telemetry(algo="cluster")
-        col = tel.attach_trace()
-        _out, result = cluster_sort(
-            keys, ClusterConfig(n_nodes=3), SRMConfig.from_k(4, 4, 32),
-            rng=7, telemetry=tel,
-        )
-        analyses = assert_all_exact(col)
-        clus = [a for d, a in analyses.items() if d.startswith("cluster")]
-        assert len(clus) == 1
-        # The rebased clock must land exactly on the reported makespan.
-        assert clus[0].makespan_ms == result.makespan_ms
-        lanes = {ls.lane for ls in clus[0].lanes}
-        assert {"node0", "node1", "node2"} <= lanes
-        assert "link" in lanes
 
     def test_faulted_overlap_names_the_fault(self):
         keys = uniform_permutation(4000, rng=8)

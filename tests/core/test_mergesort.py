@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.core import LayoutStrategy, SRMConfig, srm_mergesort, srm_sort
 from repro.disks import ParallelDiskSystem, StripedFile
 from repro.errors import ConfigError
+from repro.faults import FaultPlan
 
 
 def small_config(D=4, B=8, k=2):
@@ -100,14 +101,37 @@ class TestPassStructure:
         _, res = srm_sort(keys, cfg, rng=1, run_length=96)
         assert res.n_merge_passes == 1
 
-    def test_each_pass_reads_and_writes_every_block(self, rng):
+    @staticmethod
+    def _check_pass_accounting(rng, faults=None):
+        # 32 runs of 96 keys, R = 8: two passes.  A retried read is charged
+        # as backoff time, not as another round, so faults change no count.
         cfg = small_config(D=4, B=8, k=2)
         keys = rng.permutation(3072)
-        _, res = srm_sort(keys, cfg, rng=1, run_length=96)
-        n_blocks = 3072 // 8
+        _, res = srm_sort(keys, cfg, rng=1, run_length=96, faults=faults)
+        stripes = 3072 // 8 // 4
+        merges = iter(res.merge_schedules)
         for p in res.passes:
-            assert p.parallel_writes == n_blocks // 4  # perfect parallelism
-            assert p.parallel_reads >= n_blocks // 4
+            assert p.parallel_writes == stripes  # perfect parallelism
+            schedules = [next(merges) for _ in range(p.n_merges)]
+            assert p.parallel_reads == sum(
+                s.initial_reads + s.merge_parreads for s in schedules
+            )
+        assert next(merges, None) is None
+        assert [p.parallel_reads for p in res.passes] == [111, 98]
+        # Run formation reads and writes every stripe once; the passes
+        # account for every other charged operation.
+        assert res.io.parallel_reads == stripes + 209 == 305
+        assert res.io.parallel_writes == stripes + 2 * stripes == 288
+        return res
+
+    def test_each_pass_reads_and_writes_every_block(self, rng):
+        self._check_pass_accounting(rng)
+
+    def test_each_pass_reconciles_under_read_faults(self, rng):
+        res = self._check_pass_accounting(
+            rng, FaultPlan(seed=3, read_fail_p=0.05)
+        )
+        assert res.system.faults.stats.retries > 0
 
     def test_leftover_run_carries_over_without_io(self, rng):
         # 9 runs with R = 8: pass 1 merges 8 and carries 1.

@@ -53,13 +53,6 @@ class TestSpecParsing:
         with pytest.raises(ConfigError):
             BackendSpec(kind="tape")
 
-    def test_spec_child_scopes_workdir(self):
-        spec = BackendSpec(kind="mmap", workdir="/w")
-        assert spec.child("node3").workdir == os.path.join("/w", "node3")
-        # memory and tempdir specs are unaffected
-        assert BackendSpec(kind="memory").child("x").workdir is None
-        assert BackendSpec(kind="mmap").child("x").workdir is None
-
     def test_backend_not_shareable(self):
         be = MmapFileBackend()
         ParallelDiskSystem(2, 4, backend=be)

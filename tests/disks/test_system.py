@@ -11,7 +11,6 @@ from repro.disks import (
     Block,
     BlockAddress,
     DiskTimingModel,
-    IOStats,
     ParallelDiskSystem,
 )
 from repro.errors import ConfigError, InvalidIOError
@@ -188,16 +187,6 @@ class TestAccounting:
         assert sys.used_blocks == 1
         sys.free(a)
         assert sys.used_blocks == 0
-
-    def test_stats_sink_mirrors_charged_op(self):
-        sys = system(D=3)
-        a0 = sys.allocate(0)
-        a2 = sys.allocate(2)
-        sys.stats_sink = IOStats(n_disks=3)
-        sys.write_stripe([(a0, blk()), (a2, blk())])
-        sys.read_stripe([a2])
-        assert sys.stats_sink.same_counts(sys.stats)
-        assert sys.stats.parallel_ios == 2
 
 
 class TestChargeRounds:

@@ -3,7 +3,7 @@
 Contracts under test:
 
 * Same seed + same config ⇒ **byte-identical** trace JSONL, for SRM
-  (demand and overlap), DSM, and the cluster plane.  Determinism holds
+  (demand and overlap) and DSM.  Determinism holds
   on the simulated-clock domains; the wall-clock ``wall:N`` domains
   from the parallel merge plane are explicitly excluded (they declare
   ``exact=False`` and never appear on the default serial paths).
@@ -12,8 +12,7 @@ Contracts under test:
   truncated ring flags the walk instead of silently misattributing.
 * ``chrome_trace`` emits structurally valid Chrome trace-event JSON.
 * The parallel merge plane emits one ``pmerge_worker`` event per range
-  plus wall-domain drain records; the exchange plane emits one
-  ``exchange_round`` event per shifted round with per-link payloads.
+  plus wall-domain drain records.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import pytest
 
 from repro.baselines import dsm_sort
 from repro.core.config import DSMConfig
-from repro.cluster import ClusterConfig, cluster_sort
 from repro.core import SRMConfig, srm_sort
 from repro.core.config import OverlapConfig
 from repro.core.parallel_merge import parallel_merge_runs
@@ -34,7 +32,6 @@ from repro.disks.files import StripedRun
 from repro.telemetry import Telemetry
 from repro.telemetry.report import RunReport
 from repro.telemetry.schema import (
-    EV_EXCHANGE_ROUND,
     EV_PMERGE_WORKER,
     validate_events,
 )
@@ -76,19 +73,6 @@ class TestDeterminism:
             tel = Telemetry(algo="dsm")
             tel.attach_trace()
             dsm_sort(keys, cfg, telemetry=tel)
-            return trace_blob(tel.finish())
-
-        assert run() == run()
-
-    def test_cluster_trace_is_byte_identical(self):
-        def run():
-            keys = uniform_permutation(4000, rng=3)
-            tel = Telemetry(algo="cluster")
-            tel.attach_trace()
-            cluster_sort(
-                keys, ClusterConfig(n_nodes=3), SRMConfig.from_k(4, 4, 32),
-                rng=9, telemetry=tel,
-            )
             return trace_blob(tel.finish())
 
         assert run() == run()
@@ -185,36 +169,3 @@ class TestPmergeWorkerSpans:
         assert all(
             not s.exact for s in col.summaries if s.domain.startswith("wall")
         )
-
-
-class TestExchangeRoundSpans:
-    def test_round_events_and_links(self):
-        keys = uniform_permutation(4000, rng=21)
-        tel = Telemetry(algo="cluster")
-        tel.attach_trace()
-        _out, result = cluster_sort(
-            keys, ClusterConfig(n_nodes=3), SRMConfig.from_k(4, 4, 32),
-            rng=22, telemetry=tel,
-        )
-        events = tel.finish()
-        rounds = [
-            e for e in events
-            if e["type"] == "event" and e["name"] == EV_EXCHANGE_ROUND
-        ]
-        assert rounds, "shifted exchange rounds must emit span events"
-        for e in rounds:
-            assert e["attrs"]["round_ms"] >= 0.0
-            for ln in e["attrs"]["links"]:
-                assert ln["src"] != ln["dst"]
-                assert ln["blocks"] > 0 and ln["records"] > 0
-                assert ln["ms"] > 0.0
-        report = result.exchange
-        assert len(report.round_links) == len(report.round_ms)
-        assert report.round_links[0] == []  # round 0 is node-local
-        # Trace link records mirror the event links.
-        tel2_links = [
-            e for e in events
-            if e["type"] == "trace" and e["kind"] == "link"
-        ]
-        total_links = sum(len(links) for links in report.round_links)
-        assert len(tel2_links) == total_links

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import external_sort
+from repro import external_sort, external_sort_records
 from repro.errors import ConfigError
 
 
@@ -62,3 +62,44 @@ class TestExternalSort:
         with pytest.raises(ConfigError):
             external_sort(rng.permutation(100), memory_records=10,
                           n_disks=4, block_size=8)
+
+
+class TestEmptyInputValidation:
+    """An empty input is held to the same settings as a non-empty one."""
+
+    EMPTY = np.array([], dtype=np.int64)
+
+    def test_unknown_algorithm(self):
+        with pytest.raises(ConfigError, match="unknown algorithm"):
+            external_sort(self.EMPTY, 4096, 4, 16, algorithm="bogus")
+
+    def test_unknown_formation(self):
+        with pytest.raises(ConfigError, match="unknown formation"):
+            external_sort(self.EMPTY, 4096, 4, 16, formation="bogus")
+
+    def test_dsm_rejects_replacement_selection(self):
+        with pytest.raises(ConfigError):
+            external_sort(self.EMPTY, 600, 4, 8, algorithm="dsm",
+                          formation="replacement_selection")
+
+    @pytest.mark.parametrize("algorithm", ["srm", "dsm"])
+    def test_memory_too_small(self, algorithm):
+        with pytest.raises(ConfigError):
+            external_sort(self.EMPTY, memory_records=10, n_disks=4,
+                          block_size=8, algorithm=algorithm)
+
+    def test_records_unknown_algorithm(self):
+        with pytest.raises(ConfigError, match="unknown algorithm"):
+            external_sort_records(self.EMPTY, self.EMPTY, 4096, 4, 16,
+                                  algorithm="bogus")
+
+    def test_records_memory_too_small(self):
+        with pytest.raises(ConfigError):
+            external_sort_records(self.EMPTY, self.EMPTY, memory_records=10,
+                                  n_disks=4, block_size=8)
+
+    def test_valid_settings_still_return_empty(self):
+        keys, pays, stats = external_sort_records(self.EMPTY, self.EMPTY,
+                                                  600, 4, 8, algorithm="dsm")
+        assert keys.size == pays.size == 0
+        assert stats.algorithm == "dsm" and stats.parallel_ios == 0

@@ -130,49 +130,3 @@ class TestCheckSuperblockRun:
         with pytest.raises(DataError):
             check_superblock_run(system, run)
 
-
-class TestCheckClusterShards:
-    def _result(self, seed=0, p=2):
-        from repro.cluster import ClusterConfig, cluster_sort
-        from repro.core import SRMConfig
-
-        keys = np.random.default_rng(42).permutation(4000).astype(np.int64)
-        cfg = SRMConfig.from_k(2, 2, 8)
-        _, res = cluster_sort(keys, ClusterConfig(n_nodes=p), cfg, rng=seed)
-        return res
-
-    def test_valid_cluster_passes(self):
-        from repro.verify import check_cluster_shards
-
-        check_cluster_shards(self._result())
-
-    def test_detects_record_loss(self):
-        from repro.verify import check_cluster_shards
-
-        res = self._result()
-        res.n_records += 1
-        with pytest.raises(DataError):
-            check_cluster_shards(res)
-
-    def test_detects_splitter_violation(self):
-        from repro.verify import check_cluster_shards
-
-        res = self._result()
-        # Claim a splitter below node 1's smallest key: its whole shard
-        # now sits above its range, but node 0's shard must then violate
-        # either its own upper bound or the global order.
-        res.splitters = res.splitters - (res.splitters + 1)
-        with pytest.raises(DataError):
-            check_cluster_shards(res)
-
-    def test_detects_shard_overlap(self):
-        from repro.verify import check_cluster_shards
-
-        res = self._result()
-        # Swap the two nodes' positions: shards are each valid runs but
-        # their node-order concatenation is no longer sorted.
-        res.nodes = list(reversed(res.nodes))
-        res.nodes[0].index, res.nodes[1].index = 0, 1
-        res.splitters = np.empty(0, dtype=np.int64)
-        with pytest.raises(DataError):
-            check_cluster_shards(res)
