@@ -28,6 +28,7 @@ from ..errors import ConfigError, DataError
 from ..rng import RngLike
 from ..core.config import DSMConfig
 from ..core.keyorder import stable_argsort
+from ..core.mergesort import _sort_on_fresh_system
 from ..telemetry import TELEMETRY_OFF
 from ..telemetry.schema import (
     H_DRAIN_BATCH,
@@ -144,28 +145,15 @@ class DSMSortResult:
 
     def peek_sorted(self, system: ParallelDiskSystem | None = None) -> np.ndarray:
         """Read the sorted output without charging I/O."""
-        sys = self._system(system)
-        # peek() resolves degraded-mode remaps after a disk death.
-        parts = []
-        for stripe in self.output.stripes:
-            for addr in stripe:
-                parts.append(sys.peek(addr).keys)
-        return np.concatenate(parts)
+        return self.peek_sorted_records(system)[0]
 
     def peek_sorted_records(
         self, system: ParallelDiskSystem | None = None
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """Read sorted keys and payloads without charging I/O."""
-        sys = self._system(system)
-        blocks = [
-            sys.peek(addr)
-            for stripe in self.output.stripes
-            for addr in stripe
-        ]
-        keys = np.concatenate([b.keys for b in blocks])
-        if blocks[0].payloads is None:
-            return keys, None
-        return keys, np.concatenate([b.payloads for b in blocks])
+        return self._system(system).peek_records(
+            [addr for stripe in self.output.stripes for addr in stripe]
+        )
 
 
 class _SuperblockReader:
@@ -364,15 +352,15 @@ def dsm_mergesort(
     """
     if config.n_disks != system.n_disks or config.block_size != system.block_size:
         raise ConfigError("config geometry does not match the disk system")
+    length = run_length if run_length is not None else config.memory_records
+    B = system.block_size
+    if length < B:
+        raise ConfigError(f"run length {length} smaller than one block (B={B})")
     if infile.n_records == 0:
         raise ConfigError("cannot sort an empty file")
     start_stats = system.stats.snapshot()
     tel = telemetry if telemetry is not None else TELEMETRY_OFF
-    length = run_length if run_length is not None else config.memory_records
-    B = system.block_size
-    blocks_per_run = max(1, length // B)
-    if length < B:
-        raise ConfigError(f"run length {length} smaller than one block (B={B})")
+    blocks_per_run = length // B
 
     sort_span = tel.span(
         SPAN_SORT,
@@ -482,7 +470,6 @@ def dsm_sort(
     telemetry=None,
     faults=None,
     backend=None,
-    timing: "DiskTimingModel | None" = None,
 ) -> tuple[np.ndarray, DSMSortResult]:
     """Convenience: DSM-sort a key array on a fresh simulated system.
 
@@ -490,33 +477,11 @@ def dsm_sort(
     deterministic fault injection before any block is placed.
     *backend* selects the block-storage backend of the fresh system
     (see :mod:`repro.disks.backends`), so the DSM baseline can run
-    out-of-core side by side with SRM.  *timing* attaches a disk
-    service-time model so the demand clock (and the causal trace, when
-    the telemetry handle carries one) advances; DSM stays demand-paced
-    either way.
+    out-of-core side by side with SRM.
     """
-    keys = np.asarray(keys, dtype=np.int64)
-    if keys.size == 0:
-        return keys.copy(), None  # type: ignore[return-value]
-    system = ParallelDiskSystem(config.n_disks, config.block_size, backend=backend)
-    if faults is not None:
-        system.attach_faults(faults, telemetry=telemetry)
-    collector = getattr(telemetry, "trace", None)
-    demand_tracer = None
-    if collector is not None:
-        from ..disks.timing import DISK_1996
-        from ..telemetry.trace import SystemTracer
-
-        if system.timing is None:
-            system.timing = timing if timing is not None else DISK_1996
-        demand_tracer = SystemTracer(collector, collector.new_domain("demand"))
-        system.tracer = demand_tracer
-    elif timing is not None and system.timing is None:
-        system.timing = timing
-    infile = StripedFile.from_records(system, keys, payloads=payloads)
-    result = dsm_mergesort(
-        system, infile, config, run_length=run_length, telemetry=telemetry
+    return _sort_on_fresh_system(
+        lambda system, infile: dsm_mergesort(
+            system, infile, config, run_length=run_length, telemetry=telemetry
+        ),
+        config, keys, payloads, telemetry, faults, backend, demand_paced=True,
     )
-    if demand_tracer is not None:
-        demand_tracer.finish(system.elapsed_ms)
-    return result.peek_sorted(system), result

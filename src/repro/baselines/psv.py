@@ -296,13 +296,10 @@ class PSVSortResult:
         return self.io.parallel_ios if self.io is not None else 0
 
     def peek_sorted(self) -> np.ndarray:
-        assert self.system is not None
-        return np.concatenate(
-            [
-                self.system.disks[a.disk].read(a.slot).keys
-                for a in self.output.addresses
-            ]
-        )
+        """Read the sorted output without charging I/O."""
+        if self.system is None:
+            raise ConfigError("no disk system attached")
+        return self.system.peek_records(self.output.addresses)[0]
 
 
 def psv_mergesort(

@@ -22,7 +22,6 @@ from .merge import MergeResult, merge_runs
 from .mergesort import (
     PassStats,
     SortResult,
-    run_merge_passes,
     srm_mergesort,
     srm_sort,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "merge_runs",
     "PassStats",
     "SortResult",
-    "run_merge_passes",
     "srm_mergesort",
     "srm_sort",
     "PhaseBound",

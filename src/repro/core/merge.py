@@ -35,7 +35,7 @@ from ..disks.block import NO_KEY
 from ..disks.counters import IOStats
 from ..disks.files import StripedRun
 from ..disks.system import ParallelDiskSystem
-from ..disks.timing import DISK_1996, DiskTimingModel
+from ..disks.timing import DISK_1996
 from ..errors import DataError, ScheduleError
 from ..telemetry import TELEMETRY_OFF
 from ..telemetry.schema import SPAN_MERGE
@@ -84,7 +84,6 @@ def merge_runs(
     output_start_disk: int,
     validate: bool = False,
     overlap: OverlapConfig | None = None,
-    timing: DiskTimingModel | None = None,
     telemetry=None,
 ) -> MergeResult:
     """Merge *runs* into one striped run on *system*.
@@ -109,9 +108,8 @@ def merge_runs(
         and chunked merge compute on a shared simulated clock; the
         result carries its :class:`OverlapReport`.  The engine changes
         *when* operations complete, never *what* is read or written.
-    timing:
-        Disk service-time model for the engine (default
-        :data:`~repro.disks.timing.DISK_1996`).
+        Disk service times come from ``system.timing``
+        (:data:`~repro.disks.timing.DISK_1996` when the system has none).
     telemetry:
         A :class:`~repro.telemetry.Telemetry` instance; when given, the
         merge runs inside a ``merge`` span carrying scheduler counts and
@@ -141,7 +139,7 @@ def merge_runs(
     eng: OverlapEngine | None = None
     if overlap is not None:
         eng = OverlapEngine(
-            timing if timing is not None else DISK_1996,
+            system.timing if system.timing is not None else DISK_1996,
             system.block_size,
             system.n_disks,
             overlap,

@@ -16,7 +16,7 @@ import numpy as np
 from ..disks.counters import IOStats
 from ..disks.files import StripedFile, StripedRun
 from ..disks.system import ParallelDiskSystem
-from ..disks.timing import DiskTimingModel
+from ..disks.timing import DISK_1996
 from ..errors import ConfigError
 from ..rng import RngLike, ensure_rng
 from ..telemetry import TELEMETRY_OFF
@@ -89,69 +89,109 @@ class SortResult:
 
     def peek_sorted(self, system: ParallelDiskSystem | None = None) -> np.ndarray:
         """Read the sorted output without charging I/O (verification aid)."""
-        sys = self._system(system)
-        # peek() resolves degraded-mode remaps, so the output reads
-        # back correctly even after a disk death relocated blocks.
-        parts = [sys.peek(a).keys for a in self.output.addresses]
-        return np.concatenate(parts)
+        return self.peek_sorted_records(system)[0]
 
     def peek_sorted_records(
         self, system: ParallelDiskSystem | None = None
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """Read sorted keys and payloads without charging I/O."""
-        sys = self._system(system)
-        blocks = [sys.peek(a) for a in self.output.addresses]
-        keys = np.concatenate([b.keys for b in blocks])
-        if blocks[0].payloads is None:
-            return keys, None
-        return keys, np.concatenate([b.payloads for b in blocks])
+        return self._system(system).peek_records(self.output.addresses)
 
 
-def run_merge_passes(
+def srm_mergesort(
     system: ParallelDiskSystem,
-    runs: list[StripedRun],
+    infile: StripedFile,
     config: SRMConfig,
-    result: SortResult,
     strategy: LayoutStrategy = LayoutStrategy.RANDOMIZED,
     rng: RngLike = None,
     validate: bool = False,
+    run_length: int | None = None,
+    formation: str = "load_sort",
     overlap: OverlapConfig | None = None,
-    timing: DiskTimingModel | None = None,
     telemetry=None,
     merge_workers: int | None = None,
-) -> StripedRun:
-    """Merge *runs* down to a single run with ``ceil(log_R)`` passes.
+) -> SortResult:
+    """Sort *infile* on *system* with SRM; returns the sorted run + stats.
 
-    The back half of the SRM driver, called after run formation.  Pass
-    accounting (``PassStats``, schedules, heap cycles, overlap reports)
-    accumulates into *result*; the final single run is returned.  A
-    one-run input returns immediately with no I/O.
+    Every setting is checked before any span opens or any I/O is
+    charged; an empty *infile* is rejected after them.
 
-    ``merge_workers`` > 1 routes every merge through the
-    process-parallel Merge Path plane
-    (:func:`~repro.core.parallel_merge.parallel_merge_runs`) instead of
-    the serial data plane — same ParRead/flush schedule, same output,
-    W-way multi-core drain.  ``None`` or 1 is the serial plane; values
-    below 1 are rejected.  Incompatible with *overlap* (the engine paces
-    the serial plane's cycle loop).
+    Parameters
+    ----------
+    config:
+        Merge order and geometry; must match the system's ``D`` and ``B``.
+    strategy:
+        Start-disk policy for runs (the paper's SRM is ``RANDOMIZED``).
+    rng:
+        Randomness source for run placement.
+    run_length:
+        Records per initial run (default: the configuration's full
+        memory, ``config.memory_records``).
+    formation:
+        ``"load_sort"`` or ``"replacement_selection"``.
+    overlap:
+        Drive every merge through the discrete-event overlap engine,
+        timed by ``system.timing`` (``DISK_1996`` when the system has
+        none); per-merge :class:`OverlapReport`\\ s land in
+        ``SortResult.overlap_reports``.  Does not change the sorted
+        output or the I/O counts in ``overlap.mode == "none"``.
+    telemetry:
+        A :class:`~repro.telemetry.Telemetry` instance; the sort runs
+        inside a ``sort`` span enclosing a ``run_formation`` span and
+        one ``merge_pass`` span per pass (each merge adds its own
+        ``merge`` span).  ``None`` uses the zero-overhead null layer.
+    merge_workers:
+        ``W`` > 1 drains every merge through the process-parallel Merge
+        Path plane (:mod:`repro.core.parallel_merge`): same schedule,
+        same output.  ``None`` or 1 is the serial plane.
     """
-    if merge_workers is not None and merge_workers < 1:
-        raise ConfigError(f"merge_workers must be >= 1, got {merge_workers}")
-    gen = ensure_rng(rng)
-    parallel_workers = merge_workers if merge_workers and merge_workers > 1 else None
-    if parallel_workers is not None and overlap is not None:
-        raise ConfigError(
-            "merge_workers > 1 cannot be combined with the overlap engine "
-            "— the parallel plane has no cycle loop to pace"
-        )
+    if config.n_disks != system.n_disks or config.block_size != system.block_size:
+        raise ConfigError("config geometry does not match the disk system")
+    if formation not in ("load_sort", "replacement_selection"):
+        raise ConfigError(f"unknown formation method {formation!r}")
+    parallel_workers = None if merge_workers in (None, 1) else merge_workers
     if parallel_workers is not None:
-        from .parallel_merge import parallel_merge_runs
+        from .parallel_merge import check_merge_workers, parallel_merge_runs
+
+        check_merge_workers(system, parallel_workers, overlap)
+    if infile.n_records == 0:
+        raise ConfigError("cannot sort an empty file")
+    gen = ensure_rng(rng)
     tel = telemetry if telemetry is not None else TELEMETRY_OFF
+    start_stats = system.stats.snapshot()
+    length = run_length if run_length is not None else config.memory_records
+
+    sort_span = tel.span(
+        SPAN_SORT,
+        system=system,
+        n_records=infile.n_records,
+        n_disks=system.n_disks,
+        block_size=system.block_size,
+        merge_order=config.merge_order,
+        formation=formation,
+    )
+    rf_span = tel.span(
+        SPAN_RUN_FORMATION, system=system, run_length=length
+    )
+    form_runs = (
+        form_runs_load_sort
+        if formation == "load_sort"
+        else form_runs_replacement_selection
+    )
+    runs = form_runs(system, infile, length, strategy, gen, telemetry=telemetry)
+    rf_span.set(runs_formed=len(runs))
+    rf_span.close()
+
+    result = SortResult(
+        output=runs[0],  # replaced once the passes are done
+        config=config,
+        n_records=infile.n_records,
+        runs_formed=len(runs),
+    )
     R = config.merge_order
     run_id = len(runs)
-    pass_index = len(result.passes)
     while len(runs) > 1:
-        pass_index += 1
+        pass_index = len(result.passes) + 1
         groups = [runs[i : i + R] for i in range(0, len(runs), R)]
         out_runs: list[StripedRun] = []
         starts = choose_start_disks(len(groups), system.n_disks, strategy, gen)
@@ -186,7 +226,6 @@ def run_merge_passes(
                     output_start_disk=int(starts[g]),
                     validate=validate,
                     overlap=overlap,
-                    timing=timing,
                     telemetry=telemetry,
                 )
             run_id += 1
@@ -221,104 +260,8 @@ def run_merge_passes(
             )
         )
         runs = out_runs
-    return runs[0]
 
-
-def srm_mergesort(
-    system: ParallelDiskSystem,
-    infile: StripedFile,
-    config: SRMConfig,
-    strategy: LayoutStrategy = LayoutStrategy.RANDOMIZED,
-    rng: RngLike = None,
-    validate: bool = False,
-    run_length: int | None = None,
-    formation: str = "load_sort",
-    overlap: OverlapConfig | None = None,
-    timing: DiskTimingModel | None = None,
-    telemetry=None,
-    merge_workers: int | None = None,
-) -> SortResult:
-    """Sort *infile* on *system* with SRM; returns the sorted run + stats.
-
-    Parameters
-    ----------
-    config:
-        Merge order and geometry; must match the system's ``D`` and ``B``.
-    strategy:
-        Start-disk policy for runs (the paper's SRM is ``RANDOMIZED``).
-    rng:
-        Randomness source for run placement.
-    run_length:
-        Records per initial run (default: the configuration's full
-        memory, ``config.memory_records``).
-    formation:
-        ``"load_sort"`` or ``"replacement_selection"``.
-    overlap:
-        Drive every merge through the discrete-event overlap engine;
-        per-merge :class:`OverlapReport`\\ s land in
-        ``SortResult.overlap_reports``.  Does not change the sorted
-        output or the I/O counts in ``overlap.mode == "none"``.
-    timing:
-        Disk service-time model for the engine (default
-        :data:`~repro.disks.timing.DISK_1996`).
-    telemetry:
-        A :class:`~repro.telemetry.Telemetry` instance; the sort runs
-        inside a ``sort`` span enclosing a ``run_formation`` span and
-        one ``merge_pass`` span per pass (each merge adds its own
-        ``merge`` span).  ``None`` uses the zero-overhead null layer.
-    """
-    if config.n_disks != system.n_disks or config.block_size != system.block_size:
-        raise ConfigError("config geometry does not match the disk system")
-    if infile.n_records == 0:
-        raise ConfigError("cannot sort an empty file")
-    if formation not in ("load_sort", "replacement_selection"):
-        raise ConfigError(f"unknown formation method {formation!r}")
-    gen = ensure_rng(rng)
-    tel = telemetry if telemetry is not None else TELEMETRY_OFF
-    start_stats = system.stats.snapshot()
-    length = run_length if run_length is not None else config.memory_records
-
-    sort_span = tel.span(
-        SPAN_SORT,
-        system=system,
-        n_records=infile.n_records,
-        n_disks=system.n_disks,
-        block_size=system.block_size,
-        merge_order=config.merge_order,
-        formation=formation,
-    )
-    rf_span = tel.span(
-        SPAN_RUN_FORMATION, system=system, run_length=length
-    )
-    form_runs = (
-        form_runs_load_sort
-        if formation == "load_sort"
-        else form_runs_replacement_selection
-    )
-    runs = form_runs(system, infile, length, strategy, gen, telemetry=telemetry)
-    rf_span.set(runs_formed=len(runs))
-    rf_span.close()
-
-    result = SortResult(
-        output=runs[0],  # placeholder; replaced below
-        config=config,
-        n_records=infile.n_records,
-        runs_formed=len(runs),
-    )
-
-    result.output = run_merge_passes(
-        system,
-        runs,
-        config,
-        result,
-        strategy=strategy,
-        rng=gen,
-        validate=validate,
-        overlap=overlap,
-        timing=timing,
-        telemetry=telemetry,
-        merge_workers=merge_workers,
-    )
+    result.output = runs[0]
     if system.faults is not None and system.faults.plan.torn_write_p > 0.0:
         # Final-pass blocks are never re-read through the fault-aware
         # path, so a tear in the output run would otherwise reach the
@@ -382,7 +325,6 @@ def srm_sort(
     formation: str = "load_sort",
     payloads: np.ndarray | None = None,
     overlap: OverlapConfig | None = None,
-    timing: DiskTimingModel | None = None,
     telemetry=None,
     faults=None,
     backend=None,
@@ -399,44 +341,56 @@ def srm_sort(
     injection on the fresh system before any block is placed.
     *backend* selects the block-storage backend of the fresh system
     (see :mod:`repro.disks.backends`); ``"mmap"`` keeps the data on
-    disk files so inputs can exceed RAM.  *merge_workers* > 1 drains
-    every merge through the process-parallel Merge Path plane
-    (:mod:`repro.core.parallel_merge`; requires the mmap backend).
+    disk files so inputs can exceed RAM.  The other parameters, and
+    their checks, are :func:`srm_mergesort`'s.
+    """
+    return _sort_on_fresh_system(
+        lambda system, infile: srm_mergesort(
+            system, infile, config, strategy=strategy, rng=rng,
+            validate=validate, run_length=run_length, formation=formation,
+            overlap=overlap, telemetry=telemetry, merge_workers=merge_workers,
+        ),
+        config, keys, payloads, telemetry, faults, backend,
+        demand_paced=overlap is None,
+    )
+
+
+def _sort_on_fresh_system(
+    sort,
+    config,
+    keys: np.ndarray,
+    payloads: np.ndarray | None,
+    telemetry,
+    faults,
+    backend,
+    demand_paced: bool,
+):
+    """Run ``sort(system, infile)`` on a fresh system holding *keys*.
+
+    Installing the input charges no I/O.  A demand-paced sort with a
+    trace collector gets ``DISK_1996`` (or its serial clock would never
+    move) and a demand tracer.  A sort that raises closes the system, so
+    an mmap backend leaves no scratch files.  Returns the sorted keys,
+    read back uncharged, and the sort's result.
     """
     keys = np.asarray(keys, dtype=np.int64)
-    if keys.size == 0:
-        return keys.copy(), None  # type: ignore[return-value]
     system = ParallelDiskSystem(config.n_disks, config.block_size, backend=backend)
-    if faults is not None:
-        system.attach_faults(faults, telemetry=telemetry)
-    collector = getattr(telemetry, "trace", None)
-    demand_tracer = None
-    if collector is not None and overlap is None:
-        # Demand-paced sorts advance one serial system clock; arm it
-        # (and a timing model, without which it never moves) so the
-        # trace tiles [0, elapsed_ms] on the channel lane.
-        from ..disks.timing import DISK_1996
-        from ..telemetry.trace import SystemTracer
+    try:
+        if faults is not None:
+            system.attach_faults(faults, telemetry=telemetry)
+        collector = getattr(telemetry, "trace", None)
+        demand_tracer = None
+        if collector is not None and demand_paced:
+            from ..telemetry.trace import SystemTracer
 
-        if system.timing is None:
-            system.timing = timing if timing is not None else DISK_1996
-        demand_tracer = SystemTracer(collector, collector.new_domain("demand"))
-        system.tracer = demand_tracer
-    infile = StripedFile.from_records(system, keys, payloads=payloads)
-    result = srm_mergesort(
-        system,
-        infile,
-        config,
-        strategy=strategy,
-        rng=rng,
-        validate=validate,
-        run_length=run_length,
-        formation=formation,
-        overlap=overlap,
-        timing=timing,
-        telemetry=telemetry,
-        merge_workers=merge_workers,
-    )
+            system.timing = DISK_1996
+            demand_tracer = SystemTracer(collector, collector.new_domain("demand"))
+            system.tracer = demand_tracer
+        infile = StripedFile.from_records(system, keys, payloads=payloads)
+        result = sort(system, infile)
+    except BaseException:
+        system.close()
+        raise
     if demand_tracer is not None:
         demand_tracer.finish(system.elapsed_ms)
     return result.peek_sorted(system), result

@@ -68,6 +68,7 @@ from ..telemetry.schema import (
     SPAN_PMERGE_STITCH,
     SPAN_PMERGE_WORKERS,
 )
+from .config import OverlapConfig
 from .forecasting import ties_precede
 from .job import MergeJob
 from .keyorder import stable_argsort
@@ -379,6 +380,34 @@ def _gather_range(
 # ---------------------------------------------------------------------------
 
 
+def check_merge_workers(
+    system: ParallelDiskSystem,
+    workers: int,
+    overlap: OverlapConfig | None = None,
+) -> None:
+    """Reject a worker count the parallel merge plane cannot run on *system*.
+
+    At least one worker, on a fault-free system (the plane reads slot
+    bytes raw, bypassing the retry and checksum-repair ladder).  More
+    than one also needs the mmap backend, whose files the worker
+    processes share, and no overlap engine, which would have no cycle
+    loop to pace.
+    """
+    if workers < 1:
+        raise ConfigError(f"merge_workers must be >= 1, got {workers}")
+    if system.faults is not None:
+        raise ConfigError("the parallel merge plane requires a fault-free system")
+    if workers == 1:
+        return
+    if overlap is not None:
+        raise ConfigError("merge_workers > 1 cannot run under the overlap engine")
+    if not isinstance(system.backend, MmapFileBackend):
+        raise ConfigError(
+            f"merge_workers={workers} needs the mmap storage backend; this "
+            f"system uses {system.backend.kind!r}"
+        )
+
+
 def parallel_merge_runs(
     system: ParallelDiskSystem,
     runs: list[StripedRun],
@@ -397,25 +426,11 @@ def parallel_merge_runs(
     system's mmap backend (worker processes share data through its
     files); ``workers == 1`` drains in-process on any backend.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    check_merge_workers(system, workers)
     if len(runs) < 2:
         raise DataError(f"a merge needs at least 2 runs, got {len(runs)}")
-    if system.faults is not None:
-        raise ConfigError(
-            "the parallel merge plane requires a fault-free system: worker "
-            "processes read raw slot bytes and would bypass the retry and "
-            "checksum-repair ladder"
-        )
     backend = system.backend
     use_pool = workers > 1
-    if use_pool and not isinstance(backend, MmapFileBackend):
-        raise ConfigError(
-            f"workers={workers} needs the mmap storage backend so worker "
-            f"processes can share the disk files; this system uses "
-            f"{backend.kind!r} (construct it with backend='mmap' or pass "
-            f"workers=1)"
-        )
 
     job = MergeJob.from_striped_runs(runs, system.n_disks)
     start_stats = system.stats.snapshot()

@@ -14,6 +14,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+import numpy as np
+
 from ..errors import ConfigError, DataError, DiskDeadError, InvalidIOError
 from .backends import StorageBackend, make_backend
 from .block import Block
@@ -191,6 +193,19 @@ class ParallelDiskSystem:
         """Read a block without charging I/O (verification aid)."""
         a = self.resolve(addr)
         return self.disks[a.disk].read(a.slot)
+
+    def peek_records(
+        self, addresses: Sequence[BlockAddress]
+    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """Keys and payloads (``None`` for bare keys) of *addresses*'
+        blocks, in order, read like :meth:`peek`: uncharged, and
+        following degraded-mode remaps.
+        """
+        blocks = [self.peek(a) for a in addresses]
+        keys = np.concatenate([b.keys for b in blocks])
+        if blocks[0].payloads is None:
+            return keys, None
+        return keys, np.concatenate([b.payloads for b in blocks])
 
     def install_block(self, addr: BlockAddress, block: Block) -> None:
         """Place *block* at *addr* without charging I/O.

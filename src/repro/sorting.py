@@ -63,6 +63,19 @@ def _config(
     raise ConfigError(f"unknown algorithm {algorithm!r} (srm or dsm)")
 
 
+def _stats(algorithm: str, res) -> ExternalSortStats:
+    """Summarize a finished SRM or DSM sort's result."""
+    return ExternalSortStats(
+        algorithm=algorithm,
+        n_records=res.n_records,
+        merge_order=res.config.merge_order,
+        runs_formed=res.runs_formed,
+        merge_passes=res.n_merge_passes,
+        parallel_reads=res.io.parallel_reads,
+        parallel_writes=res.io.parallel_writes,
+    )
+
+
 def _empty_stats(algorithm: str) -> ExternalSortStats:
     return ExternalSortStats(
         algorithm=algorithm, n_records=0, merge_order=0, runs_formed=0,
@@ -110,16 +123,7 @@ def external_sort(
         )
     else:
         out, res = dsm_sort(keys, cfg, run_length=memory_records)
-    stats = ExternalSortStats(
-        algorithm=algorithm,
-        n_records=int(keys.size),
-        merge_order=cfg.merge_order,
-        runs_formed=res.runs_formed,
-        merge_passes=res.n_merge_passes,
-        parallel_reads=res.io.parallel_reads,
-        parallel_writes=res.io.parallel_writes,
-    )
-    return out, stats
+    return out, _stats(algorithm, res)
 
 
 def external_sort_records(
@@ -153,13 +157,4 @@ def external_sort_records(
     else:
         _, res = dsm_sort(keys, cfg, run_length=memory_records, payloads=payloads)
     out_keys, out_pay = res.peek_sorted_records()
-    stats = ExternalSortStats(
-        algorithm=algorithm,
-        n_records=int(keys.size),
-        merge_order=cfg.merge_order,
-        runs_formed=res.runs_formed,
-        merge_passes=res.n_merge_passes,
-        parallel_reads=res.io.parallel_reads,
-        parallel_writes=res.io.parallel_writes,
-    )
-    return out_keys, out_pay, stats
+    return out_keys, out_pay, _stats(algorithm, res)

@@ -7,8 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import LayoutStrategy, SRMConfig, srm_mergesort, srm_sort
-from repro.disks import ParallelDiskSystem, StripedFile
+from repro.baselines.dsm import dsm_sort
+from repro.core import (
+    DSMConfig,
+    LayoutStrategy,
+    OverlapConfig,
+    SRMConfig,
+    partial_striping_sort,
+    srm_mergesort,
+    srm_sort,
+)
+from repro.disks import (
+    DISK_1996,
+    DISK_MODERN,
+    MmapFileBackend,
+    ParallelDiskSystem,
+    StripedFile,
+)
 from repro.errors import ConfigError
 from repro.faults import FaultPlan
 
@@ -51,10 +66,17 @@ class TestCorrectness:
         assert res.n_merge_passes == 0
 
     def test_empty_input(self):
-        cfg = small_config()
-        out, res = srm_sort(np.array([], dtype=np.int64), cfg)
-        assert out.size == 0
-        assert res is None
+        # An empty input is one more rejected setting, checked after the
+        # others, with srm_mergesort's error at every entry point.
+        empty = np.array([], dtype=np.int64)
+        with pytest.raises(ConfigError, match="empty"):
+            srm_sort(empty, small_config())
+        with pytest.raises(ConfigError, match="formation"):
+            srm_sort(empty, small_config(), formation="bogus", merge_workers=-3)
+        with pytest.raises(ConfigError, match="empty"):
+            dsm_sort(empty, DSMConfig.from_memory(600, 4, 8))
+        with pytest.raises(ConfigError, match="empty"):
+            partial_striping_sort(empty, 2048, 4, 8, group_size=2)
 
     @given(
         seed=st.integers(0, 100_000),
@@ -180,11 +202,75 @@ class TestValidation:
             )
         tel.finish()  # raises ScheduleError if a span were left open
 
+    # 50 keys form one run (no merge pass), 2,000 form several: every
+    # setting is checked up front, whether or not a merge ever runs.
     @pytest.mark.parametrize("workers", [0, -2])
     def test_nonpositive_merge_workers_rejected(self, workers):
+        for n in (50, 2_000):
+            keys = np.random.default_rng(0).permutation(n)
+            with pytest.raises(ConfigError, match="merge_workers"):
+                srm_sort(keys, small_config(), rng=1, merge_workers=workers)
+
+    @pytest.mark.parametrize("n", [50, 2_000])
+    def test_pooled_workers_need_mmap_backend(self, n):
+        keys = np.random.default_rng(0).permutation(n)
+        with pytest.raises(ConfigError, match="mmap"):
+            srm_sort(keys, small_config(), rng=1, merge_workers=2)
+
+    @pytest.mark.parametrize("n", [50, 2_000])
+    def test_pooled_workers_reject_faults(self, n):
+        keys = np.random.default_rng(0).permutation(n)
+        with pytest.raises(ConfigError, match="fault"):
+            srm_sort(
+                keys,
+                small_config(),
+                rng=1,
+                merge_workers=2,
+                backend="mmap",
+                faults=FaultPlan(seed=1, read_fail_p=0.01),
+            )
+
+    @pytest.mark.parametrize(
+        "backend, faults, n, kwargs, match",
+        [
+            ("mmap", False, 2_000, {"merge_workers": 0}, "merge_workers"),
+            ("mmap", False, 2_000, {"merge_workers": 2, "overlap": OverlapConfig()}, "overlap"),
+            ("memory", False, 2_000, {"merge_workers": 2}, "mmap"),
+            ("mmap", True, 2_000, {"merge_workers": 2}, "fault"),
+            ("mmap", False, 2_000, {"formation": "bogus"}, "formation"),
+            ("mmap", False, 0, {}, "empty"),
+        ],
+        ids=["workers", "overlap", "memory-backend", "faults", "formation", "empty"],
+    )
+    def test_rejected_before_any_io_or_span(self, backend, faults, n, kwargs, match):
+        from repro.telemetry import Telemetry
+
+        with ParallelDiskSystem(4, 8, backend=backend) as system:
+            if faults:
+                system.attach_faults(FaultPlan(seed=1, read_fail_p=0.01))
+            keys = np.random.default_rng(0).permutation(n)
+            infile = StripedFile.from_records(system, keys)
+            tel = Telemetry()
+            with pytest.raises(ConfigError, match=match):
+                srm_mergesort(
+                    system, infile, small_config(), rng=1, telemetry=tel, **kwargs
+                )
+            assert system.stats.parallel_ios == 0
+            tel.finish()  # raises ScheduleError if a span were left open
+
+    def test_rejected_sort_removes_its_scratch_files(self, tmp_path):
+        workdir = tmp_path / "disks"
+        backend = MmapFileBackend(workdir=str(workdir), keep_files=False)
         keys = np.random.default_rng(0).permutation(2_000)
-        with pytest.raises(ConfigError, match="merge_workers"):
-            srm_sort(keys, small_config(), rng=1, merge_workers=workers)
+        with pytest.raises(ConfigError, match="overlap"):
+            srm_sort(
+                keys,
+                small_config(),
+                overlap=OverlapConfig(),
+                merge_workers=2,
+                backend=backend,
+            )
+        assert not workdir.exists()
 
     def test_one_merge_worker_is_serial(self):
         keys = np.random.default_rng(0).permutation(2_000)
@@ -192,3 +278,27 @@ class TestValidation:
         _, ref = srm_sort(keys, small_config(), rng=1)
         assert np.array_equal(out, np.sort(keys))
         assert res.merge_schedules == ref.merge_schedules
+
+
+class TestOverlapTiming:
+    """The overlap engine times disks with the system's own model."""
+
+    @staticmethod
+    def _makespan(timing):
+        keys = np.random.default_rng(0).permutation(20_000)
+        system = ParallelDiskSystem(4, 16, timing=timing)
+        infile = StripedFile.from_records(system, keys)
+        res = srm_mergesort(
+            system,
+            infile,
+            SRMConfig.from_k(2, 4, 16),
+            rng=1,
+            overlap=OverlapConfig(mode="full"),
+        )
+        return res.simulated_merge_ms
+
+    def test_engine_uses_system_timing(self):
+        old = self._makespan(DISK_1996)
+        assert self._makespan(DISK_MODERN) < old
+        # A system without a model is timed as DISK_1996, bit for bit.
+        assert self._makespan(None) == old

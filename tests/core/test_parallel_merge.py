@@ -199,15 +199,18 @@ class TestGuards:
         from repro.core.mergesort import srm_sort
 
         rng = np.random.default_rng(0)
-        keys = rng.integers(0, 10**6, 4000)
-        with pytest.raises(ConfigError, match="overlap"):
-            srm_sort(
-                keys,
-                SRMConfig(n_disks=4, block_size=16, merge_order=4),
-                overlap=OverlapConfig(),
-                merge_workers=2,
-                backend="mmap",
-            )
+        # 50 keys form one run, so no merge ever runs: the combination
+        # is still rejected, before run formation.
+        for n in (50, 4000):
+            keys = rng.integers(0, 10**6, n)
+            with pytest.raises(ConfigError, match="overlap"):
+                srm_sort(
+                    keys,
+                    SRMConfig(n_disks=4, block_size=16, merge_order=4),
+                    overlap=OverlapConfig(),
+                    merge_workers=2,
+                    backend="mmap",
+                )
 
 
 class TestEndToEnd:
