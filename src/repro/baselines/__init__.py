@@ -3,7 +3,6 @@
 from .dsm import (
     DSMPassStats,
     DSMSortResult,
-    SuperblockRun,
     dsm_mergesort,
     dsm_sort,
     merge_superblock_runs,
@@ -24,7 +23,6 @@ from .single_disk import single_disk_config, single_disk_sort
 __all__ = [
     "DSMPassStats",
     "DSMSortResult",
-    "SuperblockRun",
     "dsm_mergesort",
     "dsm_sort",
     "merge_superblock_runs",

@@ -9,8 +9,12 @@ only ``(M/B - 2D)/2D = k + 1 + kD/2B`` runs, so it needs
 ``ln(kD)/ln(k + 1 + kD/2B)`` times as many passes.
 
 This module implements DSM end-to-end on the same simulated substrate
-as SRM: superblock-striped runs, memory-load run formation, and R-way
-merge passes, with exact I/O accounting.
+as SRM, with exact I/O accounting: SRM's memory-load pass
+(:func:`~repro.core.run_formation.sorted_loads`) forms the runs, and
+R-way merge passes merge them.  A DSM run is a
+:class:`~repro.disks.files.StripedFile` — block ``j`` on disk
+``j mod D`` — whose superblock ``s`` is stripe ``s``, written by the
+shared :class:`~repro.disks.files.StripeWriter`.
 """
 
 from __future__ import annotations
@@ -20,20 +24,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..disks.block import Block, split_into_blocks
 from ..disks.counters import IOStats
-from ..disks.files import StripedFile
-from ..disks.system import BlockAddress, ParallelDiskSystem
+from ..disks.files import StripedFile, StripeWriter
+from ..disks.system import ParallelDiskSystem
 from ..errors import ConfigError, DataError
-from ..rng import RngLike
 from ..core.config import DSMConfig
-from ..core.keyorder import stable_argsort
 from ..core.mergesort import _sort_on_fresh_system
+from ..core.run_formation import sorted_loads
 from ..telemetry import TELEMETRY_OFF
 from ..telemetry.schema import (
     H_DRAIN_BATCH,
     H_READ_WIDTH,
-    H_RUN_LENGTH,
     MERGE_DRAIN_CYCLES,
     SPAN_MERGE,
     SPAN_MERGE_PASS,
@@ -41,36 +42,7 @@ from ..telemetry.schema import (
     SPAN_SORT,
     batch_edges,
     read_width_edges,
-    run_length_edges,
 )
-
-
-@dataclass
-class SuperblockRun:
-    """A sorted run stored as synchronized stripes (logical superblocks).
-
-    Stripe ``j`` is the set of blocks at matching slots across the
-    disks; reading or writing one stripe is one parallel I/O moving up
-    to ``D·B`` records.
-    """
-
-    run_id: int
-    stripes: list[list[BlockAddress]]
-    n_records: int
-    block_size: int
-    n_disks: int
-
-    @property
-    def n_superblocks(self) -> int:
-        return len(self.stripes)
-
-    def read_all(self, system: ParallelDiskSystem) -> np.ndarray:
-        """Read the run back in order (one parallel I/O per stripe)."""
-        parts = []
-        for stripe in self.stripes:
-            blocks = system.read_stripe(stripe)
-            parts.extend(b.keys for b in blocks if b is not None)
-        return np.concatenate(parts)
 
 
 def write_superblock_run(
@@ -78,30 +50,16 @@ def write_superblock_run(
     keys: np.ndarray,
     run_id: int,
     payloads: np.ndarray | None = None,
-) -> SuperblockRun:
-    """Write sorted *keys* as a superblock-striped run (full parallelism)."""
+) -> StripedFile:
+    """Write sorted *keys* as a DSM run, one parallel write per superblock."""
     keys = np.asarray(keys, dtype=np.int64)
     if keys.size == 0:
         raise DataError("cannot create an empty run")
     if np.any(keys[:-1] > keys[1:]):
         raise DataError("run keys must be sorted ascending")
-    blocks = split_into_blocks(
-        keys, system.block_size, run_id=run_id, payloads=payloads
-    )
-    D = system.n_disks
-    stripes: list[list[BlockAddress]] = []
-    for s in range(0, len(blocks), D):
-        chunk = blocks[s : s + D]
-        addrs = [system.allocate(d) for d in range(len(chunk))]
-        system.write_stripe(list(zip(addrs, chunk)))
-        stripes.append(addrs)
-    return SuperblockRun(
-        run_id=run_id,
-        stripes=stripes,
-        n_records=int(keys.size),
-        block_size=system.block_size,
-        n_disks=D,
-    )
+    writer = StripeWriter(system, run_id)
+    writer.append(keys, payloads)
+    return writer.finish()
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,7 +78,7 @@ class DSMPassStats:
 class DSMSortResult:
     """Outcome of a DSM external sort."""
 
-    output: SuperblockRun
+    output: StripedFile
     config: DSMConfig
     n_records: int
     runs_formed: int
@@ -151,21 +109,20 @@ class DSMSortResult:
         self, system: ParallelDiskSystem | None = None
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """Read sorted keys and payloads without charging I/O."""
-        return self._system(system).peek_records(
-            [addr for stripe in self.output.stripes for addr in stripe]
-        )
+        return self._system(system).peek_records(self.output.addresses)
 
 
 class _SuperblockReader:
     """Streams one run superblock-by-superblock (1 parallel I/O each).
 
-    Each superblock's slots are freed as soon as it is read.
+    Superblock ``s`` is stripe ``s`` of the run, blocks ``sD .. sD+D-1``;
+    its slots are freed as soon as it is read.
     """
 
     def __init__(
         self,
         system: ParallelDiskSystem,
-        run: SuperblockRun,
+        run: StripedFile,
         telemetry=None,
     ):
         self.system = system
@@ -182,23 +139,23 @@ class _SuperblockReader:
         self._load()
 
     def _load(self) -> None:
-        if self.next_stripe >= self.run.n_superblocks:
+        D, s = self.system.n_disks, self.next_stripe
+        stripe = self.run.addresses[s * D : (s + 1) * D]
+        if not stripe:
             self.data = None
             self.pay = None
             return
-        stripe = self.run.stripes[self.next_stripe]
         blocks = self.system.read_stripe(stripe)
         self.stripe_reads += 1
         self._h_width.observe(len(stripe))
         for addr in stripe:
             self.system.free(addr)
         self.next_stripe += 1
-        live = [b for b in blocks if b is not None]
-        self.data = np.concatenate([b.keys for b in live])
+        self.data = np.concatenate([b.keys for b in blocks])
         self.pay = (
             None
-            if live[0].payloads is None
-            else np.concatenate([b.payloads for b in live])
+            if blocks[0].payloads is None
+            else np.concatenate([b.payloads for b in blocks])
         )
         self.offset = 0
 
@@ -231,75 +188,17 @@ class _SuperblockReader:
         return out, out_pay
 
 
-class _SuperblockWriter:
-    """Accumulates output and writes full superblocks (2D-block buffer)."""
-
-    def __init__(self, system: ParallelDiskSystem, run_id: int):
-        self.system = system
-        self.run_id = run_id
-        #: Buffered (rows, n) chunks: rows = 1 (keys) or 2 (keys; payloads).
-        self._chunks: list[np.ndarray] = []
-        self._pending = 0
-        self._n_records = 0
-        self.stripes: list[list[BlockAddress]] = []
-
-    def append(self, keys: np.ndarray, payloads: np.ndarray | None = None) -> None:
-        if keys.size == 0:
-            return
-        chunk = (
-            keys[np.newaxis, :]
-            if payloads is None
-            else np.stack([keys, payloads])
-        )
-        self._chunks.append(chunk)
-        self._pending += keys.size
-        cap = self.system.n_disks * self.system.block_size
-        while self._pending >= cap:
-            data = np.concatenate(self._chunks, axis=1)
-            self._write_superblock(data[:, :cap])
-            rest = data[:, cap:]
-            self._chunks = [rest] if rest.shape[1] else []
-            self._pending = int(rest.shape[1])
-
-    def _write_superblock(self, data: np.ndarray) -> None:
-        blocks = split_into_blocks(
-            data[0],
-            self.system.block_size,
-            run_id=self.run_id,
-            payloads=data[1] if data.shape[0] == 2 else None,
-        )
-        addrs = [self.system.allocate(d) for d in range(len(blocks))]
-        self.system.write_stripe(list(zip(addrs, blocks)))
-        self.stripes.append(addrs)
-        self._n_records += int(data.shape[1])
-
-    def finalize(self) -> SuperblockRun:
-        if self._pending:
-            self._write_superblock(np.concatenate(self._chunks, axis=1))
-            self._chunks = []
-            self._pending = 0
-        if self._n_records == 0:
-            raise DataError("cannot finalize an empty run")
-        return SuperblockRun(
-            run_id=self.run_id,
-            stripes=self.stripes,
-            n_records=self._n_records,
-            block_size=self.system.block_size,
-            n_disks=self.system.n_disks,
-        )
-
-
 def merge_superblock_runs(
     system: ParallelDiskSystem,
-    runs: list[SuperblockRun],
+    runs: list[StripedFile],
     output_run_id: int,
     telemetry=None,
-) -> SuperblockRun:
+) -> StripedFile:
     """Merge superblock runs the DSM way (single-disk logic on stripes)."""
     if len(runs) < 2:
         raise DataError(f"a merge needs at least 2 runs, got {len(runs)}")
     tel = telemetry if telemetry is not None else TELEMETRY_OFF
-    n_blocks = sum(len(s) for r in runs for s in r.stripes)
+    n_blocks = sum(r.n_blocks for r in runs)
     span = tel.span(
         SPAN_MERGE,
         system=system,
@@ -310,7 +209,7 @@ def merge_superblock_runs(
     h_batch = tel.histogram(H_DRAIN_BATCH, batch_edges(system.block_size))
     m_cycles = tel.counter(MERGE_DRAIN_CYCLES)
     readers = [_SuperblockReader(system, r, telemetry=telemetry) for r in runs]
-    writer = _SuperblockWriter(system, output_run_id)
+    writer = StripeWriter(system, output_run_id)
     heap = [(rd.current_key(), i) for i, rd in enumerate(readers)]
     heapq.heapify(heap)
     cycles = 0
@@ -324,7 +223,7 @@ def merge_superblock_runs(
         if not readers[i].exhausted:
             heapq.heappush(heap, (readers[i].current_key(), i))
     m_cycles.inc(cycles)
-    result = writer.finalize()
+    result = writer.finish()
     # DSM's reads are all demand stripe reads; report them through the
     # same attribute the SRM merge span uses so inspect's per-merge
     # table covers both algorithms.
@@ -360,7 +259,6 @@ def dsm_mergesort(
         raise ConfigError("cannot sort an empty file")
     start_stats = system.stats.snapshot()
     tel = telemetry if telemetry is not None else TELEMETRY_OFF
-    blocks_per_run = length // B
 
     sort_span = tel.span(
         SPAN_SORT,
@@ -372,27 +270,14 @@ def dsm_mergesort(
         formation="load_sort",
     )
     rf_span = tel.span(SPAN_RUN_FORMATION, system=system, run_length=length)
-    h_len = tel.histogram(H_RUN_LENGTH, run_length_edges(length))
 
     # Run formation: memory loads, sorted, written as superblock runs.
-    runs: list[SuperblockRun] = []
-    n_runs = -(-infile.n_blocks // blocks_per_run)
-    for i in range(n_runs):
-        chunk = infile.addresses[i * blocks_per_run : (i + 1) * blocks_per_run]
-        blocks, _ = system.read_batch(chunk)
-        keys = np.concatenate([b.keys for b in blocks])
-        if blocks[0].payloads is not None:
-            payloads = np.concatenate([b.payloads for b in blocks])
-            order = stable_argsort(keys)
-            keys = keys[order]
-            payloads = payloads[order]
-        else:
-            payloads = None
-            keys.sort()
-        for addr in chunk:
-            system.free(addr)
-        h_len.observe(keys.size)
-        runs.append(write_superblock_run(system, keys, run_id=i, payloads=payloads))
+    runs = [
+        write_superblock_run(system, keys, run_id=i, payloads=payloads)
+        for i, (keys, payloads) in enumerate(
+            sorted_loads(system, infile, length, telemetry=telemetry)
+        )
+    ]
     rf_span.set(runs_formed=len(runs))
     rf_span.close()
 
@@ -416,7 +301,7 @@ def dsm_mergesort(
             pass_index=pass_index,
             n_runs_in=len(runs),
         )
-        out_runs: list[SuperblockRun] = []
+        out_runs: list[StripedFile] = []
         n_merges = 0
         for group in groups:
             if len(group) == 1:
@@ -450,9 +335,7 @@ def dsm_mergesort(
         # tear in the final pass is repaired before anyone reads it.
         from ..faults.degraded import scrub_addresses
 
-        scrub_addresses(
-            system, [a for stripe in runs[0].stripes for a in stripe]
-        )
+        scrub_addresses(system, runs[0].addresses)
     result.system = system
     result.io = system.stats.since(start_stats)
     sort_span.set(

@@ -23,26 +23,24 @@ analysis needs ``M = Ω(D^2 B)`` for efficiency).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.config import SRMConfig
+from ..core.run_formation import sorted_loads
 from ..disks.block import split_into_blocks
 from ..disks.counters import IOStats
-from ..disks.files import StripedFile
+from ..disks.files import StripedFile, StripeWriter
 from ..disks.system import BlockAddress, ParallelDiskSystem
 from ..errors import ConfigError, DataError
 from ..telemetry import TELEMETRY_OFF
 from ..telemetry.schema import (
     H_READ_WIDTH,
-    H_RUN_LENGTH,
     SPAN_MERGE,
     SPAN_MERGE_PASS,
     SPAN_RUN_FORMATION,
     SPAN_SORT,
     read_width_edges,
-    run_length_edges,
 )
 
 
@@ -204,36 +202,8 @@ def psv_merge(
             heap.append((int(buffers[j][0][0]), j))
     heapq.heapify(heap)
 
-    out_chunks: list[np.ndarray] = []
-    pending = 0
-    out_addresses: list[BlockAddress] = []
-    out_block_index = 0
-    B, D = system.block_size, system.n_disks
-    writes_buf: list[np.ndarray] = []
+    writer = StripeWriter(system)
 
-    def drain_output(final: bool = False) -> None:
-        nonlocal pending, out_block_index
-        cap = D * B
-        while pending >= cap or (final and pending > 0):
-            data = np.concatenate(out_chunks) if len(out_chunks) > 1 else out_chunks[0]
-            take = data[: min(cap, data.size)]
-            rest = data[take.size :]
-            out_chunks.clear()
-            if rest.size:
-                out_chunks.append(rest)
-            pending = int(rest.size)
-            blocks = split_into_blocks(take, B)
-            stripe = []
-            for blk in blocks:
-                addr = system.allocate(out_block_index % D)
-                out_addresses.append(addr)
-                stripe.append((addr, blk))
-                out_block_index += 1
-            system.write_stripe(stripe)
-            if final and pending == 0:
-                break
-
-    total_records = sum(r.n_records for r in runs)
     while heap:
         key, j = heapq.heappop(heap)
         limit = heap[0][0] if heap else None
@@ -249,9 +219,7 @@ def psv_merge(
             hi = int(np.searchsorted(data, limit, side="left"))
             if hi <= off:
                 hi = off + 1
-        out_chunks.append(data[off:hi])
-        pending += hi - off
-        drain_output()
+        writer.append(data[off:hi])
         if hi == data.size:
             buffers[j].pop(0)
             offsets[j] = 0
@@ -263,16 +231,13 @@ def psv_merge(
         elif next_block[j] < runs[j].n_blocks:
             fill(force_run=j)
             heapq.heappush(heap, (int(buffers[j][0][0]), j))
-    drain_output(final=True)
+    output = writer.finish()
 
     delta = system.stats.since(start)
-    out_records = total_records
     span.set(merge_parreads=delta.parallel_reads)
     span.close()
     return PSVMergeResult(
-        output=StripedFile(
-            addresses=out_addresses, n_records=out_records, block_size=B
-        ),
+        output=output,
         parallel_reads=delta.parallel_reads,
         parallel_writes=delta.parallel_writes,
         max_buffered_blocks=max_buffered,
@@ -316,14 +281,15 @@ def psv_mergesort(
     striped outputs back onto single disks — the structural overhead
     SRM's cyclic-striped output avoids.
     """
-    if infile.n_records == 0:
-        raise ConfigError("cannot sort an empty file")
     B, D = system.block_size, system.n_disks
     if D < 2:
         raise ConfigError("PSV needs at least two disks")
-    blocks_per_run = max(1, run_length // B)
     if run_length < B:
         raise ConfigError(f"run length {run_length} smaller than one block")
+    if buffer_blocks_per_run < 1:
+        raise ConfigError("need at least one buffer block per run")
+    if infile.n_records == 0:
+        raise ConfigError("cannot sort an empty file")
     start = system.stats.snapshot()
     tel = telemetry if telemetry is not None else TELEMETRY_OFF
     sort_span = tel.span(
@@ -336,19 +302,12 @@ def psv_mergesort(
         formation="load_sort",
     )
     rf_span = tel.span(SPAN_RUN_FORMATION, system=system, run_length=run_length)
-    h_len = tel.histogram(H_RUN_LENGTH, run_length_edges(run_length))
-
-    # Run formation straight onto single disks, D at a time.
-    sorted_chunks: list[np.ndarray] = []
-    for i in range(0, infile.n_blocks, blocks_per_run):
-        chunk = infile.addresses[i : i + blocks_per_run]
-        blocks, _ = system.read_batch(chunk)
-        keys = np.concatenate([b.keys for b in blocks])
-        keys.sort()
-        for addr in chunk:
-            system.free(addr)
-        h_len.observe(keys.size)
-        sorted_chunks.append(keys)
+    # Run formation keeps the sorted loads in memory; the first pass
+    # places them one per disk, D at a time.
+    sorted_chunks = [
+        keys
+        for keys, _ in sorted_loads(system, infile, run_length, telemetry=telemetry)
+    ]
     rf_span.set(runs_formed=len(sorted_chunks))
     rf_span.close()
 
@@ -408,22 +367,9 @@ def psv_mergesort(
         result.output = item  # type: ignore[assignment]
     else:
         # Degenerate single-run input: write it out striped once.
-        final = np.asarray(item)
-        blocks = split_into_blocks(final, B)
-        addrs = []
-        stripe = []
-        for i, blk in enumerate(blocks):
-            addr = system.allocate(i % D)
-            addrs.append(addr)
-            stripe.append((addr, blk))
-            if len(stripe) == D:
-                system.write_stripe(stripe)
-                stripe = []
-        if stripe:
-            system.write_stripe(stripe)
-        result.output = StripedFile(
-            addresses=addrs, n_records=int(final.size), block_size=B
-        )
+        writer = StripeWriter(system)
+        writer.append(item)  # type: ignore[arg-type]
+        result.output = writer.finish()
     result.io = system.stats.since(start)
     result.system = system
     sort_span.set(

@@ -48,6 +48,7 @@ from .core import (
     srm_sort,
 )
 from .baselines import dsm_sort
+from .errors import ConfigError
 from .telemetry import RunReport, Telemetry
 from .workloads import uniform_permutation
 
@@ -116,19 +117,11 @@ def _cmd_sort(args: argparse.Namespace) -> int:
         print(f"error: --workers must be >= 1, got {args.workers}",
               file=sys.stderr)
         return 2
-    if args.workers > 1 and args.backend != "mmap":
-        print("error: --workers > 1 requires --backend mmap "
-              "(worker processes share the backend's disk files)",
-              file=sys.stderr)
+    if args.dsm and (args.overlap is not None or args.workers > 1):
+        print("error: --dsm runs neither the overlap engine nor merge "
+              "workers; drop --overlap and --workers", file=sys.stderr)
         return 2
     merge_workers = args.workers if args.workers > 1 else None
-    overlap = None
-    if args.overlap is not None:
-        overlap = OverlapConfig(
-            mode=args.overlap,
-            prefetch_depth=args.prefetch_depth,
-            cpu_us_per_record=args.cpu_us,
-        )
     telemetry = None
     if args.telemetry is not None or args.trace is not None:
         telemetry = Telemetry(
@@ -140,20 +133,31 @@ def _cmd_sort(args: argparse.Namespace) -> int:
         )
         if args.trace is not None:
             telemetry.attach_trace()
+    overlap = None
     t0 = time.perf_counter()
-    if args.dsm:
-        cfg = DSMConfig.matching_srm(
-            SRMConfig.from_k(args.k, args.disks, args.block)
-        )
-        out, res = dsm_sort(keys, cfg, telemetry=telemetry, backend=backend)
-        name = "DSM"
-    else:
-        cfg = SRMConfig.from_k(args.k, args.disks, args.block)
-        out, res = srm_sort(
-            keys, cfg, rng=args.seed, overlap=overlap, telemetry=telemetry,
-            backend=backend, merge_workers=merge_workers,
-        )
-        name = "SRM"
+    try:
+        if args.overlap is not None:
+            overlap = OverlapConfig(
+                mode=args.overlap,
+                prefetch_depth=args.prefetch_depth,
+                cpu_us_per_record=args.cpu_us,
+            )
+        if args.dsm:
+            cfg = DSMConfig.matching_srm(
+                SRMConfig.from_k(args.k, args.disks, args.block)
+            )
+            out, res = dsm_sort(keys, cfg, telemetry=telemetry, backend=backend)
+            name = "DSM"
+        else:
+            cfg = SRMConfig.from_k(args.k, args.disks, args.block)
+            out, res = srm_sort(
+                keys, cfg, rng=args.seed, overlap=overlap, telemetry=telemetry,
+                backend=backend, merge_workers=merge_workers,
+            )
+            name = "SRM"
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     dt = time.perf_counter() - t0
     if telemetry is not None:
         telemetry.set_meta(merge_order=cfg.merge_order)
@@ -181,7 +185,7 @@ def _cmd_sort(args: argparse.Namespace) -> int:
               f"({col.dropped} dropped) -> {args.trace}")
         print(f"  render: repro trace {args.trace}   "
               f"attribute: repro inspect {args.trace} --attribution")
-    if overlap is not None and not args.dsm and res.overlap_reports:
+    if overlap is not None and res.overlap_reports:
         stall = sum(r.cpu_stall_ms for r in res.overlap_reports)
         eager = sum(r.eager_reads for r in res.overlap_reports)
         demand = sum(r.demand_reads for r in res.overlap_reports)

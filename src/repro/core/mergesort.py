@@ -154,12 +154,17 @@ def srm_mergesort(
         from .parallel_merge import check_merge_workers, parallel_merge_runs
 
         check_merge_workers(system, parallel_workers, overlap)
+    length = run_length if run_length is not None else config.memory_records
+    B = system.block_size
+    if formation == "load_sort" and length < B:
+        raise ConfigError(f"run length {length} is smaller than one block (B={B})")
+    if length < 1:
+        raise ConfigError(f"memory must hold at least 1 record, got {length}")
     if infile.n_records == 0:
         raise ConfigError("cannot sort an empty file")
     gen = ensure_rng(rng)
     tel = telemetry if telemetry is not None else TELEMETRY_OFF
     start_stats = system.stats.snapshot()
-    length = run_length if run_length is not None else config.memory_records
 
     sort_span = tel.span(
         SPAN_SORT,

@@ -60,6 +60,45 @@ def _start_disk_stream(
         i += 1
 
 
+def sorted_loads(
+    system: ParallelDiskSystem,
+    infile: StripedFile,
+    run_length: int,
+    free_input: bool = True,
+    telemetry=None,
+) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """The memory-load pass shared by SRM, DSM and PSV run formation.
+
+    Reads *infile* in loads of ``run_length // B`` blocks (the caller
+    has checked ``run_length >= B``), sorts each load in memory, frees
+    its input blocks (unless *free_input* is false), observes its length
+    in the ``H_RUN_LENGTH`` histogram, and yields ``(keys, payloads)``;
+    the caller writes the load before the next one is read.  Records
+    with payloads are ordered by ``(key, position)``
+    (:func:`~repro.core.keyorder.stable_argsort`); equal bare keys are
+    indistinguishable, so they take the cheaper unstable sort.
+    """
+    blocks_per_run = run_length // system.block_size
+    tel = telemetry if telemetry is not None else TELEMETRY_OFF
+    h_len = tel.histogram(H_RUN_LENGTH, run_length_edges(run_length))
+    for i in range(0, infile.n_blocks, blocks_per_run):
+        chunk = infile.addresses[i : i + blocks_per_run]
+        blocks, _ = system.read_batch(chunk)
+        keys = np.concatenate([b.keys for b in blocks])
+        payloads = None
+        if blocks[0].payloads is not None:
+            order = stable_argsort(keys)
+            keys = keys[order]
+            payloads = np.concatenate([b.payloads for b in blocks])[order]
+        else:
+            keys.sort()
+        if free_input:
+            for addr in chunk:
+                system.free(addr)
+        h_len.observe(keys.size)
+        yield keys, payloads
+
+
 def form_runs_load_sort(
     system: ParallelDiskSystem,
     infile: StripedFile,
@@ -74,47 +113,30 @@ def form_runs_load_sort(
 
     Reads ``run_length``-record loads of *infile* (block-aligned; the
     run length is rounded down to a whole number of blocks), sorts each
-    in memory, and writes it as a striped forecast-format run.
+    in memory (:func:`sorted_loads`), and writes it as a striped
+    forecast-format run.  Every run's start disk is drawn before the
+    first read.
     """
     B = system.block_size
-    blocks_per_run = max(1, run_length // B)
     if run_length < B:
         raise ConfigError(
             f"run length {run_length} is smaller than one block (B={B})"
         )
     if infile.n_records == 0:
         return []
-    n_runs = -(-infile.n_blocks // blocks_per_run)
+    n_runs = -(-infile.n_blocks // (run_length // B))
     starts = choose_start_disks(n_runs, system.n_disks, strategy, rng)
-    tel = telemetry if telemetry is not None else TELEMETRY_OFF
-    h_len = tel.histogram(H_RUN_LENGTH, run_length_edges(run_length))
-    runs: list[StripedRun] = []
-    for i in range(n_runs):
-        chunk = infile.addresses[i * blocks_per_run : (i + 1) * blocks_per_run]
-        blocks, _ = system.read_batch(chunk)
-        keys = np.concatenate([b.keys for b in blocks])
-        if blocks[0].payloads is not None:
-            payloads = np.concatenate([b.payloads for b in blocks])
-            order = stable_argsort(keys)
-            keys = keys[order]
-            payloads = payloads[order]
-        else:
-            payloads = None
-            keys.sort()  # equal bare keys are indistinguishable
-        if free_input:
-            for addr in chunk:
-                system.free(addr)
-        h_len.observe(keys.size)
-        runs.append(
-            StripedRun.from_sorted_keys(
-                system,
-                keys,
-                run_id=first_run_id + i,
-                start_disk=int(starts[i]),
-                payloads=payloads,
-            )
+    loads = sorted_loads(system, infile, run_length, free_input, telemetry)
+    return [
+        StripedRun.from_sorted_keys(
+            system,
+            keys,
+            run_id=first_run_id + i,
+            start_disk=int(starts[i]),
+            payloads=payloads,
         )
-    return runs
+        for i, (keys, payloads) in enumerate(loads)
+    ]
 
 
 def form_runs_replacement_selection(

@@ -7,7 +7,9 @@ Public surface:
 * :class:`ParallelDiskSystem`, :class:`BlockAddress` — the D-disk system
   with parallel-I/O enforcement and accounting
 * :class:`IOStats` — operation/traffic counters
-* :class:`StripedFile`, :class:`StripedRun` — file/run layouts
+* :class:`StripedFile`, :class:`StripedRun` — file/run layouts, and
+  :class:`StripeWriter`, which writes a :class:`StripedFile` a stripe
+  per parallel I/O
 * striping arithmetic helpers (:func:`cyclic_disk` et al.)
 * :class:`DiskTimingModel` and the :data:`DISK_1996` preset
 * :class:`DiskService`, :class:`ServiceNetwork` — per-disk FIFO queues
@@ -28,12 +30,7 @@ from .backends import (
 from .block import NO_KEY, Block, attach_forecasts, split_into_blocks
 from .counters import IOStats
 from .disk import Disk
-from .files import StripedFile, StripedRun
-from .convert import (
-    restripe_run,
-    striped_run_to_superblock_run,
-    superblock_run_to_striped_run,
-)
+from .files import StripedFile, StripedRun, StripeWriter
 from .scan import RunScanner
 from .striping import (
     blocks_per_disk,
@@ -61,10 +58,8 @@ __all__ = [
     "Disk",
     "StripedFile",
     "StripedRun",
+    "StripeWriter",
     "RunScanner",
-    "restripe_run",
-    "striped_run_to_superblock_run",
-    "superblock_run_to_striped_run",
     "blocks_per_disk",
     "chain_length",
     "chain_position_to_block",

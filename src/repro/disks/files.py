@@ -2,10 +2,13 @@
 
 Two layouts exist in the paper's world:
 
-* :class:`StripedFile` — an unsorted input file, blocks laid out
-  round-robin across disks (block ``j`` on disk ``j mod D``).  Reading
-  it sequentially achieves full parallelism, which is all run formation
-  needs.
+* :class:`StripedFile` — blocks laid out round-robin across disks from
+  disk 0 (block ``j`` on disk ``j mod D``), so stripe ``s`` is blocks
+  ``sD .. sD + D - 1``.  This is the unsorted input file, and also a
+  sorted DSM run or PSV output: DSM "has the logical effect of sorting
+  with D' = 1 disk and block size B' = DB" (§9.1), and its superblock
+  ``s`` is exactly stripe ``s``.  :class:`StripeWriter` writes one,
+  a full stripe per parallel I/O.
 * :class:`StripedRun` — a *sorted* run in SRM's forecast format,
   cyclically striped from a chosen start disk (§3, §4).  This is both
   the output of run formation / a merge and the input of the next merge.
@@ -19,14 +22,18 @@ from typing import Optional
 import numpy as np
 
 from ..errors import DataError
-from .block import Block, attach_forecasts, split_into_blocks
+from .block import attach_forecasts, split_into_blocks
 from .striping import cyclic_disk
 from .system import BlockAddress, ParallelDiskSystem
 
 
 @dataclass
 class StripedFile:
-    """An unsorted file striped round-robin across the disks.
+    """Blocks striped round-robin across the disks from disk 0.
+
+    Block ``j`` sits on disk ``j mod D`` (degraded mode may relocate a
+    dead disk's blocks onto survivors).  Holds an unsorted input file,
+    a DSM run, or a DSM or PSV sort's output.
 
     Attributes
     ----------
@@ -57,24 +64,20 @@ class StripedFile:
         """Materialize *keys* (with optional payloads) on disk, round-robin.
 
         By default the placement is treated as pre-existing input (no
-        I/O charged); pass ``count_ios=True`` to charge the writes.
+        I/O charged); pass ``count_ios=True`` to write it through a
+        :class:`StripeWriter`, one parallel write per stripe.
         """
         keys = np.asarray(keys, dtype=np.int64)
+        if count_ios:
+            writer = StripeWriter(system)
+            writer.append(keys, payloads)
+            return writer.finish()
         blocks = split_into_blocks(keys, system.block_size, payloads=payloads)
         addresses: list[BlockAddress] = []
-        pending: list[tuple[BlockAddress, Block]] = []
         for j, blk in enumerate(blocks):
             addr = system.allocate(j % system.n_disks)
             addresses.append(addr)
-            if count_ios:
-                pending.append((addr, blk))
-                if len(pending) == system.n_disks:
-                    system.write_stripe(pending)
-                    pending = []
-            else:
-                system.install_block(addr, blk)
-        if pending:
-            system.write_stripe(pending)
+            system.install_block(addr, blk)
         return cls(addresses=addresses, n_records=int(keys.size), block_size=system.block_size)
 
     def read_all(self, system: ParallelDiskSystem) -> np.ndarray:
@@ -95,6 +98,83 @@ class StripedFile:
         if blocks[0].payloads is None:
             return keys, None
         return keys, np.concatenate([b.payloads for b in blocks])
+
+
+def _joined(chunks: list[np.ndarray]) -> np.ndarray:
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+
+
+class StripeWriter:
+    """Streams records onto the disks as a :class:`StripedFile`.
+
+    Appended records are buffered until they fill a stripe of ``D·B``
+    records; each full stripe gets one slot on each of disks
+    ``0..D-1``, allocated just before its single parallel write.
+    :meth:`finish` writes the final, possibly partial, stripe.  Block
+    ``j`` of the file is numbered ``j`` and tagged with *run_id*.  The
+    writer neither sorts nor checks order: a caller writing a sorted
+    run appends its records in order.
+    """
+
+    def __init__(self, system: ParallelDiskSystem, run_id: int = -1):
+        self.system = system
+        self.run_id = run_id
+        self.addresses: list[BlockAddress] = []
+        self.n_records = 0
+        self._keys: list[np.ndarray] = []
+        self._payloads: list[np.ndarray] = []
+        self._pending = 0
+
+    def append(self, keys: np.ndarray, payloads: np.ndarray | None = None) -> None:
+        """Buffer *keys* (and aligned *payloads*); write every full stripe."""
+        keys = np.asarray(keys, dtype=np.int64)
+        if payloads is not None:
+            payloads = np.asarray(payloads, dtype=np.int64)
+            if payloads.shape != keys.shape:
+                raise DataError("payloads must align with keys")
+        if keys.size == 0:
+            return
+        self._keys.append(keys)
+        if payloads is not None:
+            self._payloads.append(payloads)
+        self._pending += keys.size
+        cap = self.system.n_disks * self.system.block_size
+        if self._pending >= cap:
+            self._write(self._pending - self._pending % cap)
+
+    def finish(self) -> StripedFile:
+        """Write the buffered tail and return the file."""
+        if self._pending:
+            self._write(self._pending)
+        return StripedFile(
+            addresses=self.addresses,
+            n_records=self.n_records,
+            block_size=self.system.block_size,
+        )
+
+    def _write(self, n: int) -> None:
+        """Write the first *n* buffered records, one stripe per I/O."""
+        system = self.system
+        keys = _joined(self._keys)
+        payloads = _joined(self._payloads) if self._payloads else None
+        cap = system.n_disks * system.block_size
+        for s in range(0, n, cap):
+            blocks = split_into_blocks(
+                keys[s : s + cap],
+                system.block_size,
+                run_id=self.run_id,
+                payloads=None if payloads is None else payloads[s : s + cap],
+            )
+            first = len(self.addresses)
+            for blk in blocks:
+                blk.index += first
+            addrs = [system.allocate(d) for d in range(len(blocks))]
+            system.write_stripe(list(zip(addrs, blocks)))
+            self.addresses.extend(addrs)
+        self.n_records += n
+        self._keys = [keys[n:]] if n < keys.size else []
+        self._payloads = [payloads[n:]] if payloads is not None and n < keys.size else []
+        self._pending = keys.size - n
 
 
 @dataclass

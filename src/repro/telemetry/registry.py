@@ -1,9 +1,10 @@
 """Named counters, gauges, and fixed-bucket histograms.
 
 The registry is the single namespace for every quantitative signal the
-system emits: scheduler counters (``sched.*``), disk-system counters
-(``io.*``), data-plane histograms (``merge.*``, ``writer.*``), and
-overlap-engine gauges (``overlap.*``).  Canonical names live in
+system emits: scheduler counters and histograms (``sched.*``), the
+parallel-read width histogram (``io.read_width``), data-plane
+histograms (``merge.*``, ``writer.*``), fault counters (``faults.*``),
+and overlap-engine metrics (``overlap.*``).  Canonical names live in
 :mod:`repro.telemetry.schema` so every producer and ``repro inspect``
 report the same quantities under the same keys.
 

@@ -28,15 +28,10 @@ __all__ = [
     "SPAN_RUN_FORMATION",
     "SPAN_MERGE_PASS",
     "SPAN_MERGE",
-    "SPAN_WRITE_BEHIND",
     "SPAN_PMERGE",
     "SPAN_PMERGE_PARTITION",
     "SPAN_PMERGE_WORKERS",
     "SPAN_PMERGE_STITCH",
-    "IO_PARALLEL_READS",
-    "IO_PARALLEL_WRITES",
-    "IO_BLOCKS_READ",
-    "IO_BLOCKS_WRITTEN",
     "SCHED_INITIAL_READS",
     "SCHED_MERGE_PARREADS",
     "SCHED_FLUSH_OPS",
@@ -103,7 +98,6 @@ SPAN_SORT = "sort"
 SPAN_RUN_FORMATION = "run_formation"
 SPAN_MERGE_PASS = "merge_pass"
 SPAN_MERGE = "merge"
-SPAN_WRITE_BEHIND = "write_behind"
 
 # Process-parallel Merge Path plane (``repro.core.parallel_merge``):
 # the root span of one parallel merge, then its three stages — co-rank
@@ -116,10 +110,6 @@ SPAN_PMERGE_STITCH = "pmerge_stitch"
 
 # -- counters --------------------------------------------------------------
 
-IO_PARALLEL_READS = "io.parallel_reads"
-IO_PARALLEL_WRITES = "io.parallel_writes"
-IO_BLOCKS_READ = "io.blocks_read"
-IO_BLOCKS_WRITTEN = "io.blocks_written"
 SCHED_INITIAL_READS = "sched.initial_reads"
 SCHED_MERGE_PARREADS = "sched.merge_parreads"
 SCHED_FLUSH_OPS = "sched.flush_ops"

@@ -3,7 +3,7 @@
 A :class:`Telemetry` object is the one handle instrumented code needs:
 it owns a :class:`~repro.telemetry.registry.MetricsRegistry`, an
 append-only event list, and a span stack.  Spans nest (``sort`` >
-``merge_pass`` > ``merge`` > ``write_behind``), carry wall-clock
+``run_formation`` / ``merge_pass`` > ``merge``), carry wall-clock
 duration plus arbitrary attributes (simulated time, schedule counters),
 and — when opened with a disk system attached — record the I/O-counter
 delta across their lifetime.

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..disks.block import NO_KEY
-from ..disks.files import StripedRun
+from ..disks.files import StripedFile, StripedRun
 from ..disks.system import ParallelDiskSystem
 from ..errors import DataError
 
@@ -119,37 +119,32 @@ def audit_checksums(system: ParallelDiskSystem) -> dict:
     return {"checked": checked, "sealed": sealed, "stale": stale}
 
 
-def check_superblock_run(system: ParallelDiskSystem, run) -> None:
-    """Validate a DSM superblock run's on-disk invariants.
+def check_superblock_run(system: ParallelDiskSystem, run: StripedFile) -> None:
+    """Validate a DSM run's on-disk invariants.
 
-    Checks that every stripe is slot-synchronized across disks starting
-    at disk 0 (the "logical single disk" layout), that keys are sorted
-    within and across superblocks, and that the record count matches.
-    On a degraded system, stripe positions whose expected disk is dead
-    are exempt from the placement rule (their blocks were relocated).
+    Checks that block ``j`` lives on disk ``j mod D`` — so superblock
+    ``s`` is slot-synchronized across disks ``0..D-1``, the "logical
+    single disk" layout — that keys are sorted within and across
+    blocks, and that the record count matches.  On a degraded system,
+    blocks whose expected disk is dead are exempt from the placement
+    rule (they were relocated).
     """
+    D = system.n_disks
     total = 0
     prev_last = None
-    for s, stripe in enumerate(run.stripes):
-        disks = [a.disk for a in stripe]
-        expect = list(range(len(stripe)))
-        mismatch = [
-            (got, want)
-            for got, want in zip(disks, expect)
-            if got != want and want not in system.dead_disks
-        ]
-        if mismatch:
+    for j, addr in enumerate(run.addresses):
+        s, want = divmod(j, D)
+        if addr.disk != want and want not in system.dead_disks:
             raise DataError(
-                f"superblock {s} spans disks {disks}, expected 0..{len(stripe)-1}"
+                f"superblock {s}: block {j} on disk {addr.disk}, expected {want}"
             )
-        for addr in stripe:
-            blk = system.peek(addr)
-            if not is_sorted(blk.keys):
-                raise DataError(f"superblock {s} holds an unsorted block")
-            if prev_last is not None and blk.first_key < prev_last:
-                raise DataError(f"superblock {s} overlaps its predecessor")
-            prev_last = blk.last_key
-            total += len(blk)
+        blk = system.peek(addr)
+        if not is_sorted(blk.keys):
+            raise DataError(f"superblock {s} holds an unsorted block")
+        if prev_last is not None and blk.first_key < prev_last:
+            raise DataError(f"superblock {s} overlaps its predecessor")
+        prev_last = blk.last_key
+        total += len(blk)
     if total != run.n_records:
         raise DataError(
             f"run holds {total} records, metadata claims {run.n_records}"

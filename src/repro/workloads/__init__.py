@@ -1,13 +1,5 @@
 """Workload generators: §9.3 average-case inputs plus stress shapes."""
 
-from .arrivals import (
-    JobArrival,
-    batch_arrivals,
-    bursty_arrivals,
-    dump_arrivals,
-    load_arrivals,
-    poisson_arrivals,
-)
 from .generators import (
     block_sorted,
     duplicate_heavy,
@@ -23,12 +15,6 @@ from .generators import (
 from .partitions import random_partition_job, random_partition_runs
 
 __all__ = [
-    "JobArrival",
-    "batch_arrivals",
-    "bursty_arrivals",
-    "dump_arrivals",
-    "load_arrivals",
-    "poisson_arrivals",
     "block_sorted",
     "geometric_length_runs",
     "zipf_keys",

@@ -22,10 +22,10 @@ class TestSuperblockRuns:
     def test_write_layout_synchronized(self):
         sys = ParallelDiskSystem(4, 2)
         run = write_superblock_run(sys, np.arange(24), 0)
-        # 12 blocks -> 3 superblocks of 4.
-        assert run.n_superblocks == 3
-        for stripe in run.stripes:
-            assert [a.disk for a in stripe] == [0, 1, 2, 3]
+        # 12 blocks -> 3 superblocks of 4, each on disks 0..3.
+        assert [a.disk for a in run.addresses] == [0, 1, 2, 3] * 3
+        slots = [a.slot for a in run.addresses]
+        assert slots == [s for s in range(3) for _ in range(4)]
 
     def test_each_superblock_is_one_io(self):
         sys = ParallelDiskSystem(4, 2)
@@ -36,8 +36,9 @@ class TestSuperblockRuns:
     def test_partial_final_superblock(self):
         sys = ParallelDiskSystem(4, 2)
         run = write_superblock_run(sys, np.arange(18), 0)  # 9 blocks
-        assert run.n_superblocks == 3
-        assert len(run.stripes[-1]) == 1
+        assert [a.disk for a in run.addresses] == [0, 1, 2, 3] * 2 + [0]
+        assert sys.stats.parallel_writes == 3
+        assert sys.stats.writes_per_disk.tolist() == [3, 2, 2, 2]
 
     def test_roundtrip(self):
         sys = ParallelDiskSystem(3, 4)
@@ -76,13 +77,22 @@ class TestMergeSuperblockRuns:
         with pytest.raises(DataError):
             merge_superblock_runs(sys, [a], 1)
 
+    @pytest.mark.parametrize("backend", ["memory", "mmap"])
+    def test_output_blocks_numbered_by_position(self, backend):
+        with ParallelDiskSystem(2, 2, backend=backend) as sys:
+            a = write_superblock_run(sys, np.arange(0, 20, 2), 0)
+            b = write_superblock_run(sys, np.arange(1, 21, 2), 1)
+            out = merge_superblock_runs(sys, [a, b], 2)
+            blocks = [sys.peek(addr) for addr in out.addresses]
+            assert [blk.index for blk in blocks] == list(range(10))
+            assert {blk.run_id for blk in blocks} == {2}
+
     def test_inputs_freed(self):
         sys = ParallelDiskSystem(2, 2)
         a = write_superblock_run(sys, np.arange(0, 20, 2), 0)
         b = write_superblock_run(sys, np.arange(1, 21, 2), 1)
         out = merge_superblock_runs(sys, [a, b], 2)
-        n_out_blocks = sum(len(s) for s in out.stripes)
-        assert sys.used_blocks == n_out_blocks
+        assert sys.used_blocks == out.n_blocks
 
 
 class TestDSMSort:

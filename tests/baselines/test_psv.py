@@ -100,6 +100,12 @@ class TestPSVMerge:
         res = psv_merge(sys, runs, 2)
         assert [a.disk for a in res.output.addresses] == [0, 1, 0, 1]
 
+    def test_output_blocks_numbered_by_position(self):
+        sys = ParallelDiskSystem(2, 2)
+        runs = self._runs(sys, [np.arange(0, 20, 2), np.arange(1, 21, 2)])
+        res = psv_merge(sys, runs, 2)
+        assert [sys.peek(a).index for a in res.output.addresses] == list(range(10))
+
     def test_same_disk_runs_rejected(self):
         sys = ParallelDiskSystem(2, 2)
         a = write_single_disk_run(sys, np.arange(4), 0, 0)
@@ -158,6 +164,14 @@ class TestPSVSort:
         assert res.n_merge_passes == 0
         assert np.array_equal(res.peek_sorted(), np.sort(keys))
 
+    @pytest.mark.parametrize("n", [100, 4096])  # one run, several passes
+    def test_output_blocks_numbered_by_position(self, rng, n):
+        sys = ParallelDiskSystem(4, 8)
+        infile = StripedFile.from_records(sys, rng.permutation(n))
+        res = psv_mergesort(sys, infile, run_length=128)
+        indexes = [sys.peek(a).index for a in res.output.addresses]
+        assert indexes == list(range(-(-n // 8)))
+
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 2000))
     @settings(max_examples=15, deadline=None)
     def test_property_sorts(self, seed, n):
@@ -177,3 +191,36 @@ class TestPSVSort:
         empty = StripedFile.from_records(sys2, np.array([], dtype=np.int64))
         with pytest.raises(ConfigError):
             psv_mergesort(sys2, empty, run_length=32)
+    # Every setting is checked before emptiness, and all of them before
+    # any span opens or any I/O is charged.
+    @pytest.mark.parametrize(
+        "n_disks, run_length, buffer_blocks, n, match",
+        [
+            (1, 64, 4, 1_000, "two disks"),
+            (4, 4, 4, 1_000, "smaller than one block"),
+            (4, 64, 0, 1_000, "buffer block"),
+            (4, 64, 0, 0, "buffer block"),
+            (4, 64, 4, 0, "empty"),
+        ],
+        ids=["one-disk", "run-length", "buffers", "buffers-before-empty", "empty"],
+    )
+    def test_rejected_before_any_io_or_span(
+        self, n_disks, run_length, buffer_blocks, n, match
+    ):
+        from repro.telemetry import Telemetry
+
+        sys = ParallelDiskSystem(n_disks, 8)
+        infile = StripedFile.from_records(
+            sys, np.random.default_rng(0).permutation(n)
+        )
+        tel = Telemetry()
+        with pytest.raises(ConfigError, match=match):
+            psv_mergesort(
+                sys,
+                infile,
+                run_length,
+                buffer_blocks_per_run=buffer_blocks,
+                telemetry=tel,
+            )
+        assert sys.stats.parallel_ios == 0
+        tel.finish()  # raises ScheduleError if a span were left open

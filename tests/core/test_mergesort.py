@@ -239,8 +239,25 @@ class TestValidation:
             ("mmap", True, 2_000, {"merge_workers": 2}, "fault"),
             ("mmap", False, 2_000, {"formation": "bogus"}, "formation"),
             ("mmap", False, 0, {}, "empty"),
+            ("memory", False, 2_000, {"run_length": 3}, "smaller than one block"),
+            (
+                "memory",
+                False,
+                2_000,
+                {"run_length": 0, "formation": "replacement_selection"},
+                "at least 1 record",
+            ),
         ],
-        ids=["workers", "overlap", "memory-backend", "faults", "formation", "empty"],
+        ids=[
+            "workers",
+            "overlap",
+            "memory-backend",
+            "faults",
+            "formation",
+            "empty",
+            "run-length-load-sort",
+            "run-length-replacement-selection",
+        ],
     )
     def test_rejected_before_any_io_or_span(self, backend, faults, n, kwargs, match):
         from repro.telemetry import Telemetry

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.disks import NO_KEY, ParallelDiskSystem, StripedFile, StripedRun
+from repro.disks import (
+    NO_KEY,
+    ParallelDiskSystem,
+    StripedFile,
+    StripedRun,
+    StripeWriter,
+)
 from repro.errors import DataError
 
 
@@ -46,6 +52,59 @@ class TestStripedFile:
         f = StripedFile.from_records(sys, np.array([], dtype=np.int64))
         assert f.n_blocks == 0
         assert f.read_all(sys).size == 0
+
+
+class TestStripeWriter:
+    def test_charged_install_numbers_blocks_by_position(self):
+        sys = ParallelDiskSystem(n_disks=3, block_size=2)
+        f = StripedFile.from_records(sys, np.arange(15), count_ios=True)
+        assert [sys.peek(a).index for a in f.addresses] == list(range(8))
+
+    def test_streamed_appends_match_one_append(self):
+        keys = np.arange(100)
+        pays = keys * 3
+        one = ParallelDiskSystem(n_disks=4, block_size=3)
+        w = StripeWriter(one, run_id=7)
+        w.append(keys, pays)
+        whole = w.finish()
+        many = ParallelDiskSystem(n_disks=4, block_size=3)
+        w = StripeWriter(many, run_id=7)
+        for lo, hi in [(0, 1), (1, 13), (13, 13), (13, 40), (40, 41), (41, 100)]:
+            w.append(keys[lo:hi], pays[lo:hi])
+        streamed = w.finish()
+        assert streamed == whole
+        assert many.stats.writes_per_disk.tolist() == one.stats.writes_per_disk.tolist()
+        for a in streamed.addresses:
+            x, y = many.peek(a), one.peek(a)
+            assert (x.run_id, x.index) == (y.run_id, y.index)
+            assert np.array_equal(x.keys, y.keys)
+            assert np.array_equal(x.payloads, y.payloads)
+
+    def test_each_stripe_allocated_just_before_its_write(self):
+        sys = ParallelDiskSystem(n_disks=3, block_size=2)
+        calls = []
+        allocate, write_stripe = sys.allocate, sys.write_stripe
+        sys.allocate = lambda d: calls.append(("alloc", d)) or allocate(d)
+        sys.write_stripe = lambda w: calls.append(("write", len(w))) or write_stripe(w)
+        w = StripeWriter(sys)
+        w.append(np.arange(5))
+        assert calls == []  # less than one stripe (6 records) buffered
+        w.append(np.arange(5, 14))
+        f = w.finish()
+        stripe = [("alloc", 0), ("alloc", 1), ("alloc", 2), ("write", 3)]
+        assert calls == stripe + stripe + [("alloc", 0), ("write", 1)]
+        assert f.n_records == 14 and f.n_blocks == 7
+
+    def test_misaligned_payloads_rejected(self):
+        w = StripeWriter(ParallelDiskSystem(n_disks=2, block_size=2))
+        with pytest.raises(DataError):
+            w.append(np.arange(4), np.arange(3))
+
+    def test_nothing_appended_is_an_empty_file(self):
+        sys = ParallelDiskSystem(n_disks=2, block_size=2)
+        f = StripeWriter(sys).finish()
+        assert f.n_blocks == 0 and f.n_records == 0
+        assert sys.stats.parallel_writes == 0
 
 
 class TestStripedRun:

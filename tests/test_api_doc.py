@@ -17,7 +17,8 @@ from pathlib import Path
 import pytest
 
 from repro import external_sort, external_sort_records, srm_sort
-from repro.baselines.dsm import dsm_mergesort, dsm_sort
+from repro.baselines.dsm import dsm_mergesort, dsm_sort, write_superblock_run
+from repro.baselines.psv import psv_mergesort
 from repro.core.merge import merge_runs
 from repro.core.parallel_merge import parallel_merge_runs
 
@@ -29,6 +30,8 @@ DOCUMENTED = [
     srm_sort,
     dsm_sort,
     dsm_mergesort,
+    write_superblock_run,
+    psv_mergesort,
     merge_runs,
     parallel_merge_runs,
 ]

@@ -44,6 +44,25 @@ class TestCommands:
         assert rc == 2
         assert "--workers must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--dsm", "--overlap", "full"], "--dsm"),
+            (["--dsm", "--workers", "2", "--backend", "mmap"], "--dsm"),
+            (["--overlap", "full", "--workers", "2", "--backend", "mmap"],
+             "overlap engine"),
+            (["--workers", "2"], "mmap storage backend"),
+        ],
+        ids=["dsm-overlap", "dsm-workers", "overlap-workers", "workers-memory"],
+    )
+    def test_sort_rejects_unsupported_flags(self, capsys, flags, message):
+        rc = main(["sort", "--n", "2000", "--disks", "2", "--block", "8",
+                   "--k", "2", *flags])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert message in captured.err
+        assert "correct" not in captured.out
+
     def test_sort_dsm(self, capsys):
         rc = main(
             ["sort", "--n", "2000", "--disks", "2", "--block", "8", "--k", "2", "--dsm"]

@@ -23,10 +23,14 @@ from repro.disks import (
     ParallelDiskSystem,
     RunScanner,
     StripedFile,
-    striped_run_to_superblock_run,
 )
 from repro.telemetry.trace import SystemTracer, TraceCollector
-from repro.verify import assert_sorted_permutation, check_striped_run
+from repro.baselines import write_superblock_run
+from repro.verify import (
+    assert_sorted_permutation,
+    check_striped_run,
+    check_superblock_run,
+)
 
 
 class TestStackedFeatures:
@@ -63,14 +67,18 @@ class TestStackedFeatures:
         system = res.system
         check_striped_run(system, res.output)
 
-        # Scan half, convert the metadata-intact run afterwards.
+        # Scan half, then rewrite the metadata-intact run in DSM's
+        # round-robin layout.
         scanner = RunScanner(system, res.output)
         seen = 0
         while seen < 1000:
             seen += scanner.next_chunk().size
-        sb = striped_run_to_superblock_run(system, res.output, 99)
-        out = sb.read_all(system)
-        assert np.array_equal(out, np.sort(keys))
+        sorted_keys, sorted_pays = res.output.read_all_records(system)
+        sb = write_superblock_run(system, sorted_keys, 99, payloads=sorted_pays)
+        check_superblock_run(system, sb)
+        out_k, out_p = sb.read_all_records(system)
+        assert np.array_equal(out_k, np.sort(keys))
+        assert np.array_equal(out_p, out_k * 13 + 1)
 
     def test_partial_striping_with_payload_records(self, rng):
         """Group-striped SRM still carries payloads correctly."""

@@ -117,7 +117,8 @@ class TestCheckSuperblockRun:
 
         system = ParallelDiskSystem(3, 4)
         run = self._run(system, np.arange(0, 60, 2))
-        run.stripes[1] = list(reversed(run.stripes[1]))
+        # Superblock 1 is blocks 3..5 (D = 3); reverse its disks.
+        run.addresses[3:6] = reversed(run.addresses[3:6])
         with pytest.raises(DataError):
             check_superblock_run(system, run)
 
