@@ -19,12 +19,8 @@ record, per point:
 * the critical-path category (read/write/compute/stall/...) that
   dominates, locating which resource the cliff hands the makespan to.
 
-When ``adaptive`` is on, every faulted point under an engine-driven
-mode is re-run with a :class:`~repro.core.config.LatencyAwareConfig`
-and the pair is checked for bit-identical output and no-worse makespan
-— the cliff map doubles as the adaptive policy's acceptance harness
-(``repro cliff --check``; the ``cliff-smoke`` CI job runs the quick
-grid).
+``repro cliff --check`` gates every point on sorted output and an exact
+critical path (the ``cliff-smoke`` CI job runs the quick grid).
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..core.config import LatencyAwareConfig, OverlapConfig, SRMConfig
+from ..core.config import OverlapConfig, SRMConfig
 from ..core.mergesort import srm_sort
 from ..faults.plan import FaultPlan, StallWindow
 from ..telemetry import Telemetry
@@ -48,11 +44,6 @@ DEFAULT_STALLS = (0, 4)
 DEFAULT_MODES = ("none", "full")
 #: Default read-ahead depths.
 DEFAULT_DEPTHS = (0, 1, 2)
-
-#: Relative slack for the no-worse gate: simulated clocks are
-#: deterministic, so the adaptive makespan must not exceed the fixed
-#: one beyond float accumulation noise.
-NO_WORSE_RTOL = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,8 +65,6 @@ class CliffSweepConfig:
     stalls: tuple[int, ...] = DEFAULT_STALLS
     #: Disk receiving the straggler factor / stall windows.
     victim_disk: int = 1
-    #: Re-run faulted engine-driven points with the adaptive policy.
-    adaptive: bool = True
 
     @classmethod
     def quick(cls, **overrides) -> "CliffSweepConfig":
@@ -89,7 +78,7 @@ class CliffSweepConfig:
 
 @dataclass(slots=True)
 class CliffPoint:
-    """One swept grid point (fixed policy, optionally paired adaptive)."""
+    """One swept grid point."""
 
     mode: str
     prefetch_depth: int
@@ -114,13 +103,6 @@ class CliffPoint:
     exact: bool = True
     #: Output matched the fault-free sorted reference.
     sorted_ok: bool = True
-    # -- adaptive pair (None when the point was not re-run) -----------
-    adaptive_makespan_ms: float | None = None
-    adaptive_identical: bool | None = None
-    improvement_pct: float | None = None
-    depth_boosts: int = 0
-    floor_issues: int = 0
-    slow_disks: tuple[int, ...] = ()
 
     @property
     def gap_pct(self) -> float:
@@ -133,7 +115,6 @@ class CliffPoint:
         """JSONL-serializable record of this point."""
         d = asdict(self)
         d["gap_pct"] = round(self.gap_pct, 3)
-        d["slow_disks"] = list(self.slow_disks)
         return d
 
 
@@ -145,7 +126,11 @@ class CliffReport:
     points: list[CliffPoint] = field(default_factory=list)
 
     def failures(self) -> list[str]:
-        """Gate violations across the grid (empty means all pass)."""
+        """Gate violations across the grid (empty means all pass).
+
+        Every point must sort identically to the fault-free reference,
+        and its critical path must tile the makespan exactly.
+        """
         bad = []
         for p in self.points:
             tag = (
@@ -156,14 +141,6 @@ class CliffReport:
                 bad.append(f"{tag}: output not sorted-identical to reference")
             if not p.exact:
                 bad.append(f"{tag}: critical path does not tile the makespan")
-            if p.adaptive_makespan_ms is not None:
-                if not p.adaptive_identical:
-                    bad.append(f"{tag}: adaptive output differs from fixed")
-                if p.adaptive_makespan_ms > p.makespan_ms * (1 + NO_WORSE_RTOL):
-                    bad.append(
-                        f"{tag}: adaptive makespan {p.adaptive_makespan_ms:.1f}"
-                        f" > fixed {p.makespan_ms:.1f}"
-                    )
         return bad
 
     def write_jsonl(self, path) -> None:
@@ -214,7 +191,7 @@ def _bound_ms(analyses) -> float:
 
 
 def run_cliff(cfg: CliffSweepConfig) -> CliffReport:
-    """Execute the sweep: one (or two) seeded sorts per grid point."""
+    """Execute the sweep: one seeded sort per grid point."""
     srm = SRMConfig.from_k(cfg.k, cfg.n_disks, cfg.block_size)
     rng = np.random.default_rng(cfg.seed)
     keys = rng.integers(0, 2**48, size=cfg.n_records, dtype=np.int64)
@@ -276,46 +253,6 @@ def run_cliff(cfg: CliffSweepConfig) -> CliffReport:
                         exact=all(a.exact for a in analyses.values()),
                         sorted_ok=bool(np.array_equal(out, reference)),
                     )
-                    if (
-                        cfg.adaptive
-                        and plan is not None
-                        and mode != "none"
-                    ):
-                        plan2 = _plan(cfg, factor, n_stalls, salt)
-                        adaptive = OverlapConfig(
-                            mode=mode,
-                            prefetch_depth=depth,
-                            cpu_us_per_record=cfg.cpu_us_per_record,
-                            latency=LatencyAwareConfig(),
-                        )
-                        a_out, a_res, _ = _traced_sort(
-                            keys, srm, cfg, adaptive, plan2
-                        )
-                        point.adaptive_makespan_ms = a_res.simulated_merge_ms
-                        point.adaptive_identical = bool(
-                            np.array_equal(a_out, out)
-                        )
-                        point.improvement_pct = (
-                            100.0
-                            * (1.0 - point.adaptive_makespan_ms / makespan)
-                            if makespan
-                            else 0.0
-                        )
-                        point.depth_boosts = sum(
-                            r.depth_boosts for r in a_res.overlap_reports
-                        )
-                        point.floor_issues = sum(
-                            r.floor_issues for r in a_res.overlap_reports
-                        )
-                        point.slow_disks = tuple(
-                            sorted(
-                                {
-                                    d
-                                    for r in a_res.overlap_reports
-                                    for d in r.slow_disks
-                                }
-                            )
-                        )
                     report.points.append(point)
     return report
 
@@ -330,24 +267,13 @@ def render_cliff(report: CliffReport) -> str:
         f" victim=disk{report.config.victim_disk}",
         "",
         f"{'mode':8s} {'depth':>5s} {'factor':>6s} {'stalls':>6s}"
-        f" {'makespan':>12s} {'gap%':>6s} {'dominant':>9s}"
-        f" {'adaptive':>12s} {'improve':>8s}",
+        f" {'makespan':>12s} {'gap%':>6s} {'dominant':>9s}",
     ]
     for p in report.points:
-        adaptive = (
-            f"{p.adaptive_makespan_ms:12.1f}"
-            if p.adaptive_makespan_ms is not None
-            else f"{'-':>12s}"
-        )
-        improve = (
-            f"{p.improvement_pct:7.2f}%"
-            if p.improvement_pct is not None
-            else f"{'-':>8s}"
-        )
         lines.append(
             f"{p.mode:8s} {p.prefetch_depth:5d} {p.latency_factor:6.1f}"
             f" {p.n_stalls:6d} {p.makespan_ms:12.1f} {p.gap_pct:6.1f}"
-            f" {p.dominant:>9s} {adaptive} {improve}"
+            f" {p.dominant:>9s}"
         )
     fails = report.failures()
     lines.append("")
@@ -355,8 +281,5 @@ def render_cliff(report: CliffReport) -> str:
         lines.append(f"FAIL ({len(fails)}):")
         lines.extend(f"  {f}" for f in fails)
     else:
-        lines.append(
-            "all points: output identical, attribution exact,"
-            " adaptive no worse than fixed"
-        )
+        lines.append("all points: output identical, attribution exact")
     return "\n".join(lines)

@@ -370,6 +370,12 @@ def psv_mergesort(
         writer = StripeWriter(system)
         writer.append(item)  # type: ignore[arg-type]
         result.output = writer.finish()
+    if system.faults is not None and system.faults.plan.torn_write_p > 0.0:
+        # Same closing move as SRM and DSM: scrub the output's seals so
+        # a tear in the final pass is repaired before anyone reads it.
+        from ..faults.degraded import scrub_addresses
+
+        scrub_addresses(system, result.output.addresses)
     result.io = system.stats.since(start)
     result.system = system
     sort_span.set(

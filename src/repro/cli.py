@@ -350,7 +350,6 @@ def _cmd_cliff(args: argparse.Namespace) -> int:
         block_size=args.block,
         seed=args.seed,
         cpu_us_per_record=args.cpu_us,
-        adaptive=not args.no_adaptive,
     )
     if args.quick:
         cfg = CliffSweepConfig.quick(**common)
@@ -529,8 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     cl = sub.add_parser(
         "cliff",
         help="sweep straggler factors / stall densities to map where "
-             "overlap stops hiding latency; pairs each faulted point "
-             "with the latency-adaptive policy",
+             "overlap stops hiding latency",
     )
     cl.add_argument("--n", type=int, default=20_000,
                     help="records per sort (default: %(default)s)")
@@ -552,14 +550,12 @@ def build_parser() -> argparse.ArgumentParser:
     cl.add_argument("--stall-densities", default="0,4",
                     help="comma-separated stall-window counts on the "
                          "victim disk")
-    cl.add_argument("--no-adaptive", action="store_true",
-                    help="skip the adaptive-policy re-runs (fixed grid only)")
     cl.add_argument("--quick", action="store_true",
                     help="CI-sized grid: full mode, depths 0/2, factors "
                          "1/4, stall densities 0/2")
     cl.add_argument("--check", action="store_true",
-                    help="exit 1 unless every point sorts identically, "
-                         "attribution is exact, and adaptive is no worse")
+                    help="exit 1 unless every point sorts identically and "
+                         "its critical path tiles the makespan exactly")
     cl.add_argument("--out", metavar="PATH", default=None,
                     help="write the grid as JSONL to PATH")
     cl.set_defaults(func=_cmd_cliff)

@@ -9,7 +9,6 @@ the §6 phase accounting.
 from .config import (
     OVERLAP_MODES,
     DSMConfig,
-    LatencyAwareConfig,
     OverlapConfig,
     SRMConfig,
     memory_records_for_k,
@@ -48,7 +47,6 @@ __all__ = [
     "DSMConfig",
     "SRMConfig",
     "OVERLAP_MODES",
-    "LatencyAwareConfig",
     "OverlapConfig",
     "OverlapEngine",
     "OverlapReport",

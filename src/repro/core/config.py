@@ -34,72 +34,6 @@ OVERLAP_MODES = ("none", "prefetch", "full")
 
 
 @dataclass(frozen=True, slots=True)
-class LatencyAwareConfig:
-    """Latency-adaptive scheduling policy for the overlap engine.
-
-    The §5.5 schedule assumes homogeneous disks; on a straggler farm the
-    slowest spindle sets the makespan.  When this config is attached to
-    an :class:`OverlapConfig`, the engine keeps a per-disk service-time
-    EWMA (fed from :class:`~repro.disks.service.DiskService`
-    completions) and, once a disk measures slow relative to its peers:
-
-    * **deepens the read-ahead window** while the slow disk still offers
-      blocks, so its long service hides behind more merge compute;
-    * **biases flush victims** toward blocks that will be re-read from
-      fast disks (the §5.5 eviction rank is consulted first; among the
-      farthest-future candidates the cheapest re-read wins);
-    * **floors eager issues** so an idle straggler queue is refilled
-      even when the nominal window is already full.
-
-    None of this changes *what* the sort produces — output stays
-    bit-identical — only the read-ahead/flush schedule and therefore the
-    simulated makespan.  With no ``LatencyAwareConfig`` attached the
-    engine and scheduler are bit-identical to the fixed-policy reference
-    planes, schedule included.
-
-    Attributes
-    ----------
-    ewma_alpha:
-        Weight of the newest service-time sample in the per-disk EWMA,
-        in ``(0, 1]``.
-    slow_threshold:
-        A disk is *slow* when its EWMA exceeds ``slow_threshold`` times
-        the median EWMA of all disks with at least one sample.
-    depth_boost:
-        Extra eager ``ParRead`` operations added to the read-ahead
-        window while a slow disk still offers blocks (each brings in up
-        to ``D`` blocks, like the base window).
-    min_eager_per_pump:
-        Eager-issue floor: when a slow disk sits idle with blocks still
-        on it, up to this many extra case-2a reads are issued per pump
-        even if the nominal window is full.
-    """
-
-    ewma_alpha: float = 0.35
-    slow_threshold: float = 1.25
-    depth_boost: int = 2
-    min_eager_per_pump: int = 1
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ConfigError(
-                f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}"
-            )
-        if self.slow_threshold < 1.0:
-            raise ConfigError(
-                f"slow_threshold must be >= 1, got {self.slow_threshold}"
-            )
-        if self.depth_boost < 0:
-            raise ConfigError(
-                f"depth_boost must be >= 0, got {self.depth_boost}"
-            )
-        if self.min_eager_per_pump < 0:
-            raise ConfigError(
-                f"min_eager_per_pump must be >= 0, got {self.min_eager_per_pump}"
-            )
-
-
-@dataclass(frozen=True, slots=True)
 class OverlapConfig:
     """Configuration of the overlapped-I/O execution engine.
 
@@ -117,18 +51,11 @@ class OverlapConfig:
     cpu_us_per_record:
         Internal merge processing cost per record, in microseconds,
         charged against the simulated clock.
-    latency:
-        Optional :class:`LatencyAwareConfig`.  When attached, the engine
-        measures per-disk service times and steers prefetch depth and
-        flush victims away from slow disks.  The default ``None`` keeps
-        the fixed policy: output *and* schedule bit-identical to the
-        reference planes.
     """
 
     mode: str = "full"
     prefetch_depth: int = 2
     cpu_us_per_record: float = 1.0
-    latency: "LatencyAwareConfig | None" = None
 
     def __post_init__(self) -> None:
         if self.mode not in OVERLAP_MODES:

@@ -31,16 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..disks.service import ServiceEwma, ServiceNetwork
+from ..disks.service import ServiceNetwork
 from ..disks.timing import DiskTimingModel
-from ..telemetry import NULL_METRIC, TELEMETRY_OFF
-from ..telemetry.schema import (
-    ADAPTIVE_DEPTH_BOOSTS,
-    ADAPTIVE_FLOOR_ISSUES,
-    ADAPTIVE_SLOW_DISKS,
-    EV_OVERLAP_DISKS,
-    H_OVERLAP_QUEUE_DEPTH,
-)
+from ..telemetry import TELEMETRY_OFF
+from ..telemetry.schema import EV_OVERLAP_DISKS, H_OVERLAP_QUEUE_DEPTH
 from ..telemetry.trace import NetTracer
 from .config import OverlapConfig
 
@@ -75,14 +69,6 @@ class OverlapReport:
         ``ParRead`` operations issued on a stall vs. ahead of demand.
     writes:
         Parallel write operations (output stripes).
-    adaptive:
-        True when the engine ran with a
-        :class:`~repro.core.config.LatencyAwareConfig` attached.
-    depth_boosts / floor_issues:
-        Pumps that ran with a deepened read-ahead window, and eager
-        reads issued by the slow-disk floor beyond the nominal window.
-    slow_disks:
-        Disks the service-time EWMA classified as slow at merge end.
     """
 
     mode: str
@@ -96,10 +82,6 @@ class OverlapReport:
     demand_reads: int
     eager_reads: int
     writes: int
-    adaptive: bool = False
-    depth_boosts: int = 0
-    floor_issues: int = 0
-    slow_disks: tuple[int, ...] = ()
 
     @property
     def cpu_stall_ms(self) -> float:
@@ -140,11 +122,7 @@ class OverlapEngine:
         The validated :class:`~repro.core.config.OverlapConfig`: overlap
         mode, read-ahead window (the engine keeps at most
         ``prefetch_depth * D`` prefetched-but-unconsumed blocks in
-        memory), per-record CPU cost, job tag and, when attached, the
-        latency-adaptive policy that arms a per-disk service-time EWMA
-        on the network and steers the read-ahead window and eager-issue
-        floor toward slow disks (see :meth:`pump`).  ``latency=None``
-        keeps the fixed policy bit-identical.
+        memory) and per-record CPU cost.
     faults:
         Optional :class:`~repro.faults.plan.FaultInjector` shared with
         the disk system: the service network scales service times by
@@ -183,18 +161,6 @@ class OverlapEngine:
         self._write_done = 0.0
         self._eager_issue = False  # set by pump() around maybe_prefetch()
         self._tel = telemetry if telemetry is not None else TELEMETRY_OFF
-        # Latency-adaptive policy: armed only when a config is attached,
-        # so the default path stays bit-identical.
-        self.latency = overlap.latency
-        self.depth_boosts = 0
-        self.floor_issues = 0
-        if self.latency is not None:
-            self.net.ewma = ServiceEwma(n_disks, self.latency.ewma_alpha)
-            self._m_depth_boosts = self._tel.counter(ADAPTIVE_DEPTH_BOOSTS)
-            self._m_floor_issues = self._tel.counter(ADAPTIVE_FLOOR_ISSUES)
-        else:
-            self._m_depth_boosts = NULL_METRIC
-            self._m_floor_issues = NULL_METRIC
         # Queue depth is in-flight blocks.  Capacity is the eager
         # window *plus* one demand ParRead of width <= D that can be
         # outstanding on top of it — so demand mode (window 0) still
@@ -341,79 +307,17 @@ class OverlapEngine:
             self.now = done
         self.writes += 1
 
-    # -- latency-adaptive policy -------------------------------------------
-
-    def slow_disks(self) -> tuple[int, ...]:
-        """Disks the EWMA currently classifies as slow (empty if fixed)."""
-        if self.latency is None or self.net.ewma is None:
-            return ()
-        return self.net.ewma.slow_disks(self.latency.slow_threshold)
-
-    def disk_cost(self, disk: int) -> float:
-        """Measured re-read penalty of *disk* (EWMA ms; 0.0 unless slow).
-
-        Handed to :class:`~repro.core.schedule.MergeScheduler` as its
-        ``flush_cost`` hook so flush victims bias toward blocks that
-        will be re-read from fast disks.  Only disks the EWMA currently
-        *classifies* as slow carry a penalty: while the farm looks
-        homogeneous every disk costs 0.0 and the biased eviction reduces
-        exactly to the Definition 6 highest-key choice.
-        """
-        ewma = self.net.ewma
-        if ewma is None or disk not in self.slow_disks():
-            return 0.0
-        return ewma.cost(disk)
-
-    def _slow_with_blocks(self, sched: "MergeScheduler") -> tuple[int, ...]:
-        """Slow disks that still offer unfetched blocks to the merge."""
-        return tuple(
-            d for d in self.slow_disks()
-            if sched.fds.smallest_block_on_disk(d) is not None
-        )
-
-    def _starved_slow(self, slow: tuple[int, ...], sched: "MergeScheduler") -> bool:
-        """True when some slow disk sits idle with blocks still on it.
-
-        This is the only state extra eagerness can improve: a backlogged
-        straggler is already rate-limited by its own service time, and
-        deepening the window then just raises ``M_R`` occupancy (more
-        flushes, more re-reads) without feeding it any faster.
-        """
-        return any(
-            self.net.disks[d].free_at <= self.now
-            and sched.fds.smallest_block_on_disk(d) is not None
-            for d in slow
-        )
-
     # -- read-ahead --------------------------------------------------------
 
     def pump(self, sched: "MergeScheduler") -> int:
         """Issue eager case-2a reads while the read-ahead window has room.
 
-        With a :class:`~repro.core.config.LatencyAwareConfig` attached,
-        the window deepens by ``depth_boost`` ParReads while a slow disk
-        still offers blocks (its long service hides behind more merge
-        compute), and an eager-issue *floor* tops up after the window
-        loop whenever a slow disk sits idle with blocks remaining — so a
-        straggler's queue never starves the merge.  Both knobs are inert
-        without the config: the fixed path issues exactly the same reads
-        as before.
-
         Returns the number of ``ParRead`` operations issued.
         """
-        lat = self.latency
-        if self.mode == "none" or (self._window <= 0 and lat is None):
+        if self.mode == "none":
             return 0
-        window = self._window
-        slow: tuple[int, ...] = ()
-        if lat is not None:
-            slow = self._slow_with_blocks(sched)
-            if slow and lat.depth_boost > 0 and self._starved_slow(slow, sched):
-                window += lat.depth_boost * self.net.n_disks
-                self.depth_boosts += 1
-                self._m_depth_boosts.inc()
         issued = 0
-        while len(self._prefetched) < window:
+        while len(self._prefetched) < self._window:
             self._eager_issue = True
             try:
                 if not sched.maybe_prefetch():
@@ -421,22 +325,6 @@ class OverlapEngine:
             finally:
                 self._eager_issue = False
             issued += 1
-        if lat is not None and slow and lat.min_eager_per_pump > 0:
-            for _ in range(lat.min_eager_per_pump):
-                # Refill only while a slow disk is starved *now*: each
-                # eager read services every disk with pending blocks, so
-                # one check gates the batch.
-                if not self._starved_slow(slow, sched):
-                    break
-                self._eager_issue = True
-                try:
-                    if not sched.maybe_prefetch():
-                        break
-                finally:
-                    self._eager_issue = False
-                issued += 1
-                self.floor_issues += 1
-                self._m_floor_issues.inc()
         return issued
 
     # -- completion --------------------------------------------------------
@@ -448,9 +336,6 @@ class OverlapEngine:
         makespan = max(self.now, self._write_done, self.net.drained_completion_ms())
         if self._trace is not None:
             self._trace.summary(self._dom, makespan)
-        slow = self.slow_disks()
-        if self.latency is not None:
-            self._tel.gauge(ADAPTIVE_SLOW_DISKS).set(len(slow))
         self._tel.event(
             EV_OVERLAP_DISKS,
             makespan_ms=makespan,
@@ -468,8 +353,4 @@ class OverlapEngine:
             demand_reads=self.demand_reads,
             eager_reads=self.eager_reads,
             writes=self.writes,
-            adaptive=self.latency is not None,
-            depth_boosts=self.depth_boosts,
-            floor_issues=self.floor_issues,
-            slow_disks=slow,
         )

@@ -109,10 +109,10 @@ class ForecastStructure:
     def smallest_block_on_disk(self, disk: int) -> Optional[tuple[float, int, int]]:
         """The smallest block on *disk*: ``(key, run, block)`` or ``None``.
 
-        The per-disk form of :meth:`smallest_blocks`, which flush-victim
-        selection uses.  Key ties resolve to the smallest run index
-        (``argmin`` returns the first minimum, matching the old heap's
-        ``(key, run)`` ordering).
+        The per-disk form of :meth:`smallest_blocks`, and its fallback
+        for a row whose chosen entry is dead.  Key ties resolve to the
+        smallest run index (``argmin`` returns the first minimum,
+        matching the old heap's ``(key, run)`` ordering).
         """
         idx = np.flatnonzero(self._alive[disk])
         if idx.size == 0:

@@ -318,10 +318,9 @@ def merge_loop_cycles(
     ``compute``, free and depletion, ``pump``.  Only a stripe-completing
     append writes and allocates, so the rest of the batch is appended
     at its end — except a one-slice batch, a view of its block's
-    storage, which is appended before that block is freed.  A
-    latency-adaptive engine's ``pump`` reads the clock, so it is
-    replayed after every cycle.  The clock, schedule, writes, frees,
-    output addresses and cycle count all equal a heapq merge's.
+    storage, which is appended before that block is freed.  The clock,
+    schedule, writes, frees, output addresses and cycle count all equal
+    a heapq merge's.
 
     Returns the number of key-range cycles.
     """
@@ -334,7 +333,6 @@ def merge_loop_cycles(
     h_batch = tel.histogram(H_DRAIN_BATCH, batch_edges(system.block_size))
     m_cycles = tel.counter(MERGE_DRAIN_CYCLES)
     stripe = system.n_disks * system.block_size
-    every_cycle = eng.latency is not None
     cycles = 0
     while not sched.finished():
         batch = _gather(sched, block_data, offsets, last_keys, validate)
@@ -388,7 +386,7 @@ def merge_loop_cycles(
         # records_to_next_write, and every D·B records after that.
         crossings = np.arange(writer.records_to_next_write, n + 1, stripe)
         flags[ends.searchsorted(crossings)] |= _CROSS
-        events = np.arange(C) if every_cycle else np.flatnonzero(flags)
+        events = np.flatnonzero(flags)
 
         counts_l = counts.tolist()
         ci = 0  # first cycle not yet computed
@@ -411,7 +409,7 @@ def merge_loop_cycles(
                     keys[pos:end], pays[pos:end] if pays is not None else None
                 )
                 pos = end
-            if every_cycle or f & (_TOUCH | _DEPLETE):
+            if f & (_TOUCH | _DEPLETE):
                 eng.compute(counts_l[ci : c + 1])
                 ci = c + 1
                 if f & _DEPLETE:

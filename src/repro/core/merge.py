@@ -183,11 +183,6 @@ def merge_runs(
         on_read=on_read,
         on_flush=on_flush,
         telemetry=telemetry,
-        # Latency-adaptive flush bias: the engine's per-disk EWMA prices
-        # re-reads, so victims come back from fast disks.  None (the
-        # fixed path) keeps Definition 6 eviction bit-identical.
-        flush_cost=eng.disk_cost if eng is not None and eng.latency is not None
-        else None,
     )
     sched.initial_load()
     writer = RunWriter(
@@ -242,14 +237,6 @@ def merge_runs(
             eager_reads=report.eager_reads,
             demand_reads=report.demand_reads,
         )
-        if report.adaptive:
-            span.set(
-                adaptive=True,
-                depth_boosts=report.depth_boosts,
-                floor_issues=report.floor_issues,
-                flush_redirects=sched.flush_redirects,
-                slow_disks=list(report.slow_disks),
-            )
     span.close()
     return MergeResult(
         output=output,

@@ -35,16 +35,14 @@ exactly as if they had never been read.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..errors import ScheduleError
 from ..memory import BufferPool
-from ..telemetry import NULL_METRIC, TELEMETRY_OFF
+from ..telemetry import TELEMETRY_OFF
 from ..telemetry.schema import (
-    ADAPTIVE_FLUSH_REDIRECTS,
     H_FLUSH_OCCUPANCY,
     H_FLUSH_OUTRANK,
     H_READ_WIDTH,
@@ -119,18 +117,7 @@ class ScheduleStats:
 
 
 class MergeScheduler:
-    """Executable §5.5 I/O schedule over a :class:`MergeJob`.
-
-    Parameters
-    ----------
-    flush_cost:
-        Optional latency-adaptive hook ``disk -> re-read cost (ms)``
-        (the overlap engine passes its per-disk service-time EWMA).
-        When set, :meth:`_flush` biases victim choice toward blocks
-        that will be re-read from *cheap* disks instead of strictly
-        evicting the highest keys; ``None`` (the default) keeps the
-        Definition 6 eviction order bit-identical.
-    """
+    """Executable §5.5 I/O schedule over a :class:`MergeJob`."""
 
     def __init__(
         self,
@@ -139,16 +126,11 @@ class MergeScheduler:
         on_read: Optional[ReadCallback] = None,
         on_flush: Optional[FlushCallback] = None,
         telemetry=None,
-        flush_cost: Optional[Callable[[int], float]] = None,
     ) -> None:
         self.job = job
         self.validate = validate
         self.on_read = on_read
         self.on_flush = on_flush
-        self.flush_cost = flush_cost
-        #: Flush operations whose biased victim set differed from the
-        #: Definition 6 highest-key choice (0 on the fixed path).
-        self.flush_redirects = 0
         # Metric handles are resolved once here; with telemetry disabled
         # they are the shared no-op singleton, so the per-ParRead and
         # per-flush observe/inc calls below cost nothing.
@@ -165,11 +147,6 @@ class MergeScheduler:
         )
         self._h_flush_rank = tel.histogram(
             H_FLUSH_OUTRANK, occupancy_edges(job.n_disks)
-        )
-        self._m_flush_redirects = (
-            tel.counter(ADAPTIVE_FLUSH_REDIRECTS)
-            if flush_cost is not None
-            else NULL_METRIC
         )
         self.fds = ForecastStructure(job)
         self.pool = BufferPool(merge_order=job.n_runs, n_disks=job.n_disks)
@@ -355,99 +332,15 @@ class MergeScheduler:
         if self.on_read is not None:
             self.on_read(reads)
 
-    def _select_flush_victims(self, n_blocks: int) -> list[tuple[int, int, int]]:
-        """Cost-biased victim choice for the latency-adaptive policy.
-
-        Three constraints bound the deviation from Definition 6:
-
-        * Victims must form a *suffix* of each ``(run, disk)`` chain's
-          resident blocks: ``push_back`` rewinds the chain pointer to
-          the evicted block, so flushing an earlier block while a later
-          one stays resident would make the forecast re-offer (and
-          re-fetch) a block that is still in memory.
-        * Candidates are drawn only from the ``n_blocks + D`` highest
-          keys of ``F_t`` — the bias may reorder the far-future tail
-          but never reach into blocks the merge needs soon.
-        * A substitute victim must be *shielded* on its disk: some
-          unfetched block there must precede it, else the eviction
-          makes it the disk's very next fetch and the eager pump churns
-          it straight back into memory.
-
-        Within those bounds the greedy pick minimizes
-        ``(re-read cost, -key)``; with uniform costs (no straggler
-        classified) this reduces exactly to the Definition 6
-        highest-key eviction.  If the constraints leave fewer than
-        ``n_blocks`` candidates, the whole selection falls back to the
-        default.
-
-        Returns the victims in decreasing key order (the order
-        ``push_back`` requires within each chain).
-        """
-        cost = self.flush_cost
-        assert cost is not None
-        # Chains keyed by (run, disk); _f is key-sorted and keys rise
-        # with block index within a run, so each list ends at the
-        # chain's farthest-future resident block — the only legal next
-        # eviction for that chain.  A chain's global maximum always
-        # ranks above its other members, so restricting to the key-tail
-        # window keeps every represented chain's true tail inside it.
-        window = self._f[-(n_blocks + self.job.n_disks):]
-        chains: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        for entry in window:
-            _key, run, block = entry
-            chains.setdefault((run, self.job.disk_of(run, block)), []).append(entry)
-        heap: list[tuple[float, int, int, int, int]] = []
-        for (run, disk), blocks in chains.items():
-            key, _r, blk = blocks[-1]
-            heap.append((cost(disk), -key, run, blk, disk))
-        heapq.heapify(heap)
-        default = self._f[-n_blocks:]
-        default_set = set(default)
-        chosen: list[tuple[int, int, int]] = []
-        while heap and len(chosen) < n_blocks:
-            _c, negkey, run, blk, disk = heapq.heappop(heap)
-            entry = (-negkey, run, blk)
-            if entry not in default_set:
-                head = self.fds.smallest_block_on_disk(disk)
-                if head is None or head[0] >= -negkey:
-                    # Unshielded: nothing on this disk precedes the
-                    # candidate, so evicting it schedules its own
-                    # re-fetch next.  The suffix rule bars this chain's
-                    # lower members too — drop the whole chain.
-                    continue
-            chosen.append(entry)
-            rest = chains[(run, disk)]
-            rest.pop()
-            if rest:
-                key, _r, nblk = rest[-1]
-                heapq.heappush(heap, (cost(disk), -key, run, nblk, disk))
-        if len(chosen) < n_blocks:
-            return [self._f.pop() for _ in range(n_blocks)]
-        chosen_set = set(chosen)
-        if chosen_set != default_set:
-            self.flush_redirects += 1
-            self._m_flush_redirects.inc()
-        self._f = [e for e in self._f if e not in chosen_set]
-        chosen.sort(reverse=True)
-        return chosen
-
     def _flush(self, n_blocks: int) -> None:
-        """``Flush_t(n)``: evict the ``n`` highest-ranked blocks of ``F_t``.
-
-        With a ``flush_cost`` hook attached, victim choice is biased by
-        measured per-disk re-read cost (:meth:`_select_flush_victims`);
-        otherwise the Definition 6 highest-key eviction runs unchanged.
-        """
+        """``Flush_t(n)``: evict the ``n`` highest-ranked blocks of ``F_t``."""
         if n_blocks <= 0:
             raise ScheduleError(f"Flush of {n_blocks} blocks")
         if n_blocks > len(self._f):
             raise ScheduleError(
                 f"Flush of {n_blocks} blocks but only {len(self._f)} in F_t"
             )
-        if self.flush_cost is not None:
-            evicted = self._select_flush_victims(n_blocks)
-        else:
-            evicted = [self._f.pop() for _ in range(n_blocks)]  # decreasing key order
+        evicted = [self._f.pop() for _ in range(n_blocks)]  # decreasing key order
         for key, run, block in evicted:
             if self.validate and block <= self.leading[run]:
                 raise ScheduleError(

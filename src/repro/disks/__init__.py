@@ -39,7 +39,7 @@ from .striping import (
     chain_start_index,
     cyclic_disk,
 )
-from .service import DiskService, ServiceEwma, ServiceNetwork
+from .service import DiskService, ServiceNetwork
 from .system import BlockAddress, ParallelDiskSystem
 from .timing import DISK_1996, DISK_MODERN, DiskTimingModel
 
@@ -68,7 +68,6 @@ __all__ = [
     "BlockAddress",
     "ParallelDiskSystem",
     "DiskService",
-    "ServiceEwma",
     "ServiceNetwork",
     "DiskTimingModel",
     "DISK_1996",

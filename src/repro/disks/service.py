@@ -23,79 +23,6 @@ from ..errors import ConfigError
 from .timing import DiskTimingModel
 
 
-class ServiceEwma:
-    """Per-disk service-time EWMA fed from :class:`DiskService` completions.
-
-    The latency-adaptive scheduler's measurement plane: every accepted
-    request folds its *felt* cost — straggler-scaled service time,
-    penalties and recovery ops, plus any stall-window wait beyond
-    ordinary queueing — into its disk's moving average.  Classification
-    is *relative*: a disk is slow when its EWMA exceeds ``threshold``
-    times the median EWMA of the disks observed so far, so a uniformly
-    slow farm has no stragglers.
-    """
-
-    __slots__ = ("alpha", "values", "samples")
-
-    def __init__(self, n_disks: int, alpha: float = 0.35) -> None:
-        if n_disks < 1:
-            raise ConfigError(f"need at least one disk, got D={n_disks}")
-        if not 0.0 < alpha <= 1.0:
-            raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
-        #: EWMA per disk; ``None`` until the disk's first completion.
-        self.values: list[float | None] = [None] * n_disks
-        self.samples = [0] * n_disks
-
-    def observe(self, disk: int, service_ms: float) -> None:
-        """Fold one completed request's service time into *disk*'s EWMA."""
-        prev = self.values[disk]
-        if prev is None:
-            self.values[disk] = service_ms
-        else:
-            self.values[disk] = prev + self.alpha * (service_ms - prev)
-        self.samples[disk] += 1
-
-    def value(self, disk: int) -> float | None:
-        """Current EWMA of *disk* (``None`` before its first sample)."""
-        return self.values[disk]
-
-    def cost(self, disk: int) -> float:
-        """Re-read cost estimate for *disk*: its EWMA, 0.0 if unseen.
-
-        Unseen disks rank cheapest — with no evidence against a disk
-        the adaptive policy treats it like the homogeneous default.
-        """
-        v = self.values[disk]
-        return v if v is not None else 0.0
-
-    def median(self) -> float:
-        """Median EWMA over the disks observed so far (0.0 if none)."""
-        seen = sorted(v for v in self.values if v is not None)
-        if not seen:
-            return 0.0
-        mid = len(seen) // 2
-        if len(seen) % 2:
-            return seen[mid]
-        return 0.5 * (seen[mid - 1] + seen[mid])
-
-    def slow_disks(self, threshold: float) -> tuple[int, ...]:
-        """Disks whose EWMA exceeds ``threshold`` x the observed median.
-
-        Empty until at least two disks have completions: a single
-        sampled disk has no peer group to straggle behind.
-        """
-        if sum(1 for v in self.values if v is not None) < 2:
-            return ()
-        med = self.median()
-        if med <= 0.0:
-            return ()
-        cut = threshold * med
-        return tuple(
-            d for d, v in enumerate(self.values) if v is not None and v > cut
-        )
-
-
 @dataclass
 class DiskService:
     """One disk's FIFO request queue.
@@ -192,11 +119,6 @@ class ServiceNetwork:
     #: every accepted request emits causal trace records (op body,
     #: fault-stall window, recovery tail) with binding predecessors.
     tracer: object | None = None
-    #: Optional :class:`ServiceEwma`.  When armed (by the engine's
-    #: latency-adaptive mode), every accepted request feeds its service
-    #: time into the per-disk moving average.  Pure measurement — the
-    #: queueing behavior is identical with or without it.
-    ewma: ServiceEwma | None = None
 
     def __post_init__(self) -> None:
         if self.n_disks < 1:
@@ -238,14 +160,6 @@ class ServiceNetwork:
                 not_before = inj.stall_release(d, candidate)
             free_at = self.disks[d].free_at
             completes.append(self.disks[d].submit(issue_ms, service, not_before))
-            if self.ewma is not None:
-                # Observe the *felt* cost: service plus any stall-window
-                # wait beyond ordinary queueing (completion minus the
-                # time the disk could have started absent faults).  A
-                # straggler folds in as service * factor; a disk under
-                # repeated stall windows measures slow too, even though
-                # its raw service time is nominal.
-                self.ewma.observe(d, completes[-1] - max(issue_ms, free_at))
             if tracer is not None:
                 tracer.disk_op(
                     d, kind, issue_ms, free_at, not_before,
@@ -298,8 +212,7 @@ class ServiceNetwork:
         to the makespan is the caller's to account (it depends on when
         the merge as a whole finishes).  When *makespan_ms* is given,
         each entry also carries the disk's busy fraction (zero-guarded,
-        so a stall-only or empty timeline reports 0.0) and — if the EWMA
-        plane is armed — its current service-time estimate.
+        so a stall-only or empty timeline reports 0.0).
         """
         out = []
         for d in range(self.n_disks):
@@ -309,8 +222,6 @@ class ServiceNetwork:
             }
             if makespan_ms is not None:
                 entry["utilization"] = srv.utilization(makespan_ms)
-            if self.ewma is not None:
-                entry["ewma_ms"] = self.ewma.value(d)
             out.append(entry)
         return out
 

@@ -29,7 +29,6 @@ import numpy as np
 from ..baselines.dsm import dsm_sort
 from ..core.config import (
     DSMConfig,
-    LatencyAwareConfig,
     OverlapConfig,
     SRMConfig,
     memory_records_for_k,
@@ -77,14 +76,8 @@ class ChaosScenario:
         ``"torn"`` (torn writes injected and every one detected),
         ``"recovery_reads"`` (charged parity reconstruction reads > 0),
         ``"double_death"`` (at least two disks died),
-        ``"adaptive"`` (the latency-adaptive rerun must produce
-        bit-identical output at a makespan no worse than the fixed
-        policy's).
-    adaptive:
-        Rerun the scenario with the latency-adaptive scheduler armed
-        (same plan, same seed) and record the adaptive-vs-fixed pair:
-        ``adaptive_makespan_ms`` and ``adaptive_identical`` in the
-        stats.  Only meaningful with ``overlap=True``.
+        ``"latency"`` (the simulated makespan must exceed the
+        fault-free traced reference's; needs ``overlap=True``).
     """
 
     name: str
@@ -94,7 +87,6 @@ class ChaosScenario:
     retry: RetryPolicy | None = None
     dsm: bool = True
     expect: frozenset = frozenset()
-    adaptive: bool = False
 
 
 @dataclass
@@ -215,22 +207,11 @@ class ChaosReport:
                     f"{tag}: plan kills two disks but "
                     f"{s.get('disk_deaths', 0)} died"
                 )
-            if "adaptive" in expect:
-                if s.get("adaptive_identical") is not True:
-                    msgs.append(
-                        f"{tag}: latency-adaptive rerun output differs "
-                        "from the fixed-policy run"
-                    )
-                a_ms = s.get("adaptive_makespan_ms")
-                if a_ms is None or r.makespan_ms is None:
-                    msgs.append(
-                        f"{tag}: latency-adaptive rerun recorded no makespan"
-                    )
-                elif a_ms > r.makespan_ms * (1.0 + 1e-9):
-                    msgs.append(
-                        f"{tag}: adaptive makespan {a_ms:.1f}ms is worse "
-                        f"than the fixed policy's {r.makespan_ms:.1f}ms"
-                    )
+            if "latency" in expect and not (r.makespan_overhead_pct or 0) > 0:
+                msgs.append(
+                    f"{tag}: latency plan added no simulated makespan over "
+                    "the fault-free reference"
+                )
         return msgs
 
     def rows(self) -> list[dict]:
@@ -401,8 +382,7 @@ def default_scenarios(
             plan=FaultPlan(seed=seed + 3, latency_factors={1 % n_disks: 4.0}),
             overlap=True,
             dsm=False,
-            adaptive=True,
-            expect=frozenset({"adaptive"}),
+            expect=frozenset({"latency"}),
         ),
         ChaosScenario(
             name="stall",
@@ -413,8 +393,7 @@ def default_scenarios(
             ),
             overlap=True,
             dsm=False,
-            adaptive=True,
-            expect=frozenset({"adaptive"}),
+            expect=frozenset({"latency"}),
         ),
         ChaosScenario(
             name="breaker",
@@ -515,10 +494,6 @@ def run_chaos(
     # the death inside the merge phase.
     death_after = max(1, ref_res.total_parallel_ios // 2)
     overlap_cfg = OverlapConfig(mode="full", prefetch_depth=2)
-    # The adaptive-vs-fixed pair: identical geometry, latency plane armed.
-    adaptive_cfg = OverlapConfig(
-        mode="full", prefetch_depth=2, latency=LatencyAwareConfig()
-    )
     ref_overlap_ms: float | None = None
     ref_attr: dict | None = None
     # Lazy: analysis pulls in the whole package graph.
@@ -566,21 +541,6 @@ def run_chaos(
                         makespan = res.simulated_merge_ms
                         if ref_overlap_ms:
                             overhead = 100.0 * (makespan / ref_overlap_ms - 1.0)
-                    if sc.overlap and sc.adaptive:
-                        # Same plan, same seed, same geometry — only the
-                        # latency-adaptive plane differs, so the pair
-                        # isolates the policy's effect.
-                        a_out, a_res = srm_sort(
-                            keys,
-                            srm_cfg,
-                            rng=seed + 17,
-                            overlap=adaptive_cfg,
-                            faults=sc.plan,
-                        )
-                        adaptive_ms = a_res.simulated_merge_ms
-                        adaptive_identical = bool(np.array_equal(a_out, out))
-                    else:
-                        adaptive_ms = adaptive_identical = None
                 else:
                     out, res = dsm_sort(
                         keys, dsm_cfg, telemetry=tel, faults=_armed(sc, n_disks, tel)
@@ -588,9 +548,6 @@ def run_chaos(
                 system = res.system
                 stats = system.faults.stats.snapshot()
                 stats["_expect"] = sorted(sc.expect)
-                if algo == "srm" and sc.adaptive and adaptive_ms is not None:
-                    stats["adaptive_makespan_ms"] = adaptive_ms
-                    stats["adaptive_identical"] = adaptive_identical
                 if algo == "srm":
                     analyses = analyze_collector(col)
                     attr = combine_attribution(analyses.values())

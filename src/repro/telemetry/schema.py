@@ -44,10 +44,6 @@ __all__ = [
     "H_RUN_LENGTH",
     "H_WRITER_OCCUPANCY",
     "H_OVERLAP_QUEUE_DEPTH",
-    "ADAPTIVE_DEPTH_BOOSTS",
-    "ADAPTIVE_FLOOR_ISSUES",
-    "ADAPTIVE_FLUSH_REDIRECTS",
-    "ADAPTIVE_SLOW_DISKS",
     "FAULT_TRANSIENT_FAILURES",
     "FAULT_RETRIES",
     "FAULT_CORRUPT_INJECTED",
@@ -115,21 +111,6 @@ SCHED_MERGE_PARREADS = "sched.merge_parreads"
 SCHED_FLUSH_OPS = "sched.flush_ops"
 SCHED_BLOCKS_FLUSHED = "sched.blocks_flushed"
 MERGE_DRAIN_CYCLES = "merge.drain_cycles"
-
-# Latency-adaptive scheduling counters (``LatencyAwareConfig``).  All
-# are zero with adaptation off or on a homogeneous farm.
-
-#: Pumps where the read-ahead window was deepened because a slow disk
-#: still offered blocks.
-ADAPTIVE_DEPTH_BOOSTS = "scheduler.adaptive.depth_boosts"
-#: Eager ParReads issued past the nominal window to refill an idle
-#: straggler queue (the eager-issue floor).
-ADAPTIVE_FLOOR_ISSUES = "scheduler.adaptive.floor_issues"
-#: Flushes whose victim set was steered away from the §5.5 default so
-#: the re-reads land on faster disks.
-ADAPTIVE_FLUSH_REDIRECTS = "scheduler.adaptive.flush_redirects"
-#: Disks currently classified slow by the service-time EWMA (gauge).
-ADAPTIVE_SLOW_DISKS = "scheduler.adaptive.slow_disks"
 
 # Fault-injection and resilience counters (``repro chaos``).  All are
 # zero on a fault-free run; the chaos harness asserts the relations

@@ -41,19 +41,6 @@ class TestSweep:
             assert p.makespan_ms >= p.bound_ms - 1e-6  # gap is never negative
             assert p.dominant in p.attribution or p.dominant == "none"
 
-    def test_faulted_points_carry_adaptive_pair(self, report):
-        for p in report.points:
-            faulted = p.latency_factor != 1.0 or p.n_stalls > 0
-            if faulted and p.mode != "none":
-                assert p.adaptive_makespan_ms is not None
-                assert p.adaptive_identical is True
-                assert (
-                    p.adaptive_makespan_ms
-                    <= p.makespan_ms * (1.0 + 1e-9)
-                )
-            else:
-                assert p.adaptive_makespan_ms is None
-
     def test_straggler_moves_makespan(self, report):
         # At equal depth/stalls, a 4x straggler must cost real time.
         by_key = {
@@ -68,14 +55,6 @@ class TestSweep:
         assert [p.row() for p in again.points] == [
             p.row() for p in report.points
         ]
-
-    def test_adaptive_off_skips_reruns(self):
-        cfg = CliffSweepConfig.quick(
-            n_records=2_000, adaptive=False, factors=(4.0,), stalls=(0,),
-            depths=(0,),
-        )
-        rep = run_cliff(cfg)
-        assert all(p.adaptive_makespan_ms is None for p in rep.points)
 
 
 class TestReport:
@@ -95,7 +74,7 @@ class TestReport:
     def test_render_mentions_every_point(self, report):
         text = render_cliff(report)
         assert text.count("\n") >= len(report.points)
-        assert "adaptive no worse than fixed" in text
+        assert "all points: output identical, attribution exact" in text
 
     def test_failures_catch_regressions(self):
         point = CliffPoint(
@@ -103,10 +82,10 @@ class TestReport:
             makespan_ms=100.0, cpu_busy_ms=50.0, read_stall_ms=0.0,
             write_stall_ms=0.0, io_busy_ms=80.0, disk_utilization=0.5,
             bound_ms=90.0, overlap_gap_ms=10.0, dominant="read",
-            adaptive_makespan_ms=120.0, adaptive_identical=False,
+            exact=False, sorted_ok=False,
         )
         rep = CliffReport(config=CFG, points=[point])
         fails = rep.failures()
-        assert any("differs" in f for f in fails)
-        assert any("> fixed" in f for f in fails)
+        assert any("not sorted-identical" in f for f in fails)
+        assert any("does not tile the makespan" in f for f in fails)
         assert "FAIL" in render_cliff(rep)

@@ -6,7 +6,8 @@ copies of that machinery, so any drift in output, payload order,
 ``IOStats`` (down to the per-disk arrays), pass and transposition
 counts, or fault draws fails here.  The cases cover D = 2, 4 and 16, a
 final partial stripe (1,001 records on D = 4, B = 8), and a parity plan
-with transient failures and torn writes.
+with transient failures and torn writes.  The PSV parity case was
+re-recorded once, when PSV began scrubbing its output.
 """
 
 from __future__ import annotations
@@ -101,21 +102,20 @@ PSV_EXPECTED = {
         writes_per_disk=[766, 766, 478] + [252] * 4 + [222] + [220] * 8,
         runs=40, passes=2, transpositions=1,
     ),
-    # PSV does not scrub its output, so the 15 tears of the final pass
-    # that no later read detected are still in it: this digest is of an
-    # output that is not sorted.
+    # The closing output scrub finds the 15 final-pass tears no later
+    # read detects, so detections equal injections.
     "d4_parity_torn": dict(
-        out="60f2dc14b7584c12",
-        parallel_reads=724, parallel_writes=1434,
-        blocks_read=2484, blocks_written=3082,
-        reads_per_disk=[659, 660, 646, 519],
-        writes_per_disk=[775, 774, 779, 754],
+        out="d0ec34ba1db576b1",
+        parallel_reads=833, parallel_writes=1449,
+        blocks_read=2904, blocks_written=3097,
+        reads_per_disk=[764, 766, 750, 624],
+        writes_per_disk=[779, 777, 784, 757],
         runs=47, passes=3, transpositions=2,
         faults={
             "transient_failures": 47, "retries": 106,
             "backoff_ms_total": 119.46006891211229, "write_failures": 59,
-            "torn_writes_injected": 94, "torn_writes_detected": 79,
-            "recovery_read_ios": 79, "parity_blocks_written": 878,
+            "torn_writes_injected": 94, "torn_writes_detected": 94,
+            "recovery_read_ios": 94, "parity_blocks_written": 878,
         },
     ),
 }

@@ -172,6 +172,23 @@ class TestPSVSort:
         indexes = [sys.peek(a).index for a in res.output.addresses]
         assert indexes == list(range(-(-n // 8)))
 
+    def test_torn_writes_scrubbed_from_output(self):
+        from repro.faults import FaultPlan
+
+        plan = FaultPlan(
+            seed=5, torn_write_p=0.05, write_fail_p=0.02, read_fail_p=0.02,
+            redundancy="parity",
+        )
+        sys = ParallelDiskSystem(4, 8)
+        sys.attach_faults(plan)
+        keys = np.random.default_rng(3_004).integers(0, 1_000, size=3_000)
+        infile = StripedFile.from_records(sys, keys)
+        res = psv_mergesort(sys, infile, run_length=64, buffer_blocks_per_run=2)
+        stats = sys.faults.stats
+        assert stats.torn_writes_injected > 0
+        assert stats.torn_writes_detected == stats.torn_writes_injected
+        assert np.array_equal(res.peek_sorted(), np.sort(keys))
+
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 2000))
     @settings(max_examples=15, deadline=None)
     def test_property_sorts(self, seed, n):

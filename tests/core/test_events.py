@@ -13,6 +13,8 @@ The engine's contract has two halves:
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,8 @@ from repro.core import (
 )
 from repro.disks import DISK_1996, ParallelDiskSystem, StripedRun
 from repro.errors import ConfigError
+from repro.faults import FaultPlan, StallWindow
+from repro.telemetry import Telemetry
 from repro.workloads import random_partition_runs
 
 D, B, R = 4, 8, 4
@@ -233,43 +237,92 @@ class TestDepthHistogram:
         assert self._edges(2) == [float(v) for v in range(2 * D + D + 1)]
 
 
-class TestAdaptiveEngine:
-    """Unit surface of the latency-adaptive plane on the engine."""
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
 
-    def _engine(self):
-        from repro.core import LatencyAwareConfig
 
-        overlap = OverlapConfig(
-            mode="full", prefetch_depth=1, latency=LatencyAwareConfig()
-        )
-        return OverlapEngine(DISK_1996, B, D, overlap)
+#: The latency plans of the pinned sorts: a 4x straggler, and recurring
+#: stall windows on the same disk.
+LATENCY_PLANS = {
+    "straggler": FaultPlan(seed=1999, latency_factors={1: 4.0}),
+    "stalls": FaultPlan(
+        seed=2000,
+        stalls=tuple(StallWindow(1, 1_000.0 + 3_000.0 * i, 500.0) for i in range(3)),
+    ),
+}
 
-    def test_fixed_engine_has_no_slow_disks(self):
-        eng = OverlapEngine(DISK_1996, B, D, OverlapConfig(mode="full"))
-        assert eng.latency is None
-        assert eng.net.ewma is None
-        assert eng.slow_disks() == ()
-        assert eng.disk_cost(0) == 0.0
 
-    def test_homogeneous_service_classifies_nobody(self):
-        eng = self._engine()
-        eng.net.submit([0, 1, 2, 3], 0.0)
-        assert eng.slow_disks() == ()
-        assert all(eng.disk_cost(d) == 0.0 for d in range(D))
+def _pinned_latency_sort(plan: FaultPlan, depth: int) -> dict:
+    """A traced full-overlap sort under *plan*; digests of what it made."""
+    d, b = 4, 16
+    keys = np.random.default_rng(1996).integers(0, 2**48, 6_000, dtype=np.int64)
+    overlap = OverlapConfig(
+        mode="full", prefetch_depth=depth, cpu_us_per_record=1000.0
+    )
+    tel = Telemetry()
+    col = tel.attach_trace()
+    out, res = srm_sort(
+        keys, SRMConfig.from_k(2, d, b), rng=2013, overlap=overlap,
+        telemetry=tel, faults=plan,
+    )
+    assert np.array_equal(out, np.sort(keys))
+    assert col.dropped == 0
+    trace = [
+        (r.kind, r.cat, r.lane, r.domain, r.queue_ms, r.start_ms, r.end_ms,
+         r.dep, r.attrs)
+        for r in col.records
+    ]
+    return {
+        "output": hashlib.sha256(out.tobytes()).hexdigest(),
+        "schedules": _digest(res.merge_schedules),
+        "overlap": _digest([
+            (r.makespan_ms.hex(), r.read_stall_ms.hex(), r.write_stall_ms.hex(),
+             r.eager_reads, r.demand_reads)
+            for r in res.overlap_reports
+        ]),
+        "trace": _digest(trace),
+    }
 
-    def test_straggler_classified_and_costed(self):
-        eng = self._engine()
-        base = DISK_1996.op_time_ms(B)
-        # Hand-feed the EWMA a 4x straggler on disk 1.
-        for d in range(D):
-            eng.net.ewma.observe(d, base * (4.0 if d == 1 else 1.0))
-        assert eng.slow_disks() == (1,)
-        assert eng.disk_cost(1) == pytest.approx(4.0 * base)
-        # Fast disks carry no penalty, so the flush bias stays inert
-        # for them (Definition 6 order).
-        assert eng.disk_cost(0) == 0.0
 
-    def test_single_observed_disk_has_no_peer_group(self):
-        eng = self._engine()
-        eng.net.ewma.observe(2, 100.0)
-        assert eng.slow_disks() == ()
+#: Any change to the engine's read-ahead, the §5.5 flush order or the
+#: drain's replay of engine events moves these.
+PINNED_LATENCY_DIGESTS = {
+    "stalls-0": {
+        "output": "30a76e3612595d5a332ac4df8a5fb82e41e362278973ef310ce592d4ea5df047",
+        "schedules": "77252c2ee4dcc934024c7d274fa1cd67937594d22c11097add6461985df3cff1",
+        "overlap": "ef0f0714812a6c17035d8964a25678a69814541c329604d5b8c6a55ffb0767ce",
+        "trace": "37306c3f6728f668ed461c99e5fcf462a07e2a0f7875044ce1d9079ec8ffad3e",
+    },
+    "stalls-2": {
+        "output": "30a76e3612595d5a332ac4df8a5fb82e41e362278973ef310ce592d4ea5df047",
+        "schedules": "fa6989b3006fd6459034f9ff9efc06666402788020da33b081802bce8aa35579",
+        "overlap": "cd9b7441204053adfd4cc1e13397ec6db9ca29388b30ec350578a0a1d84087a9",
+        "trace": "4884087e7b653969b5f70751b4a17951e957370e97d7bfbc1680dfc53450030b",
+    },
+    "straggler-0": {
+        "output": "30a76e3612595d5a332ac4df8a5fb82e41e362278973ef310ce592d4ea5df047",
+        "schedules": "77252c2ee4dcc934024c7d274fa1cd67937594d22c11097add6461985df3cff1",
+        "overlap": "31e200e72f72f0936305136b55f6beb3addca6c6d62314caae6190b2a61f023c",
+        "trace": "6b7196ac04e0a23e15c02a4f75d668e5de2b0975a505261cf017c964c6113646",
+    },
+    "straggler-2": {
+        "output": "30a76e3612595d5a332ac4df8a5fb82e41e362278973ef310ce592d4ea5df047",
+        "schedules": "fa6989b3006fd6459034f9ff9efc06666402788020da33b081802bce8aa35579",
+        "overlap": "9e9983cc68c809111960f2ec09b95450501b33969b8e1ddf890c2c94450fdc14",
+        "trace": "8f16bdcfe8589df1aeaa799b39801181368f20856f15fff94ba39ad3d10d3374",
+    },
+}
+
+
+class TestPinnedLatencyFaults:
+    """The fixed read-ahead and flush policy under latency faults, pinned.
+
+    Stragglers and stall windows change when blocks arrive, so they are
+    where a clock-dependent policy would first move the schedule.
+    """
+
+    @pytest.mark.parametrize("depth", [0, 2])
+    @pytest.mark.parametrize("name", sorted(LATENCY_PLANS))
+    def test_stream_matches_pinned_digests(self, name, depth):
+        got = _pinned_latency_sort(LATENCY_PLANS[name], depth)
+        assert got == PINNED_LATENCY_DIGESTS[f"{name}-{depth}"]

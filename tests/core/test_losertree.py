@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.critical_path import analyze_collector
 from repro.core import (
-    LatencyAwareConfig,
     SRMConfig,
     merge_runs,
     srm_mergesort,
@@ -294,7 +293,7 @@ class TestMergerEquivalence:
         cpu=st.sampled_from(["zero", "one", "balanced"]),
         keys=st.sampled_from(["distinct", "duplicated", "all_equal"]),
         payloads=st.booleans(),
-        policy=st.sampled_from(["fixed", "straggler", "adaptive"]),
+        policy=st.sampled_from(["fixed", "straggler"]),
     )
     @settings(max_examples=150, deadline=None)
     def test_overlap_engine_uses_cycle_loop(
@@ -327,12 +326,11 @@ class TestMergerEquivalence:
             mode=mode,
             prefetch_depth=depth,
             cpu_us_per_record=cpu_us,
-            latency=LatencyAwareConfig() if policy == "adaptive" else None,
         )
 
         def merge():
             system = ParallelDiskSystem(D, B)
-            if policy != "fixed":
+            if policy == "straggler":
                 system.attach_faults(
                     FaultPlan(seed=seed, latency_factors={0: 4.0})
                 )

@@ -125,73 +125,7 @@ class TestFlushing:
         assert stats.blocks_read == stats.n_blocks + stats.blocks_flushed
 
 
-class TestAdaptiveFlush:
-    """Cost-biased victim selection (the latency-adaptive flush hook)."""
-
-    def _pressured(self, flush_cost=None, R=4, D=4, n_blocks=30):
-        """A scheduler mid-merge with a populated F_t."""
-        runs = interleaved_runs(R, n_blocks, 2)
-        job = make_job(runs, B=2, D=D, starts=[0] * R)
-        sched = MergeScheduler(job, validate=True, flush_cost=flush_cost)
-        sched.initial_load()
-        while sched.maybe_prefetch():  # fill M_R with eager case-2a reads
-            pass
-        assert len(sched._f) >= 2
-        return sched
-
-    def _drive(self, flush_cost, R=4, D=4, n_blocks=30):
-        """Run a full simulated merge through a flush_cost scheduler."""
-        from repro.core.simulator import _PARTICIPATE, build_event_stream
-
-        runs = interleaved_runs(R, n_blocks, 2)
-        job = make_job(runs, B=2, D=D, starts=[0] * R)
-        sched = MergeScheduler(job, validate=True, flush_cost=flush_cost)
-        sched.initial_load()
-        _, kinds, ev_runs, blocks = build_event_stream(job)
-        for kind, r, b in zip(kinds.tolist(), ev_runs.tolist(), blocks.tolist()):
-            if kind == _PARTICIPATE:
-                sched.ensure_resident(r, b)
-            else:
-                sched.on_leading_depleted(r)
-        assert sched.finished()
-        return sched.stats(), sched.flush_redirects
-
-    def test_uniform_cost_matches_definition6(self):
-        # With no disk classified slow every cost is 0.0 and the biased
-        # greedy must reduce exactly to the highest-key eviction.
-        fixed, uniform = self._pressured(), self._pressured(
-            flush_cost=lambda d: 0.0
-        )
-        ev_fixed, ev_uniform = [], []
-        fixed.on_flush = ev_fixed.append
-        uniform.on_flush = ev_uniform.append
-        fixed._flush(2)
-        uniform._flush(2)
-        assert ev_fixed == ev_uniform
-        assert uniform.flush_redirects == 0
-
-    def test_uniform_cost_full_merge_identical_stats(self):
-        base, base_redirects = self._drive(None)
-        uni, uni_redirects = self._drive(lambda d: 0.0)
-        assert uni == base
-        assert base_redirects == uni_redirects == 0
-
-    def test_biased_merge_completes_under_invariants(self):
-        # An aggressive bias (disk 0 very expensive) may redirect
-        # victims, but every schedule law still holds: validate mode is
-        # on throughout, the one-ParRead demand rule is enforced by the
-        # wedged-forecast guard, and flushed blocks are all re-read.
-        stats, _ = self._drive(lambda d: 100.0 if d == 0 else 0.0)
-        assert stats.blocks_read == stats.n_blocks + stats.blocks_flushed
-        assert stats.max_mr_occupied <= 4 + 4
-
-    def test_redirect_counter_tracks_deviation(self):
-        sched = self._pressured(flush_cost=lambda d: 0.0)
-        default_choice = set(sched._f[-2:])
-        sched._flush(2)
-        # Uniform costs: no deviation recorded.
-        assert sched.flush_redirects == 0
-        assert default_choice.isdisjoint(sched._f)
+class TestDepletion:
     def test_promotes_resident_successor(self):
         job = make_job(interleaved_runs(2, 3, 2), D=2, starts=[0, 1])
         sched = MergeScheduler(job, validate=True)

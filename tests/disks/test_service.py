@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.disks import DISK_1996, DiskService, ServiceEwma, ServiceNetwork
+from repro.disks import DISK_1996, DiskService, ServiceNetwork
 from repro.errors import ConfigError
 
 
@@ -149,88 +149,3 @@ class TestDegenerateUtilization:
         done = net.submit([0], 0.0)[0]
         assert done == pytest.approx(50.0 + t)  # head held until window end
         assert net.disks[0].busy_ms == pytest.approx(t)  # wait is not service
-
-
-class TestServiceEwma:
-    def test_first_sample_seeds_value(self):
-        e = ServiceEwma(2, alpha=0.5)
-        assert e.value(0) is None
-        e.observe(0, 10.0)
-        assert e.value(0) == pytest.approx(10.0)
-
-    def test_ewma_folds_with_alpha(self):
-        e = ServiceEwma(1, alpha=0.5)
-        e.observe(0, 10.0)
-        e.observe(0, 20.0)
-        assert e.value(0) == pytest.approx(15.0)
-        assert e.samples[0] == 2
-
-    def test_cost_of_unseen_disk_is_zero(self):
-        e = ServiceEwma(3)
-        e.observe(0, 10.0)
-        assert e.cost(0) == pytest.approx(10.0)
-        assert e.cost(1) == 0.0
-
-    def test_median_over_observed_disks(self):
-        e = ServiceEwma(4)
-        e.observe(0, 10.0)
-        e.observe(1, 20.0)
-        e.observe(2, 40.0)
-        assert e.median() == pytest.approx(20.0)
-        e.observe(3, 30.0)
-        assert e.median() == pytest.approx(25.0)
-
-    def test_no_slow_disks_until_two_observed(self):
-        # One sampled disk has no peer group to straggle behind.
-        e = ServiceEwma(3)
-        e.observe(1, 1000.0)
-        assert e.slow_disks(1.25) == ()
-        e.observe(0, 10.0)
-        assert e.slow_disks(1.25) == (1,)
-
-    def test_relative_threshold(self):
-        e = ServiceEwma(3)
-        for d, v in enumerate((10.0, 10.0, 40.0)):
-            e.observe(d, v)
-        assert e.slow_disks(1.25) == (2,)
-        # A uniformly slow farm has no stragglers.
-        u = ServiceEwma(3)
-        for d in range(3):
-            u.observe(d, 500.0)
-        assert u.slow_disks(1.25) == ()
-
-    def test_bad_config_rejected(self):
-        with pytest.raises(ConfigError):
-            ServiceEwma(0)
-        with pytest.raises(ConfigError):
-            ServiceEwma(2, alpha=0.0)
-        with pytest.raises(ConfigError):
-            ServiceEwma(2, alpha=1.5)
-
-    def test_armed_network_observes_felt_cost(self):
-        # The EWMA measures what the request *felt*: straggler-scaled
-        # service, and stall-window waits beyond ordinary queueing —
-        # so a nominal-speed disk under repeated stalls classifies slow.
-        from repro.faults.plan import FaultInjector, FaultPlan, StallWindow
-
-        t = DISK_1996.op_time_ms(4)
-        plan = FaultPlan(
-            seed=3,
-            latency_factors={1: 3.0},
-            stalls=(StallWindow(disk=0, start_ms=0.0, duration_ms=25.0),),
-        )
-        net = ServiceNetwork(3, DISK_1996, 4, faults=FaultInjector(plan, 3))
-        net.ewma = ServiceEwma(3)
-        net.submit([0, 1, 2], 0.0)
-        assert net.ewma.value(0) == pytest.approx(25.0 + t)  # stall wait felt
-        assert net.ewma.value(1) == pytest.approx(3.0 * t)  # straggler felt
-        assert net.ewma.value(2) == pytest.approx(t)
-
-    def test_queue_wait_is_not_felt_cost(self):
-        # Ordinary FIFO queueing behind one's own disk is not slowness.
-        net = ServiceNetwork(2, DISK_1996, 4)
-        net.ewma = ServiceEwma(2)
-        t = DISK_1996.op_time_ms(4)
-        net.submit([0], 0.0)
-        net.submit([0], 0.0)  # queued behind the first
-        assert net.ewma.value(0) == pytest.approx(t)

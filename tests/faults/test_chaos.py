@@ -7,6 +7,7 @@ import pytest
 
 from repro import DSMConfig, SRMConfig, dsm_sort, srm_sort
 from repro.faults import DiskDeath, FaultPlan, StallWindow, run_chaos
+from repro.faults.chaos import ChaosReport, ScenarioResult
 from repro.verify import check_striped_run
 
 D, B, K = 4, 8, 2
@@ -199,6 +200,28 @@ class TestChaosHarness:
         assert by_name[("torn", "srm")]["recovery_read_ios"] > 0
         assert by_name[("parity_death", "srm")]["recovery_read_ios"] > 0
         assert by_name[("double_death", "srm")]["disk_deaths"] == 2
+
+    def test_full_sweep_passes(self):
+        full = run_chaos(
+            n_records=3_000, n_disks=4, k=2, block_size=8, seed=77, quick=False
+        )
+        assert full.failures() == []
+        names = {r.scenario for r in full.results}
+        assert {"straggler", "stall", "breaker", "combo"} <= names
+
+    def test_latency_scenario_without_makespan_cost_fails(self):
+        result = ScenarioResult(
+            scenario="straggler", algorithm="srm", description="",
+            identical=True, stats={"_expect": ["latency"]}, parallel_ios=1,
+            io_overhead_pct=0.0, makespan_ms=10.0, makespan_overhead_pct=0.0,
+        )
+        report = ChaosReport(
+            n_records=1, n_disks=4, block_size=8, merge_order=8, seed=0,
+            results=[result],
+        )
+        assert any("no simulated makespan" in f for f in report.failures())
+        result.makespan_overhead_pct = 1.5
+        assert report.failures() == []
 
     def test_jsonl_roundtrip(self, report, tmp_path):
         import json

@@ -19,6 +19,7 @@ import pytest
 from repro import external_sort, external_sort_records, srm_sort
 from repro.baselines.dsm import dsm_mergesort, dsm_sort, write_superblock_run
 from repro.baselines.psv import psv_mergesort
+from repro.core.config import OverlapConfig
 from repro.core.merge import merge_runs
 from repro.core.parallel_merge import parallel_merge_runs
 
@@ -34,6 +35,7 @@ DOCUMENTED = [
     psv_mergesort,
     merge_runs,
     parallel_merge_runs,
+    OverlapConfig,
 ]
 
 

@@ -120,8 +120,7 @@ class TestCliff:
 
     def test_custom_axes(self, capsys):
         rc = main(["cliff", "--n", "2000", "--modes", "full", "--depths", "0",
-                   "--factors", "1,4", "--stall-densities", "0",
-                   "--no-adaptive"])
+                   "--factors", "1,4", "--stall-densities", "0"])
         assert rc == 0
         out = capsys.readouterr().out
         assert out.count("full") >= 2
