@@ -15,7 +15,6 @@ from .psv import (
     SingleDiskRun,
     psv_merge,
     psv_mergesort,
-    write_single_disk_run,
     write_single_disk_runs_parallel,
 )
 from .single_disk import single_disk_config, single_disk_sort
@@ -36,6 +35,5 @@ __all__ = [
     "SingleDiskRun",
     "psv_merge",
     "psv_mergesort",
-    "write_single_disk_run",
     "write_single_disk_runs_parallel",
 ]

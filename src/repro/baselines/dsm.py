@@ -29,7 +29,7 @@ from ..disks.files import StripedFile, StripeWriter
 from ..disks.system import ParallelDiskSystem
 from ..errors import ConfigError, DataError
 from ..core.config import DSMConfig
-from ..core.mergesort import _sort_on_fresh_system
+from ..core.mergesort import PeekSorted, _sort_on_fresh_system
 from ..core.run_formation import sorted_loads
 from ..telemetry import TELEMETRY_OFF
 from ..telemetry.schema import (
@@ -75,7 +75,7 @@ class DSMPassStats:
 
 
 @dataclass
-class DSMSortResult:
+class DSMSortResult(PeekSorted):
     """Outcome of a DSM external sort."""
 
     output: StripedFile
@@ -95,73 +95,23 @@ class DSMSortResult:
     def total_parallel_ios(self) -> int:
         return self.io.parallel_ios if self.io is not None else 0
 
-    def _system(self, system: ParallelDiskSystem | None) -> ParallelDiskSystem:
-        sys = system if system is not None else self.system
-        if sys is None:
-            raise ConfigError("no disk system attached; pass one explicitly")
-        return sys
 
-    def peek_sorted(self, system: ParallelDiskSystem | None = None) -> np.ndarray:
-        """Read the sorted output without charging I/O."""
-        return self.peek_sorted_records(system)[0]
+class _KeyRangeReader:
+    """One sorted run, read a loaded slice (``data``/``pay``) at a time.
 
-    def peek_sorted_records(
-        self, system: ParallelDiskSystem | None = None
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Read sorted keys and payloads without charging I/O."""
-        return self._system(system).peek_records(self.output.addresses)
-
-
-class _SuperblockReader:
-    """Streams one run superblock-by-superblock (1 parallel I/O each).
-
-    Superblock ``s`` is stripe ``s`` of the run, blocks ``sD .. sD+D-1``;
-    its slots are freed as soon as it is read.
+    A subclass defines :meth:`refill`, which replaces the slice with the
+    run's next one, or sets ``data`` to ``None`` at the run's end.
     """
 
-    def __init__(
-        self,
-        system: ParallelDiskSystem,
-        run: StripedFile,
-        telemetry=None,
-    ):
-        self.system = system
-        self.run = run
-        self.next_stripe = 0
-        self.data: np.ndarray | None = None
-        self.pay: np.ndarray | None = None
-        self.offset = 0
-        self.stripe_reads = 0
-        tel = telemetry if telemetry is not None else TELEMETRY_OFF
-        self._h_width = tel.histogram(
-            H_READ_WIDTH, read_width_edges(system.n_disks)
-        )
-        self._load()
+    data: np.ndarray | None = None
+    pay: np.ndarray | None = None
+    offset = 0
 
-    def _load(self) -> None:
-        D, s = self.system.n_disks, self.next_stripe
-        stripe = self.run.addresses[s * D : (s + 1) * D]
-        if not stripe:
-            self.data = None
-            self.pay = None
-            return
-        blocks = self.system.read_stripe(stripe)
-        self.stripe_reads += 1
-        self._h_width.observe(len(stripe))
-        for addr in stripe:
-            self.system.free(addr)
-        self.next_stripe += 1
-        self.data = np.concatenate([b.keys for b in blocks])
-        self.pay = (
-            None
-            if blocks[0].payloads is None
-            else np.concatenate([b.payloads for b in blocks])
-        )
-        self.offset = 0
+    def refill(self) -> None:
+        raise NotImplementedError
 
-    @property
-    def exhausted(self) -> bool:
-        return self.data is None
+    def _take(self, data: np.ndarray | None, pay: np.ndarray | None) -> None:
+        self.data, self.pay, self.offset = data, pay, 0
 
     def current_key(self) -> int:
         assert self.data is not None
@@ -170,7 +120,10 @@ class _SuperblockReader:
     def consume_until(
         self, limit: int | None
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Consume records strictly below *limit* (at least one)."""
+        """Consume records strictly below *limit* (at least one).
+
+        A slice used up is refilled before the records are returned.
+        """
         assert self.data is not None
         off = self.offset
         if limit is None:
@@ -182,10 +135,80 @@ class _SuperblockReader:
         out = self.data[off:hi]
         out_pay = None if self.pay is None else self.pay[off:hi]
         if hi == self.data.size:
-            self._load()
+            self.refill()
         else:
             self.offset = hi
         return out, out_pay
+
+
+def _merge_key_ranges(
+    system: ParallelDiskSystem,
+    readers: list[_KeyRangeReader],
+    output_run_id: int = -1,
+    telemetry=None,
+) -> tuple[StripedFile, int]:
+    """The baselines' key-range merge; returns the output and its cycles.
+
+    Each reader is loaded in order.  Each cycle pops the run with the
+    smallest head ``(key, run)``, takes every record below the next
+    head in one slice, and appends it, payloads too, to a
+    :class:`StripeWriter`.  Only a reader's refill differs between DSM
+    (the run's next stripe) and PSV (the run's next buffered block).
+    """
+    tel = telemetry if telemetry is not None else TELEMETRY_OFF
+    h_batch = tel.histogram(H_DRAIN_BATCH, batch_edges(system.block_size))
+    m_cycles = tel.counter(MERGE_DRAIN_CYCLES)
+    for rd in readers:
+        rd.refill()
+    writer = StripeWriter(system, output_run_id)
+    heap = [(rd.current_key(), i) for i, rd in enumerate(readers)]
+    heapq.heapify(heap)
+    cycles = 0
+    while heap:
+        _, i = heapq.heappop(heap)
+        limit = heap[0][0] if heap else None
+        out, out_pay = readers[i].consume_until(limit)
+        writer.append(out, out_pay)
+        h_batch.observe(out.size)
+        cycles += 1
+        if readers[i].data is not None:
+            heapq.heappush(heap, (readers[i].current_key(), i))
+    m_cycles.inc(cycles)
+    return writer.finish(), cycles
+
+
+class _SuperblockReader(_KeyRangeReader):
+    """Streams one DSM run superblock-by-superblock (1 parallel I/O each).
+
+    Superblock ``s`` is stripe ``s`` of the run, blocks ``sD .. sD+D-1``;
+    its slots are freed as soon as it is read.
+    """
+
+    def __init__(self, system: ParallelDiskSystem, run: StripedFile, h_width):
+        self.system = system
+        self.run = run
+        self.next_stripe = 0
+        self.stripe_reads = 0
+        self._h_width = h_width
+
+    def refill(self) -> None:
+        D, s = self.system.n_disks, self.next_stripe
+        stripe = self.run.addresses[s * D : (s + 1) * D]
+        if not stripe:
+            self._take(None, None)
+            return
+        blocks = self.system.read_stripe(stripe)
+        self.stripe_reads += 1
+        self._h_width.observe(len(stripe))
+        for addr in stripe:
+            self.system.free(addr)
+        self.next_stripe += 1
+        self._take(
+            np.concatenate([b.keys for b in blocks]),
+            None
+            if blocks[0].payloads is None
+            else np.concatenate([b.payloads for b in blocks]),
+        )
 
 
 def merge_superblock_runs(
@@ -206,24 +229,11 @@ def merge_superblock_runs(
         n_blocks=n_blocks,
         n_disks=system.n_disks,
     )
-    h_batch = tel.histogram(H_DRAIN_BATCH, batch_edges(system.block_size))
-    m_cycles = tel.counter(MERGE_DRAIN_CYCLES)
-    readers = [_SuperblockReader(system, r, telemetry=telemetry) for r in runs]
-    writer = StripeWriter(system, output_run_id)
-    heap = [(rd.current_key(), i) for i, rd in enumerate(readers)]
-    heapq.heapify(heap)
-    cycles = 0
-    while heap:
-        _, i = heapq.heappop(heap)
-        limit = heap[0][0] if heap else None
-        out, out_pay = readers[i].consume_until(limit)
-        writer.append(out, out_pay)
-        h_batch.observe(out.size)
-        cycles += 1
-        if not readers[i].exhausted:
-            heapq.heappush(heap, (readers[i].current_key(), i))
-    m_cycles.inc(cycles)
-    result = writer.finish()
+    h_width = tel.histogram(H_READ_WIDTH, read_width_edges(system.n_disks))
+    readers = [_SuperblockReader(system, r, h_width) for r in runs]
+    result, cycles = _merge_key_ranges(
+        system, readers, output_run_id, telemetry=telemetry
+    )
     # DSM's reads are all demand stripe reads; report them through the
     # same attribute the SRM merge span uses so inspect's per-merge
     # table covers both algorithms.
@@ -330,12 +340,9 @@ def dsm_mergesort(
         runs = out_runs
 
     result.output = runs[0]
-    if system.faults is not None and system.faults.plan.torn_write_p > 0.0:
-        # Same closing move as SRM: scrub the output run's seals so a
-        # tear in the final pass is repaired before anyone reads it.
-        from ..faults.degraded import scrub_addresses
+    from ..faults.degraded import scrub_sort_output  # faults imports the drivers
 
-        scrub_addresses(system, runs[0].addresses)
+    scrub_sort_output(system, result.output.addresses)
     result.system = system
     result.io = system.stats.since(start_stats)
     sort_span.set(

@@ -23,10 +23,12 @@ analysis needs ``M = Ω(D^2 B)`` for efficiency).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.mergesort import PeekSorted
 from ..core.run_formation import sorted_loads
 from ..disks.block import split_into_blocks
 from ..disks.counters import IOStats
@@ -42,6 +44,11 @@ from ..telemetry.schema import (
     SPAN_SORT,
     read_width_edges,
 )
+from .dsm import _KeyRangeReader, _merge_key_ranges
+
+
+#: A sorted run's keys and aligned payloads (``None`` for bare keys).
+_Records = tuple[np.ndarray, np.ndarray | None]
 
 
 @dataclass
@@ -59,46 +66,32 @@ class SingleDiskRun:
         return len(self.addresses)
 
 
-def write_single_disk_run(
-    system: ParallelDiskSystem, keys: np.ndarray, run_id: int, disk: int
-) -> SingleDiskRun:
-    """Write sorted *keys* entirely onto *disk* (one op per block)."""
-    keys = np.asarray(keys, dtype=np.int64)
-    if keys.size == 0:
-        raise DataError("cannot create an empty run")
-    if np.any(keys[:-1] > keys[1:]):
-        raise DataError("run keys must be sorted ascending")
-    blocks = split_into_blocks(keys, system.block_size, run_id=run_id)
-    addresses = []
-    for blk in blocks:
-        addr = system.allocate(disk)
-        system.write_stripe([(addr, blk)])
-        addresses.append(addr)
-    return SingleDiskRun(
-        run_id=run_id,
-        disk=disk,
-        addresses=addresses,
-        n_records=int(keys.size),
-        block_size=system.block_size,
-    )
-
-
 def write_single_disk_runs_parallel(
-    system: ParallelDiskSystem, run_keys: list[np.ndarray], first_run_id: int
+    system: ParallelDiskSystem,
+    run_records: list[_Records],
+    first_run_id: int,
 ) -> list[SingleDiskRun]:
-    """Write up to ``D`` runs, run ``j`` onto disk ``j``, with stripe-
-    parallel writes (block ``i`` of every run in one operation) —
-    the transposition pass's write side."""
-    if len(run_keys) > system.n_disks:
+    """Write up to ``D`` sorted runs of ``(keys, payloads)``, run ``j``
+    onto disk ``j``, with stripe-parallel writes (block ``i`` of every
+    run in one operation) — the formation and transposition writes."""
+    if len(run_records) > system.n_disks:
         raise ConfigError(
-            f"{len(run_keys)} runs exceed D={system.n_disks} disks"
+            f"{len(run_records)} runs exceed D={system.n_disks} disks"
         )
-    per_run_blocks = [
-        split_into_blocks(np.asarray(k, dtype=np.int64), system.block_size,
-                          run_id=first_run_id + j)
-        for j, k in enumerate(run_keys)
-    ]
-    addresses: list[list[BlockAddress]] = [[] for _ in run_keys]
+    per_run_blocks = []
+    for j, (keys, payloads) in enumerate(run_records):
+        keys = np.asarray(keys, dtype=np.int64)
+        if keys.size == 0:
+            raise DataError("cannot create an empty run")
+        if np.any(keys[:-1] > keys[1:]):
+            raise DataError("run keys must be sorted ascending")
+        per_run_blocks.append(
+            split_into_blocks(
+                keys, system.block_size, run_id=first_run_id + j,
+                payloads=payloads,
+            )
+        )
+    addresses: list[list[BlockAddress]] = [[] for _ in run_records]
     height = max(len(bs) for bs in per_run_blocks)
     for i in range(height):
         stripe = []
@@ -113,11 +106,36 @@ def write_single_disk_runs_parallel(
             run_id=first_run_id + j,
             disk=j,
             addresses=addresses[j],
-            n_records=int(np.asarray(run_keys[j]).size),
+            n_records=len(keys),
             block_size=system.block_size,
         )
-        for j in range(len(run_keys))
+        for j, (keys, _) in enumerate(run_records)
     ]
+
+
+class _BufferedReader(_KeyRangeReader):
+    """A PSV run's reader: its slice is its next buffered block.
+
+    ``buffer`` holds the blocks read ahead, the current one first.  A
+    run with no buffered block left but blocks on disk calls *fetch*,
+    the merge's one stripe read, in which its empty buffer has room.
+    """
+
+    def __init__(self, run: SingleDiskRun, fetch):
+        self.run = run
+        self.fetch = fetch
+        self.buffer: deque[_Records] = deque()
+        self.next_block = 0
+
+    def refill(self) -> None:
+        if self.data is not None:
+            self.buffer.popleft()
+        if not self.buffer and self.next_block < self.run.n_blocks:
+            self.fetch()
+        if self.buffer:
+            self._take(*self.buffer[0])
+        else:
+            self._take(None, None)
 
 
 @dataclass
@@ -162,79 +180,33 @@ def psv_merge(
         n_disks=system.n_disks,
     )
     h_width = tel.histogram(H_READ_WIDTH, read_width_edges(system.n_disks))
-    n = len(runs)
-    next_block = [0] * n
-    buffers: list[list[np.ndarray]] = [[] for _ in range(n)]
-    offsets = [0] * n
     max_buffered = 0
 
-    def fill(force_run: int | None = None) -> None:
-        """One parallel read: next block of every run with buffer room.
-
-        *force_run* must receive a block even if its buffer is full
-        (it cannot be: the merge only forces when it ran dry)."""
+    def fetch() -> None:
+        """One parallel read: next block of every run with buffer room."""
         nonlocal max_buffered
-        stripe = []
-        targets = []
-        for j, run in enumerate(runs):
-            if next_block[j] >= run.n_blocks:
-                continue
-            if len(buffers[j]) >= buffer_blocks_per_run and j != force_run:
-                continue
-            stripe.append(run.addresses[next_block[j]])
-            targets.append(j)
-        if not stripe:
-            return
+        due = [
+            rd
+            for rd in readers
+            if rd.next_block < rd.run.n_blocks
+            and len(rd.buffer) < buffer_blocks_per_run
+        ]
+        stripe = [rd.run.addresses[rd.next_block] for rd in due]
         blocks = system.read_stripe(stripe)
         h_width.observe(len(stripe))
-        for j, blk in zip(targets, blocks):
-            system.free(runs[j].addresses[next_block[j]])
-            next_block[j] += 1
-            buffers[j].append(blk.keys)
-        max_buffered = max(max_buffered, sum(len(b) for b in buffers))
+        for rd, addr, blk in zip(due, stripe, blocks):
+            # The slot is freed while its records wait in the buffer, so
+            # copy them out of a zero-copy (mmap) block first.
+            pay = None if blk.payloads is None else blk.payloads.copy()
+            rd.buffer.append((blk.keys.copy(), pay))
+            system.free(addr)
+            rd.next_block += 1
+        max_buffered = max(max_buffered, sum(len(rd.buffer) for rd in readers))
 
-    import heapq
-
-    fill()
-    heap = []
-    for j in range(n):
-        if buffers[j]:
-            heap.append((int(buffers[j][0][0]), j))
-    heapq.heapify(heap)
-
-    writer = StripeWriter(system)
-
-    while heap:
-        key, j = heapq.heappop(heap)
-        limit = heap[0][0] if heap else None
-        if not buffers[j]:
-            fill(force_run=j)
-            if not buffers[j]:  # pragma: no cover - defensive
-                raise DataError(f"run {j} starved with blocks remaining")
-        data = buffers[j][0]
-        off = offsets[j]
-        if limit is None:
-            hi = data.size
-        else:
-            hi = int(np.searchsorted(data, limit, side="left"))
-            if hi <= off:
-                hi = off + 1
-        writer.append(data[off:hi])
-        if hi == data.size:
-            buffers[j].pop(0)
-            offsets[j] = 0
-        else:
-            offsets[j] = hi
-        # Re-arm the run if it still has records (buffered or on disk).
-        if buffers[j]:
-            heapq.heappush(heap, (int(buffers[j][0][offsets[j]]), j))
-        elif next_block[j] < runs[j].n_blocks:
-            fill(force_run=j)
-            heapq.heappush(heap, (int(buffers[j][0][0]), j))
-    output = writer.finish()
-
+    readers = [_BufferedReader(run, fetch) for run in runs]
+    output, cycles = _merge_key_ranges(system, readers, telemetry=telemetry)
     delta = system.stats.since(start)
-    span.set(merge_parreads=delta.parallel_reads)
+    span.set(merge_parreads=delta.parallel_reads, heap_cycles=cycles)
     span.close()
     return PSVMergeResult(
         output=output,
@@ -245,7 +217,7 @@ def psv_merge(
 
 
 @dataclass
-class PSVSortResult:
+class PSVSortResult(PeekSorted):
     """Outcome of a full PSV mergesort."""
 
     output: StripedFile
@@ -259,12 +231,6 @@ class PSVSortResult:
     @property
     def total_parallel_ios(self) -> int:
         return self.io.parallel_ios if self.io is not None else 0
-
-    def peek_sorted(self) -> np.ndarray:
-        """Read the sorted output without charging I/O."""
-        if self.system is None:
-            raise ConfigError("no disk system attached")
-        return self.system.peek_records(self.output.addresses)[0]
 
 
 def psv_mergesort(
@@ -304,28 +270,24 @@ def psv_mergesort(
     rf_span = tel.span(SPAN_RUN_FORMATION, system=system, run_length=run_length)
     # Run formation keeps the sorted loads in memory; the first pass
     # places them one per disk, D at a time.
-    sorted_chunks = [
-        keys
-        for keys, _ in sorted_loads(system, infile, run_length, telemetry=telemetry)
-    ]
-    rf_span.set(runs_formed=len(sorted_chunks))
+    level: list[_Records | StripedFile] = list(
+        sorted_loads(system, infile, run_length, telemetry=telemetry)
+    )
+    rf_span.set(runs_formed=len(level))
     rf_span.close()
 
     result = PSVSortResult(
         output=infile,  # placeholder
         n_records=infile.n_records,
-        runs_formed=len(sorted_chunks),
+        runs_formed=len(level),
     )
 
     run_id = 0
-    # Level entries are either in-memory arrays (fresh from run
-    # formation — their one-per-disk placement below is the formation
-    # write) or striped merge outputs (whose gather-back is the
-    # transposition READ and whose re-placement is the transposition
-    # WRITE).
-    level: list[tuple[str, object]] = [("mem", k) for k in sorted_chunks]
+    # A level holds in-memory loads (placing them one per disk is the
+    # formation write) and striped merge outputs (gathering one back is
+    # the transposition READ, re-placing it the transposition WRITE).
     while len(level) > 1:
-        next_level: list[tuple[str, object]] = []
+        next_level: list[_Records | StripedFile] = []
         transposed = False
         pass_span = tel.span(
             SPAN_MERGE_PASS,
@@ -338,23 +300,21 @@ def psv_mergesort(
             if len(group) == 1:
                 next_level.append(group[0])
                 continue
-            arrays: list[np.ndarray] = []
-            for kind, item in group:
-                if kind == "mem":
-                    arrays.append(item)  # type: ignore[arg-type]
-                else:
-                    striped: StripedFile = item  # type: ignore[assignment]
-                    blocks, _ = system.read_batch(striped.addresses)
-                    arrays.append(np.concatenate([b.keys for b in blocks]))
-                    for a in striped.addresses:
+            records = []
+            for item in group:
+                if isinstance(item, StripedFile):
+                    records.append(item.read_all_records(system))
+                    for a in item.addresses:
                         system.free(a)
                     transposed = True
-            runs = write_single_disk_runs_parallel(system, arrays, run_id)
-            run_id += len(arrays)
+                else:
+                    records.append(item)
+            runs = write_single_disk_runs_parallel(system, records, run_id)
+            run_id += len(records)
             mres = psv_merge(
                 system, runs, buffer_blocks_per_run, telemetry=telemetry
             )
-            next_level.append(("striped", mres.output))
+            next_level.append(mres.output)
         result.n_merge_passes += 1
         if transposed:
             result.n_transpositions += 1
@@ -362,20 +322,16 @@ def psv_mergesort(
         pass_span.close()
         level = next_level
 
-    kind, item = level[0]
-    if kind == "striped":
-        result.output = item  # type: ignore[assignment]
+    if isinstance(level[0], StripedFile):
+        result.output = level[0]
     else:
         # Degenerate single-run input: write it out striped once.
         writer = StripeWriter(system)
-        writer.append(item)  # type: ignore[arg-type]
+        writer.append(*level[0])
         result.output = writer.finish()
-    if system.faults is not None and system.faults.plan.torn_write_p > 0.0:
-        # Same closing move as SRM and DSM: scrub the output's seals so
-        # a tear in the final pass is repaired before anyone reads it.
-        from ..faults.degraded import scrub_addresses
+    from ..faults.degraded import scrub_sort_output  # faults imports the drivers
 
-        scrub_addresses(system, result.output.addresses)
+    scrub_sort_output(system, result.output.addresses)
     result.io = system.stats.since(start)
     result.system = system
     sort_span.set(

@@ -47,8 +47,32 @@ class PassStats:
         return self.parallel_reads + self.parallel_writes
 
 
+class PeekSorted:
+    """Uncharged read-back of a sort's ``output`` (verification aid).
+
+    Shared by the SRM, DSM and PSV results; each sets ``output`` and
+    the ``system`` the sort ran on, which the helpers default to.
+    """
+
+    def _system(self, system: ParallelDiskSystem | None) -> ParallelDiskSystem:
+        sys = system if system is not None else self.system
+        if sys is None:
+            raise ConfigError("no disk system attached; pass one explicitly")
+        return sys
+
+    def peek_sorted(self, system: ParallelDiskSystem | None = None) -> np.ndarray:
+        """Read the sorted output without charging I/O."""
+        return self.peek_sorted_records(system)[0]
+
+    def peek_sorted_records(
+        self, system: ParallelDiskSystem | None = None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Read sorted keys and payloads without charging I/O."""
+        return self._system(system).peek_records(self.output.addresses)
+
+
 @dataclass
-class SortResult:
+class SortResult(PeekSorted):
     """Outcome of a full external sort."""
 
     output: StripedRun
@@ -80,22 +104,6 @@ class SortResult:
     @property
     def total_parallel_ios(self) -> int:
         return self.io.parallel_ios if self.io is not None else 0
-
-    def _system(self, system: ParallelDiskSystem | None) -> ParallelDiskSystem:
-        sys = system if system is not None else self.system
-        if sys is None:
-            raise ConfigError("no disk system attached; pass one explicitly")
-        return sys
-
-    def peek_sorted(self, system: ParallelDiskSystem | None = None) -> np.ndarray:
-        """Read the sorted output without charging I/O (verification aid)."""
-        return self.peek_sorted_records(system)[0]
-
-    def peek_sorted_records(
-        self, system: ParallelDiskSystem | None = None
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Read sorted keys and payloads without charging I/O."""
-        return self._system(system).peek_records(self.output.addresses)
 
 
 def srm_mergesort(
@@ -267,14 +275,9 @@ def srm_mergesort(
         runs = out_runs
 
     result.output = runs[0]
-    if system.faults is not None and system.faults.plan.torn_write_p > 0.0:
-        # Final-pass blocks are never re-read through the fault-aware
-        # path, so a tear in the output run would otherwise reach the
-        # caller undetected.  One charged scrub pass re-verifies every
-        # output seal and repairs stale ones from parity.
-        from ..faults.degraded import scrub_addresses
+    from ..faults.degraded import scrub_sort_output  # faults imports the drivers
 
-        scrub_addresses(system, result.output.addresses)
+    scrub_sort_output(system, result.output.addresses)
     result.io = system.stats.since(start_stats)
     result.system = system
     sort_span.set(

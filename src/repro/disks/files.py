@@ -27,8 +27,30 @@ from .striping import cyclic_disk
 from .system import BlockAddress, ParallelDiskSystem
 
 
+class _ReadBack:
+    """Charged read-back of a file's blocks, in order, from ``addresses``."""
+
+    addresses: list[BlockAddress]
+
+    def read_all(self, system: ParallelDiskSystem) -> np.ndarray:
+        """Read the keys back (charging parallel reads)."""
+        return self.read_all_records(system)[0]
+
+    def read_all_records(
+        self, system: ParallelDiskSystem
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Read keys and payloads back (charging parallel reads)."""
+        blocks, _ = system.read_batch(self.addresses)
+        if not blocks:
+            return np.empty(0, dtype=np.int64), None
+        keys = np.concatenate([b.keys for b in blocks])
+        if blocks[0].payloads is None:
+            return keys, None
+        return keys, np.concatenate([b.payloads for b in blocks])
+
+
 @dataclass
-class StripedFile:
+class StripedFile(_ReadBack):
     """Blocks striped round-robin across the disks from disk 0.
 
     Block ``j`` sits on disk ``j mod D`` (degraded mode may relocate a
@@ -79,25 +101,6 @@ class StripedFile:
             addresses.append(addr)
             system.install_block(addr, blk)
         return cls(addresses=addresses, n_records=int(keys.size), block_size=system.block_size)
-
-    def read_all(self, system: ParallelDiskSystem) -> np.ndarray:
-        """Read the whole file back (charging parallel reads)."""
-        blocks, _ = system.read_batch(self.addresses)
-        if not blocks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate([b.keys for b in blocks])
-
-    def read_all_records(
-        self, system: ParallelDiskSystem
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Read keys and payloads back (charging parallel reads)."""
-        blocks, _ = system.read_batch(self.addresses)
-        if not blocks:
-            return np.empty(0, dtype=np.int64), None
-        keys = np.concatenate([b.keys for b in blocks])
-        if blocks[0].payloads is None:
-            return keys, None
-        return keys, np.concatenate([b.payloads for b in blocks])
 
 
 def _joined(chunks: list[np.ndarray]) -> np.ndarray:
@@ -178,7 +181,7 @@ class StripeWriter:
 
 
 @dataclass
-class StripedRun:
+class StripedRun(_ReadBack):
     """A sorted run in SRM forecast format, cyclically striped.
 
     Attributes
@@ -263,18 +266,3 @@ class StripedRun:
             first_keys=np.array([b.first_key for b in blocks], dtype=np.int64),
             last_keys=np.array([b.last_key for b in blocks], dtype=np.int64),
         )
-
-    def read_all(self, system: ParallelDiskSystem) -> np.ndarray:
-        """Read the whole run back in order (charging parallel reads)."""
-        blocks, _ = system.read_batch(self.addresses)
-        return np.concatenate([b.keys for b in blocks])
-
-    def read_all_records(
-        self, system: ParallelDiskSystem
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Read keys and payloads back in order (charging parallel reads)."""
-        blocks, _ = system.read_batch(self.addresses)
-        keys = np.concatenate([b.keys for b in blocks])
-        if blocks[0].payloads is None:
-            return keys, None
-        return keys, np.concatenate([b.payloads for b in blocks])

@@ -49,6 +49,7 @@ __all__ = [
     "migrate_dead_disk",
     "scrub_addresses",
     "scrub_and_repair",
+    "scrub_sort_output",
 ]
 
 
@@ -251,6 +252,19 @@ def scrub_addresses(system, addresses) -> ScrubReport:
     return ScrubReport(
         scanned=len(scan_disks), repaired=repaired, scan_read_rounds=rounds
     )
+
+
+def scrub_sort_output(system, addresses) -> None:
+    """The closing move of the SRM, DSM and PSV sorts.
+
+    Final-pass blocks are never re-read through the fault-aware path,
+    so under a plan with torn writes a tear in the output would reach
+    the caller undetected.  One charged :func:`scrub_addresses` pass
+    re-verifies every output seal and repairs stale ones from parity;
+    without torn writes nothing is charged.
+    """
+    if system.faults is not None and system.faults.plan.torn_write_p > 0.0:
+        scrub_addresses(system, addresses)
 
 
 def scrub_and_repair(system) -> ScrubReport:

@@ -7,7 +7,11 @@ copies of that machinery, so any drift in output, payload order,
 counts, or fault draws fails here.  The cases cover D = 2, 4 and 16, a
 final partial stripe (1,001 records on D = 4, B = 8), and a parity plan
 with transient failures and torn writes.  The PSV parity case was
-re-recorded once, when PSV began scrubbing its output.
+re-recorded twice: when PSV began scrubbing its output, and when its
+merge moved onto DSM's key-range loop, whose readers refill before the
+records they return are written, which shifts PSV's per-disk fault
+draws.  PSV with payloads must match its keys-only record, and a stable
+sort's output is unique, so its payloads must match DSM's.
 """
 
 from __future__ import annotations
@@ -102,20 +106,20 @@ PSV_EXPECTED = {
         writes_per_disk=[766, 766, 478] + [252] * 4 + [222] + [220] * 8,
         runs=40, passes=2, transpositions=1,
     ),
-    # The closing output scrub finds the 15 final-pass tears no later
+    # The closing output scrub finds the final-pass tears no later
     # read detects, so detections equal injections.
     "d4_parity_torn": dict(
         out="d0ec34ba1db576b1",
-        parallel_reads=833, parallel_writes=1449,
-        blocks_read=2904, blocks_written=3097,
-        reads_per_disk=[764, 766, 750, 624],
-        writes_per_disk=[779, 777, 784, 757],
+        parallel_reads=836, parallel_writes=1453,
+        blocks_read=2913, blocks_written=3101,
+        reads_per_disk=[767, 769, 750, 627],
+        writes_per_disk=[779, 777, 788, 757],
         runs=47, passes=3, transpositions=2,
         faults={
-            "transient_failures": 47, "retries": 106,
-            "backoff_ms_total": 119.46006891211229, "write_failures": 59,
-            "torn_writes_injected": 94, "torn_writes_detected": 94,
-            "recovery_read_ios": 94, "parity_blocks_written": 878,
+            "transient_failures": 45, "retries": 103,
+            "backoff_ms_total": 115.7186758665288, "write_failures": 58,
+            "torn_writes_injected": 98, "torn_writes_detected": 98,
+            "recovery_read_ios": 97, "parity_blocks_written": 878,
         },
     ),
 }
@@ -172,4 +176,14 @@ def test_psv_matches_recorded(name):
     res = psv_mergesort(system, infile, run_length, buffer_blocks_per_run=2)
     got = _observed(system, res, res.peek_sorted())
     got["transpositions"] = res.n_transpositions
+    assert got == PSV_EXPECTED[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_psv_with_payloads_matches_recorded(name):
+    system, infile, run_length = _installed(name, payloads=True)
+    res = psv_mergesort(system, infile, run_length, buffer_blocks_per_run=2)
+    got = _observed(system, res, *res.peek_sorted_records())
+    got["transpositions"] = res.n_transpositions
+    assert got.pop("pay") == DSM_EXPECTED[name]["pay"]
     assert got == PSV_EXPECTED[name]

@@ -10,30 +10,36 @@ from hypothesis import strategies as st
 from repro.baselines import (
     psv_merge,
     psv_mergesort,
-    write_single_disk_run,
     write_single_disk_runs_parallel,
 )
 from repro.disks import ParallelDiskSystem, StripedFile
 from repro.errors import ConfigError, DataError
 
 
+def _records(*arrays, payloads=False):
+    """``(keys, payloads)`` pairs for ``write_single_disk_runs_parallel``."""
+    return [(np.asarray(a), np.asarray(a) * 2 if payloads else None) for a in arrays]
+
+
 class TestSingleDiskRuns:
     def test_run_lives_on_one_disk(self):
         sys = ParallelDiskSystem(4, 2)
-        run = write_single_disk_run(sys, np.arange(10), 0, disk=2)
-        assert all(a.disk == 2 for a in run.addresses)
-        assert run.n_blocks == 5
+        runs = write_single_disk_runs_parallel(
+            sys, _records(np.arange(2), np.arange(4), np.arange(10)), 0
+        )
+        assert all(a.disk == 2 for a in runs[2].addresses)
+        assert runs[2].n_blocks == 5
 
     def test_single_disk_write_serializes(self):
         sys = ParallelDiskSystem(4, 2)
-        write_single_disk_run(sys, np.arange(10), 0, disk=1)
+        write_single_disk_runs_parallel(sys, _records(np.arange(10)), 0)
         # 5 blocks on one disk: 5 operations (no write parallelism!).
         assert sys.stats.parallel_writes == 5
 
     def test_parallel_placement_writes_stripes(self):
         sys = ParallelDiskSystem(4, 2)
         runs = write_single_disk_runs_parallel(
-            sys, [np.arange(i * 8, (i + 1) * 8) for i in range(4)], 0
+            sys, _records(*[np.arange(i * 8, (i + 1) * 8) for i in range(4)]), 0
         )
         # 4 runs x 4 blocks written as 4 full stripes.
         assert sys.stats.parallel_writes == 4
@@ -42,24 +48,34 @@ class TestSingleDiskRuns:
     def test_ragged_parallel_placement(self):
         sys = ParallelDiskSystem(4, 2)
         runs = write_single_disk_runs_parallel(
-            sys, [np.arange(8), np.arange(8, 12)], 0
+            sys, _records(np.arange(8), np.arange(8, 12)), 0
         )
         assert runs[0].n_blocks == 4 and runs[1].n_blocks == 2
+
+    def test_payloads_travel_with_their_keys(self):
+        sys = ParallelDiskSystem(2, 2)
+        runs = write_single_disk_runs_parallel(
+            sys, _records(np.arange(5), np.arange(3), payloads=True), 0
+        )
+        for run, n in zip(runs, (5, 3)):
+            keys, pays = sys.peek_records(run.addresses)
+            assert np.array_equal(keys, np.arange(n))
+            assert np.array_equal(pays, np.arange(n) * 2)
 
     def test_too_many_runs(self):
         sys = ParallelDiskSystem(2, 2)
         with pytest.raises(ConfigError):
-            write_single_disk_runs_parallel(sys, [np.arange(2)] * 3, 0)
+            write_single_disk_runs_parallel(sys, _records(*[np.arange(2)] * 3), 0)
 
     def test_unsorted_rejected(self):
         sys = ParallelDiskSystem(2, 2)
         with pytest.raises(DataError):
-            write_single_disk_run(sys, np.array([2, 1]), 0, 0)
+            write_single_disk_runs_parallel(sys, _records(np.array([2, 1])), 0)
 
 
 class TestPSVMerge:
     def _runs(self, sys, arrays):
-        return write_single_disk_runs_parallel(sys, arrays, 0)
+        return write_single_disk_runs_parallel(sys, _records(*arrays), 0)
 
     def test_merges_correctly(self):
         sys = ParallelDiskSystem(2, 2)
@@ -108,14 +124,16 @@ class TestPSVMerge:
 
     def test_same_disk_runs_rejected(self):
         sys = ParallelDiskSystem(2, 2)
-        a = write_single_disk_run(sys, np.arange(4), 0, 0)
-        b = write_single_disk_run(sys, np.arange(4, 8), 1, 0)
+        # Each one-run call puts its run on disk 0.
+        (a,) = self._runs(sys, [np.arange(4)])
+        (b,) = write_single_disk_runs_parallel(sys, _records(np.arange(4, 8)), 1)
+        assert a.disk == b.disk == 0
         with pytest.raises(ConfigError):
             psv_merge(sys, [a, b], 2)
 
     def test_single_run_rejected(self):
         sys = ParallelDiskSystem(2, 2)
-        a = write_single_disk_run(sys, np.arange(4), 0, 0)
+        (a,) = self._runs(sys, [np.arange(4)])
         with pytest.raises(DataError):
             psv_merge(sys, [a], 2)
 
@@ -188,6 +206,51 @@ class TestPSVSort:
         assert stats.torn_writes_injected > 0
         assert stats.torn_writes_detected == stats.torn_writes_injected
         assert np.array_equal(res.peek_sorted(), np.sort(keys))
+
+    def test_payloads_stay_with_their_keys(self):
+        # 3,000 keys, D=4, B=8, runs of 64: payloads used to be dropped.
+        sys = ParallelDiskSystem(4, 8)
+        keys = np.random.default_rng(3_004).integers(0, 1_000, size=3_000)
+        infile = StripedFile.from_records(sys, keys, payloads=keys * 2)
+        res = psv_mergesort(sys, infile, run_length=64)
+        out_keys, out_pays = sys.peek_records(res.output.addresses)
+        assert out_pays is not None
+        assert np.array_equal(out_keys, np.sort(keys))
+        assert np.array_equal(out_pays, out_keys * 2)
+
+    def test_mmap_backend_matches_memory(self):
+        # A merge buffer outlives its freed slot; on mmap the slot's
+        # reuse must not rewrite buffered records.
+        keys = np.random.default_rng(3_004).integers(0, 1_000, size=3_000)
+        out = []
+        for backend in ("memory", "mmap"):
+            with ParallelDiskSystem(4, 8, backend=backend) as sys:
+                infile = StripedFile.from_records(
+                    sys, keys, payloads=np.arange(keys.size)
+                )
+                res = psv_mergesort(sys, infile, run_length=64, buffer_blocks_per_run=2)
+                out.append(res.peek_sorted_records())
+        (mem_keys, mem_pays), (mm_keys, mm_pays) = out
+        assert np.array_equal(mm_keys, np.sort(keys))
+        assert np.array_equal(keys[mm_pays], mm_keys)
+        assert np.array_equal(mm_pays, mem_pays)
+
+    def test_telemetry_spans_close_and_cycles_add_up(self, rng):
+        from repro.telemetry import Telemetry
+        from repro.telemetry.schema import H_DRAIN_BATCH, MERGE_DRAIN_CYCLES, SPAN_MERGE
+
+        sys = ParallelDiskSystem(4, 8)
+        infile = StripedFile.from_records(sys, rng.permutation(3_000))
+        tel = Telemetry()
+        psv_mergesort(sys, infile, run_length=64, buffer_blocks_per_run=2, telemetry=tel)
+        events = tel.finish()  # raises ScheduleError if a span were left open
+        merges = [e for e in events if e["type"] == "span" and e["name"] == SPAN_MERGE]
+        cycles = sum(e["attrs"]["heap_cycles"] for e in merges)
+        metrics = events[-1]["metrics"]
+        assert len(merges) == 12 + 3 + 1  # 47 runs, merged 4 at a time
+        assert metrics[MERGE_DRAIN_CYCLES]["value"] == cycles > 0
+        assert metrics[H_DRAIN_BATCH]["n"] == cycles
+        assert metrics[H_DRAIN_BATCH]["total"] == 3_000 * 3  # every pass
 
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 2000))
     @settings(max_examples=15, deadline=None)

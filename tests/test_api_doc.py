@@ -18,7 +18,7 @@ import pytest
 
 from repro import external_sort, external_sort_records, srm_sort
 from repro.baselines.dsm import dsm_mergesort, dsm_sort, write_superblock_run
-from repro.baselines.psv import psv_mergesort
+from repro.baselines.psv import psv_merge, psv_mergesort, write_single_disk_runs_parallel
 from repro.core.config import OverlapConfig
 from repro.core.merge import merge_runs
 from repro.core.parallel_merge import parallel_merge_runs
@@ -33,6 +33,8 @@ DOCUMENTED = [
     dsm_mergesort,
     write_superblock_run,
     psv_mergesort,
+    psv_merge,
+    write_single_disk_runs_parallel,
     merge_runs,
     parallel_merge_runs,
     OverlapConfig,
