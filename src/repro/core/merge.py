@@ -208,25 +208,10 @@ def merge_runs(
         raise ScheduleError("merge loop ended with unexhausted runs")
     output = writer.finalize()
     n_records = sum(r.n_records for r in runs)
-    if output.n_records != n_records:
-        raise ScheduleError(
-            f"merged {output.n_records} records, expected {n_records}"
-        )
-    if validate and writer.max_buffered_blocks > 2 * system.n_disks:
-        raise ScheduleError(
-            f"output buffer used {writer.max_buffered_blocks} blocks,"
-            f" exceeding M_W = 2D = {2 * system.n_disks}"
-        )
-    schedule = sched.stats()
-    report = eng.finish() if eng is not None else None
-    span.set(
-        initial_reads=schedule.initial_reads,
-        merge_parreads=schedule.merge_parreads,
-        flush_ops=schedule.flush_ops,
-        blocks_flushed=schedule.blocks_flushed,
-        max_mr_occupied=schedule.max_mr_occupied,
-        heap_cycles=heap_cycles,
+    schedule = _close_merge(
+        writer, output, n_records, sched, span, validate, heap_cycles=heap_cycles
     )
+    report = eng.finish() if eng is not None else None
     if report is not None:
         span.set(
             makespan_ms=report.makespan_ms,
@@ -246,6 +231,44 @@ def merge_runs(
         heap_cycles=heap_cycles,
         overlap=report,
     )
+
+
+def _close_merge(
+    writer: RunWriter,
+    output: StripedRun,
+    n_records: int,
+    sched: MergeScheduler,
+    span,
+    validate: bool,
+    **attrs,
+) -> ScheduleStats:
+    """The closing step of both merge planes.
+
+    Checks that *output* holds all *n_records* input records and, with
+    *validate*, that the writer's buffer never outgrew ``M_W = 2D``
+    blocks; then sets the scheduler's counters, followed by *attrs*, on
+    the merge *span* and returns the scheduler's stats.
+    """
+    if output.n_records != n_records:
+        raise ScheduleError(
+            f"merged {output.n_records} records, expected {n_records}"
+        )
+    n_disks = writer.system.n_disks
+    if validate and writer.max_buffered_blocks > 2 * n_disks:
+        raise ScheduleError(
+            f"output buffer used {writer.max_buffered_blocks} blocks,"
+            f" exceeding M_W = 2D = {2 * n_disks}"
+        )
+    schedule = sched.stats()
+    span.set(
+        initial_reads=schedule.initial_reads,
+        merge_parreads=schedule.merge_parreads,
+        flush_ops=schedule.flush_ops,
+        blocks_flushed=schedule.blocks_flushed,
+        max_mr_occupied=schedule.max_mr_occupied,
+        **attrs,
+    )
+    return schedule
 
 
 def _check_forecast(

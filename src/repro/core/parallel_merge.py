@@ -72,7 +72,7 @@ from .config import OverlapConfig
 from .forecasting import ties_precede
 from .job import MergeJob
 from .keyorder import stable_argsort
-from .merge import MergeResult, _check_forecast
+from .merge import MergeResult, _check_forecast, _close_merge
 from .schedule import MergeScheduler
 from .writer import RunWriter
 
@@ -593,32 +593,16 @@ def parallel_merge_runs(
     output = writer.finalize()
     stitch_span.close()
 
-    if output.n_records != n_records:
-        raise ScheduleError(
-            f"merged {output.n_records} records, expected {n_records}"
-        )
-    if validate and writer.max_buffered_blocks > 2 * system.n_disks:
-        raise ScheduleError(
-            f"output buffer used {writer.max_buffered_blocks} blocks,"
-            f" exceeding M_W = 2D = {2 * system.n_disks}"
-        )
-    schedule = sched.stats()
+    schedule = _close_merge(
+        writer, output, n_records, sched, span, validate,
+        ghost_rounds=rounds, ranges=len(ranges), partition_probes=probes,
+    )
     tel.counter(PMERGE_MERGES).inc()
     tel.counter(PMERGE_WORKERS).inc(workers)
     tel.counter(PMERGE_RANGES).inc(len(ranges))
     tel.counter(PMERGE_RECORDS).inc(n_records)
     tel.counter(PMERGE_PARTITION_PROBES).inc(probes)
     tel.counter(PMERGE_GHOST_ROUNDS).inc(rounds)
-    span.set(
-        initial_reads=schedule.initial_reads,
-        merge_parreads=schedule.merge_parreads,
-        flush_ops=schedule.flush_ops,
-        blocks_flushed=schedule.blocks_flushed,
-        max_mr_occupied=schedule.max_mr_occupied,
-        ghost_rounds=rounds,
-        ranges=len(ranges),
-        partition_probes=probes,
-    )
     span.close()
     return MergeResult(
         output=output,

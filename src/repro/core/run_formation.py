@@ -42,6 +42,7 @@ from ..telemetry import TELEMETRY_OFF
 from ..telemetry.schema import H_RUN_LENGTH, run_length_edges
 from .keyorder import stable_argsort
 from .layout import LayoutStrategy, choose_start_disks
+from .writer import RunWriter
 
 
 def _start_disk_stream(
@@ -58,6 +59,19 @@ def _start_disk_stream(
         else:  # STAGGERED / ROUND_ROBIN degenerate to cycling at stream time
             yield i % n_disks
         i += 1
+
+
+def _write_run(
+    system: ParallelDiskSystem,
+    keys: np.ndarray,
+    payloads: np.ndarray | None,
+    run_id: int,
+    start_disk: int,
+) -> StripedRun:
+    """Write one sorted run in forecast format through :class:`RunWriter`."""
+    writer = RunWriter(system, run_id, start_disk)
+    writer.append(keys, payloads)
+    return writer.finalize()
 
 
 def sorted_loads(
@@ -128,13 +142,7 @@ def form_runs_load_sort(
     starts = choose_start_disks(n_runs, system.n_disks, strategy, rng)
     loads = sorted_loads(system, infile, run_length, free_input, telemetry)
     return [
-        StripedRun.from_sorted_keys(
-            system,
-            keys,
-            run_id=first_run_id + i,
-            start_disk=int(starts[i]),
-            payloads=payloads,
-        )
+        _write_run(system, keys, payloads, first_run_id + i, int(starts[i]))
         for i, (keys, payloads) in enumerate(loads)
     ]
 
@@ -273,13 +281,7 @@ class _BlockReplacementSelection:
             pays = np.concatenate(self.cur_p)[order]
             self.cur_p = []
         self.runs.append(
-            StripedRun.from_sorted_keys(
-                self.system,
-                keys,
-                run_id=self.run_id,
-                start_disk=next(self.disk_stream),
-                payloads=pays,
-            )
+            _write_run(self.system, keys, pays, self.run_id, next(self.disk_stream))
         )
         self.run_id += 1
 

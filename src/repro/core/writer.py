@@ -154,7 +154,7 @@ class RunWriter:
         # Copy out of the ring: the frames are reused by later appends,
         # but the written blocks live on disk indefinitely.
         ahead = self._buf[0, la : la + stride : B].tolist()
-        self._write_blocks(self._buf[:, h : h + stride].copy(), ahead)
+        self._write_stripe(self._buf[:, h : h + stride].copy(), ahead)
         self._head = la
         self._pending -= stride
 
@@ -175,7 +175,7 @@ class RunWriter:
             # differ from the allocated addresses in degraded mode).
             self.on_write(disks)
 
-    def _write_blocks(self, data: np.ndarray, ahead: list[int]) -> None:
+    def _write_stripe(self, data: np.ndarray, ahead: list[int]) -> None:
         """Write the next (up to ``D``) blocks as one parallel write.
 
         *data* is an owned ``(rows, n)`` matrix with ``n <= D·B``; each
@@ -244,7 +244,7 @@ class RunWriter:
         for lo in range(0, n, stride):
             ahead = tail[0, lo + stride : lo + 2 * stride : B].tolist()
             ahead += [NO_KEY] * (D - len(ahead))
-            self._write_blocks(tail[:, lo : lo + stride].copy(), ahead)
+            self._write_stripe(tail[:, lo : lo + stride].copy(), ahead)
         self._buf = None
         return StripedRun(
             run_id=self.run_id,

@@ -2,7 +2,7 @@
 
 Public surface:
 
-* :class:`Block`, :func:`split_into_blocks`, :func:`attach_forecasts`
+* :class:`Block`, :func:`split_into_blocks`
 * :class:`Disk` — one slot-addressed block store
 * :class:`ParallelDiskSystem`, :class:`BlockAddress` — the D-disk system
   with parallel-I/O enforcement and accounting
@@ -27,7 +27,7 @@ from .backends import (
     make_backend,
     parse_backend,
 )
-from .block import NO_KEY, Block, attach_forecasts, split_into_blocks
+from .block import NO_KEY, Block, split_into_blocks
 from .counters import IOStats
 from .disk import Disk
 from .files import StripedFile, StripedRun, StripeWriter
@@ -52,7 +52,6 @@ __all__ = [
     "parse_backend",
     "NO_KEY",
     "Block",
-    "attach_forecasts",
     "split_into_blocks",
     "IOStats",
     "Disk",

@@ -96,10 +96,6 @@ class Block:
         """Largest key in the block."""
         return int(self.keys[-1])
 
-    def is_sorted(self) -> bool:
-        """True if the block's keys are non-decreasing."""
-        return bool(np.all(self.keys[:-1] <= self.keys[1:]))
-
     # -- integrity --------------------------------------------------------
 
     def compute_checksum(self) -> int:
@@ -161,8 +157,8 @@ def split_into_blocks(
 ) -> list[Block]:
     """Cut a key array (and aligned payloads) into ``block_size`` blocks.
 
-    The final block may be partial.  No forecast keys are attached; use
-    :func:`attach_forecasts` for sorted runs.
+    The final block may be partial.  No forecast keys are attached:
+    :class:`~repro.core.writer.RunWriter` writes forecast-format runs.
     """
     if block_size < 1:
         raise DataError(f"block_size must be >= 1, got {block_size}")
@@ -182,23 +178,3 @@ def split_into_blocks(
         )
         for i in range(0, keys.size, block_size)
     ]
-
-
-def attach_forecasts(blocks: list[Block], n_disks: int) -> list[Block]:
-    """Implant forecast keys per the paper's run format (§4).
-
-    Mutates (and returns) *blocks*, which must be the complete ordered
-    block list of one sorted run.
-    """
-    n = len(blocks)
-    if n == 0:
-        return blocks
-    first_keys = [b.first_key for b in blocks]
-
-    def key_of(i: int) -> float:
-        return int(first_keys[i]) if i < n else NO_KEY
-
-    blocks[0].forecast = tuple(key_of(j) for j in range(n_disks))
-    for i in range(1, n):
-        blocks[i].forecast = (key_of(i + n_disks),)
-    return blocks

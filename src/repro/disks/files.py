@@ -12,18 +12,18 @@ Two layouts exist in the paper's world:
 * :class:`StripedRun` — a *sorted* run in SRM's forecast format,
   cyclically striped from a chosen start disk (§3, §4).  This is both
   the output of run formation / a merge and the input of the next merge.
+  :class:`~repro.core.writer.RunWriter` writes one, a full stripe per
+  parallel I/O.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from ..errors import DataError
-from .block import attach_forecasts, split_into_blocks
-from .striping import cyclic_disk
+from .block import split_into_blocks
 from .system import BlockAddress, ParallelDiskSystem
 
 
@@ -80,20 +80,14 @@ class StripedFile(_ReadBack):
         cls,
         system: ParallelDiskSystem,
         keys: np.ndarray,
-        count_ios: bool = False,
         payloads: np.ndarray | None = None,
     ) -> "StripedFile":
-        """Materialize *keys* (with optional payloads) on disk, round-robin.
+        """Install *keys* (with optional payloads) on disk, round-robin.
 
-        By default the placement is treated as pre-existing input (no
-        I/O charged); pass ``count_ios=True`` to write it through a
-        :class:`StripeWriter`, one parallel write per stripe.
+        The placement is pre-existing input: no I/O is charged.  A
+        :class:`StripeWriter` writes a file with charged parallel writes.
         """
         keys = np.asarray(keys, dtype=np.int64)
-        if count_ios:
-            writer = StripeWriter(system)
-            writer.append(keys, payloads)
-            return writer.finish()
         blocks = split_into_blocks(keys, system.block_size, payloads=payloads)
         addresses: list[BlockAddress] = []
         for j, blk in enumerate(blocks):
@@ -116,7 +110,8 @@ class StripeWriter:
     :meth:`finish` writes the final, possibly partial, stripe.  Block
     ``j`` of the file is numbered ``j`` and tagged with *run_id*.  The
     writer neither sorts nor checks order: a caller writing a sorted
-    run appends its records in order.
+    run appends its records in order.  Either every append carries
+    payloads or none does.
     """
 
     def __init__(self, system: ParallelDiskSystem, run_id: int = -1):
@@ -126,17 +121,22 @@ class StripeWriter:
         self.n_records = 0
         self._keys: list[np.ndarray] = []
         self._payloads: list[np.ndarray] = []
+        self._has_payloads: bool | None = None
         self._pending = 0
 
     def append(self, keys: np.ndarray, payloads: np.ndarray | None = None) -> None:
         """Buffer *keys* (and aligned *payloads*); write every full stripe."""
         keys = np.asarray(keys, dtype=np.int64)
+        if keys.size == 0:
+            return
+        if self._has_payloads is None:
+            self._has_payloads = payloads is not None
+        elif self._has_payloads != (payloads is not None):
+            raise DataError("payload presence must be consistent across appends")
         if payloads is not None:
             payloads = np.asarray(payloads, dtype=np.int64)
             if payloads.shape != keys.shape:
                 raise DataError("payloads must align with keys")
-        if keys.size == 0:
-            return
         self._keys.append(keys)
         if payloads is not None:
             self._payloads.append(payloads)
@@ -215,54 +215,3 @@ class StripedRun(_ReadBack):
     @property
     def n_blocks(self) -> int:
         return len(self.addresses)
-
-    def disk_of_block(self, index: int) -> int:
-        """Disk holding block *index* (cyclic rule)."""
-        return self.addresses[index].disk
-
-    @classmethod
-    def from_sorted_keys(
-        cls,
-        system: ParallelDiskSystem,
-        keys: np.ndarray,
-        run_id: int,
-        start_disk: int,
-        count_ios: bool = True,
-        payloads: np.ndarray | None = None,
-    ) -> "StripedRun":
-        """Write a sorted key array to disk as a forecast-format run.
-
-        Writes proceed stripe-by-stripe with full parallelism (``D``
-        blocks per operation, except the final partial stripe), matching
-        the paper's perfect write parallelism.  *payloads*, if given,
-        must already be aligned with the sorted keys.
-        """
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.size == 0:
-            raise DataError("cannot create an empty run")
-        if np.any(keys[:-1] > keys[1:]):
-            raise DataError("run keys must be sorted ascending")
-        blocks = split_into_blocks(
-            keys, system.block_size, run_id=run_id, payloads=payloads
-        )
-        attach_forecasts(blocks, system.n_disks)
-        addresses: list[BlockAddress] = []
-        for i in range(len(blocks)):
-            addresses.append(system.allocate(cyclic_disk(start_disk, i, system.n_disks)))
-        D = system.n_disks
-        for s in range(0, len(blocks), D):
-            stripe = [(addresses[i], blocks[i]) for i in range(s, min(s + D, len(blocks)))]
-            if count_ios:
-                system.write_stripe(stripe)
-            else:
-                for addr, blk in stripe:
-                    system.install_block(addr, blk)
-        return cls(
-            run_id=run_id,
-            start_disk=start_disk,
-            addresses=addresses,
-            n_records=int(keys.size),
-            block_size=system.block_size,
-            first_keys=np.array([b.first_key for b in blocks], dtype=np.int64),
-            last_keys=np.array([b.last_key for b in blocks], dtype=np.int64),
-        )

@@ -667,16 +667,6 @@ class ParallelDiskSystem:
             n_ops += 1
         return out, n_ops  # type: ignore[return-value]
 
-    # -- convenience (single-block I/O, costs one parallel op) -------------
-
-    def read_block(self, addr: BlockAddress) -> Block:
-        """Read a single block (one full parallel operation)."""
-        return self.read_stripe([addr])[0]  # type: ignore[return-value]
-
-    def write_block(self, addr: BlockAddress, block: Block) -> None:
-        """Write a single block (one full parallel operation)."""
-        self.write_stripe([(addr, block)])
-
     # -- introspection -------------------------------------------------------
 
     @property

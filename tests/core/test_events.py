@@ -26,11 +26,12 @@ from repro.core import (
     merge_runs,
     srm_sort,
 )
-from repro.disks import DISK_1996, ParallelDiskSystem, StripedRun
+from repro.disks import DISK_1996, ParallelDiskSystem
 from repro.errors import ConfigError
 from repro.faults import FaultPlan, StallWindow
 from repro.telemetry import Telemetry
 from repro.workloads import random_partition_runs
+from tests.oracles import write_run
 
 D, B, R = 4, 8, 4
 CONFIG = SRMConfig(n_disks=D, block_size=B, merge_order=R)
@@ -107,7 +108,7 @@ class TestObservationOnly:
         def run_merge(overlap):
             system = ParallelDiskSystem(D, B)
             runs = [
-                StripedRun.from_sorted_keys(system, k, run_id=i, start_disk=i % D)
+                write_run(system, k, run_id=i, start_disk=i % D)
                 for i, k in enumerate(runs_keys)
             ]
             res = merge_runs(system, runs, 30, 0, validate=True, overlap=overlap)

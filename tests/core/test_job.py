@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import MergeJob
 from repro.errors import ConfigError, DataError
+from tests.oracles import write_run
 
 
 def simple_job(D=4, B=2):
@@ -91,11 +92,11 @@ class TestValidation:
 
 class TestFromStripedRuns:
     def test_roundtrip_via_disk(self):
-        from repro.disks import ParallelDiskSystem, StripedRun
+        from repro.disks import ParallelDiskSystem
 
         system = ParallelDiskSystem(3, 4)
         keys = np.arange(0, 40, 2)
-        run = StripedRun.from_sorted_keys(system, keys, run_id=0, start_disk=2)
+        run = write_run(system, keys, run_id=0, start_disk=2)
         job = MergeJob.from_striped_runs([run], 3)
         assert list(job.start_disks) == [2]
         assert np.array_equal(job.first_keys[0], keys[::4])

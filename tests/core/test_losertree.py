@@ -28,19 +28,19 @@ from repro.core import (
 )
 from repro.core.config import OVERLAP_MODES, OverlapConfig
 from repro.core.losertree import _cycle_starts
-from repro.disks import ParallelDiskSystem, StripedFile, StripedRun
+from repro.disks import ParallelDiskSystem, StripedFile
 from repro.disks.disk import Disk
 from repro.disks.timing import DISK_1996
 from repro.faults import DiskDeath, FaultPlan
 from repro.telemetry import Telemetry
 from repro.telemetry.trace import SystemTracer
 from repro.workloads import uniform_keys, uniform_permutation
-from tests.oracles import heapq_merge
+from tests.oracles import heapq_merge, write_run
 
 
 def build_runs(system, runs_keys, starts, payloads=None):
     return [
-        StripedRun.from_sorted_keys(
+        write_run(
             system,
             k,
             run_id=i,

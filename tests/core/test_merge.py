@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import MergeJob, merge_runs, simulate_merge
-from repro.disks import ParallelDiskSystem, StripedRun
+from repro.disks import ParallelDiskSystem
 from repro.errors import DataError
+from tests.oracles import write_run
 
 
 def build_runs(system, runs_keys, starts):
     return [
-        StripedRun.from_sorted_keys(system, k, run_id=i, start_disk=int(starts[i]))
+        write_run(system, k, run_id=i, start_disk=int(starts[i]))
         for i, k in enumerate(runs_keys)
     ]
 
@@ -197,7 +198,7 @@ class TestIOBehaviour:
         system = ParallelDiskSystem(2, 2)
         ra = build_runs(system, partition_runs(rng, 2, 8), [0, 1])
         m1 = merge_runs(system, ra, 10, 0, validate=True)
-        extra = StripedRun.from_sorted_keys(
+        extra = write_run(
             system, np.arange(100, 120), run_id=11, start_disk=1
         )
         m2 = merge_runs(system, [m1.output, extra], 12, 1, validate=True)

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import MergeJob, SRMConfig, merge_runs, simulate_merge, srm_sort
-from repro.disks import ParallelDiskSystem, StripedRun
+from repro.disks import ParallelDiskSystem
+from tests.oracles import write_run
 
 
 def build(system, runs_keys, starts):
     return [
-        StripedRun.from_sorted_keys(system, k, run_id=i, start_disk=int(starts[i]))
+        write_run(system, k, run_id=i, start_disk=int(starts[i]))
         for i, k in enumerate(runs_keys)
     ]
 

@@ -14,9 +14,9 @@ import pytest
 from repro.core.merge import merge_runs
 from repro.core.parallel_merge import corank_cuts, parallel_merge_runs
 from repro.disks import MmapFileBackend, ParallelDiskSystem
-from repro.disks.files import StripedRun
 from repro.errors import ConfigError, DataError
 from repro.faults.plan import FaultPlan
+from tests.oracles import write_run
 
 
 def build_runs(system, R=4, run_len=100, seed=0, dups=False, payloads=False):
@@ -32,7 +32,7 @@ def build_runs(system, R=4, run_len=100, seed=0, dups=False, payloads=False):
         if payloads:
             pay = rng.integers(0, 2**30, run_len)
         runs.append(
-            StripedRun.from_sorted_keys(
+            write_run(
                 system,
                 keys,
                 run_id=r,

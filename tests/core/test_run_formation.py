@@ -109,6 +109,32 @@ class TestLoadSort:
             form_runs_load_sort(system, infile, run_length=4)
 
 
+@pytest.mark.parametrize(
+    "form",
+    [
+        lambda system, infile: form_runs_load_sort(system, infile, 64, rng=1),
+        lambda system, infile: form_runs_replacement_selection(system, infile, 32, rng=1),
+    ],
+    ids=["load_sort", "replacement_selection"],
+)
+def test_each_run_stripe_allocated_just_before_its_write(form):
+    # Both methods write a run as the merge writes its output: a full
+    # D-block stripe per parallel write, its slots allocated just before.
+    system, _, infile = make_input()
+    calls = []
+    allocate, write_stripe = system.allocate, system.write_stripe
+    system.allocate = lambda d: calls.append("alloc") or allocate(d)
+    system.write_stripe = lambda w: calls.append(len(w)) or write_stripe(w)
+    runs = form(system, infile)
+    expected = []
+    for run in runs:
+        for lo in range(0, run.n_blocks, system.n_disks):
+            k = min(system.n_disks, run.n_blocks - lo)
+            expected += ["alloc"] * k + [k]
+    assert calls == expected
+    assert max(r.n_blocks for r in runs) > system.n_disks
+
+
 class TestReplacementSelection:
     def test_runs_cover_input_sorted(self):
         system, keys, infile = make_input(n=300, seed=3)

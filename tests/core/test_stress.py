@@ -15,18 +15,19 @@ from repro.core import (
     simulate_merge,
     srm_sort,
 )
-from repro.disks import DISK_1996, ParallelDiskSystem, StripedRun
+from repro.disks import DISK_1996, ParallelDiskSystem
 from repro.telemetry.trace import SystemTracer, TraceCollector
 from repro.workloads import (
     duplicate_heavy,
     interleaved_runs,
     sequential_runs,
 )
+from tests.oracles import write_run
 
 
 def build_runs(system, runs_keys, starts):
     return [
-        StripedRun.from_sorted_keys(system, k, run_id=i, start_disk=int(starts[i]))
+        write_run(system, k, run_id=i, start_disk=int(starts[i]))
         for i, k in enumerate(runs_keys)
     ]
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core import RunWriter
-from repro.disks import NO_KEY, ParallelDiskSystem
+from repro.disks import NO_KEY, ParallelDiskSystem, split_into_blocks
 from repro.errors import DataError, ScheduleError
+from tests.oracles import attach_forecasts
 
 
 def write_run(D=3, B=2, n=20, chunk=5, start=1):
@@ -94,18 +95,14 @@ class TestForecastFormat:
         assert blocks[1].forecast == (NO_KEY,)
 
     def test_matches_striped_run_writer(self):
-        # RunWriter must produce byte-identical format to
-        # StripedRun.from_sorted_keys for the same keys.
-        from repro.disks import StripedRun
-
+        # RunWriter must produce the whole-run format oracle's blocks
+        # for the same keys.
         keys = np.arange(0, 37, dtype=np.int64)
-        sys_a = ParallelDiskSystem(3, 4)
-        run_a = StripedRun.from_sorted_keys(sys_a, keys, 0, 1)
+        blocks_a = attach_forecasts(split_into_blocks(keys, 4), 3)
         sys_b = ParallelDiskSystem(3, 4)
         w = RunWriter(sys_b, 0, 1)
         w.append(keys)
         run_b = w.finalize()
-        blocks_a = [sys_a.disks[a.disk].read(a.slot) for a in run_a.addresses]
         blocks_b = [sys_b.disks[a.disk].read(a.slot) for a in run_b.addresses]
         assert len(blocks_a) == len(blocks_b)
         for x, y in zip(blocks_a, blocks_b):
@@ -154,12 +151,8 @@ class TestRingBuffer:
     """The preallocated ring must be invisible: same blocks, same format."""
 
     def _format_oracle(self, D, B, keys, payloads=None):
-        """Blocks produced by StripedRun.from_sorted_keys (the format oracle)."""
-        from repro.disks import StripedRun
-
-        sys_a = ParallelDiskSystem(D, B)
-        run = StripedRun.from_sorted_keys(sys_a, keys, 0, 0, payloads=payloads)
-        return [sys_a.disks[a.disk].read(a.slot) for a in run.addresses]
+        """The run's blocks, cut and forecast whole (the format oracle)."""
+        return attach_forecasts(split_into_blocks(keys, B, payloads=payloads), D)
 
     @pytest.mark.parametrize("chunk", [1, 3, 7, 16, 64, 1000])
     def test_wrap_preserves_contents_and_forecasts(self, chunk):

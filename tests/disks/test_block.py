@@ -1,4 +1,4 @@
-"""Tests for blocks, splitting, and the forecast format (paper §4)."""
+"""Tests for blocks, splitting, and the forecast-format oracle (paper §4)."""
 
 from __future__ import annotations
 
@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.disks.block import NO_KEY, Block, attach_forecasts, split_into_blocks
+from repro.disks.block import NO_KEY, Block, split_into_blocks
 from repro.errors import DataError
+from tests.oracles import attach_forecasts
 
 
 class TestBlock:
@@ -19,7 +20,6 @@ class TestBlock:
         assert b.last_key == 9
         assert b.run_id == 2
         assert b.index == 7
-        assert b.is_sorted()
 
     def test_keys_coerced_to_int64(self):
         b = Block(keys=[1, 2, 3])
@@ -32,9 +32,6 @@ class TestBlock:
     def test_non_1d_rejected(self):
         with pytest.raises(DataError):
             Block(keys=np.zeros((2, 2)))
-
-    def test_unsorted_detected(self):
-        assert not Block(keys=np.array([5, 3])).is_sorted()
 
     def test_single_record_block(self):
         b = Block(keys=np.array([42]))
@@ -76,6 +73,8 @@ class TestSplitIntoBlocks:
 
 
 class TestAttachForecasts:
+    """The whole-run format oracle that ``RunWriter``'s blocks must match."""
+
     def test_initial_block_carries_first_d_keys(self):
         # 6 blocks of 2 records, D = 3: block 0 carries k_{r,0..2}.
         blocks = split_into_blocks(np.arange(12), 2)

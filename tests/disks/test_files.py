@@ -7,14 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.disks import (
-    NO_KEY,
-    ParallelDiskSystem,
-    StripedFile,
-    StripedRun,
-    StripeWriter,
-)
+from repro.disks import ParallelDiskSystem, StripedFile, StripeWriter
 from repro.errors import DataError
+from tests.oracles import write_run
 
 
 class TestStripedFile:
@@ -36,7 +31,9 @@ class TestStripedFile:
 
     def test_io_charged_when_requested(self):
         sys = ParallelDiskSystem(n_disks=2, block_size=2)
-        StripedFile.from_records(sys, np.arange(8), count_ios=True)
+        w = StripeWriter(sys)
+        w.append(np.arange(8))
+        w.finish()
         # 4 blocks striped over 2 disks -> 2 full-stripe writes.
         assert sys.stats.parallel_writes == 2
 
@@ -57,7 +54,9 @@ class TestStripedFile:
 class TestStripeWriter:
     def test_charged_install_numbers_blocks_by_position(self):
         sys = ParallelDiskSystem(n_disks=3, block_size=2)
-        f = StripedFile.from_records(sys, np.arange(15), count_ios=True)
+        w = StripeWriter(sys)
+        w.append(np.arange(15))
+        f = w.finish()
         assert [sys.peek(a).index for a in f.addresses] == list(range(8))
 
     def test_streamed_appends_match_one_append(self):
@@ -100,6 +99,21 @@ class TestStripeWriter:
         with pytest.raises(DataError):
             w.append(np.arange(4), np.arange(3))
 
+    @pytest.mark.parametrize("cut", [8, 10])
+    def test_payload_presence_change_rejected(self, cut):
+        # D=2, B=4: payloads that start at a stripe boundary (8) or
+        # inside a stripe (10) are refused on the append that brings them.
+        w = StripeWriter(ParallelDiskSystem(n_disks=2, block_size=4))
+        w.append(np.arange(cut))
+        with pytest.raises(DataError, match="payload presence"):
+            w.append(np.arange(cut, 12), np.arange(100 + cut, 112))
+
+    def test_payloads_dropped_later_rejected(self):
+        w = StripeWriter(ParallelDiskSystem(n_disks=2, block_size=4))
+        w.append(np.arange(8), np.arange(100, 108))
+        with pytest.raises(DataError, match="payload presence"):
+            w.append(np.arange(8, 12))
+
     def test_nothing_appended_is_an_empty_file(self):
         sys = ParallelDiskSystem(n_disks=2, block_size=2)
         f = StripeWriter(sys).finish()
@@ -108,53 +122,16 @@ class TestStripeWriter:
 
 
 class TestStripedRun:
-    def test_cyclic_layout_from_start_disk(self):
-        sys = ParallelDiskSystem(n_disks=4, block_size=2)
-        run = StripedRun.from_sorted_keys(sys, np.arange(20), run_id=0, start_disk=2)
-        assert [a.disk for a in run.addresses] == [2, 3, 0, 1, 2, 3, 0, 1, 2, 3]
-
-    def test_rejects_unsorted(self):
-        sys = ParallelDiskSystem(n_disks=2, block_size=2)
-        with pytest.raises(DataError):
-            StripedRun.from_sorted_keys(sys, np.array([3, 1, 2]), 0, 0)
-
-    def test_rejects_empty(self):
-        sys = ParallelDiskSystem(n_disks=2, block_size=2)
-        with pytest.raises(DataError):
-            StripedRun.from_sorted_keys(sys, np.array([], dtype=np.int64), 0, 0)
-
-    def test_perfect_write_parallelism(self):
-        sys = ParallelDiskSystem(n_disks=4, block_size=2)
-        StripedRun.from_sorted_keys(sys, np.arange(24), 0, start_disk=1)
-        # 12 blocks over 4 disks -> exactly 3 full-stripe writes.
-        assert sys.stats.parallel_writes == 3
-        assert sys.stats.write_efficiency == 1.0
-
-    def test_partial_final_stripe(self):
-        sys = ParallelDiskSystem(n_disks=4, block_size=2)
-        StripedRun.from_sorted_keys(sys, np.arange(10), 0, start_disk=0)  # 5 blocks
-        assert sys.stats.parallel_writes == 2
-
     def test_first_and_last_keys_recorded(self):
         sys = ParallelDiskSystem(n_disks=2, block_size=3)
-        run = StripedRun.from_sorted_keys(sys, np.arange(0, 18, 2), 0, 0)
+        run = write_run(sys, np.arange(0, 18, 2), 0, 0)
         assert list(run.first_keys) == [0, 6, 12]
         assert list(run.last_keys) == [4, 10, 16]
-
-    def test_forecast_format_on_disk(self):
-        sys = ParallelDiskSystem(n_disks=2, block_size=2)
-        run = StripedRun.from_sorted_keys(sys, np.arange(12), 0, 0)  # 6 blocks
-        b0 = sys.disks[run.addresses[0].disk].read(run.addresses[0].slot)
-        assert b0.forecast == (0.0, 2.0)
-        b1 = sys.disks[run.addresses[1].disk].read(run.addresses[1].slot)
-        assert b1.forecast == (6.0,)
-        b5 = sys.disks[run.addresses[5].disk].read(run.addresses[5].slot)
-        assert b5.forecast == (NO_KEY,)
 
     @given(n=st.integers(1, 100), d0=st.integers(0, 2))
     @settings(max_examples=25, deadline=None)
     def test_roundtrip(self, n, d0):
         sys = ParallelDiskSystem(n_disks=3, block_size=4)
         keys = np.arange(n, dtype=np.int64) * 3
-        run = StripedRun.from_sorted_keys(sys, keys, 0, d0)
+        run = write_run(sys, keys, 0, d0)
         assert np.array_equal(run.read_all(sys), keys)

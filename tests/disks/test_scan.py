@@ -5,13 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.disks import ParallelDiskSystem, RunScanner, StripedRun
+from repro.disks import ParallelDiskSystem, RunScanner
 from repro.errors import DataError
+from tests.oracles import write_run
 
 
 def make_run(D=4, B=2, n=30, start=1):
     sys = ParallelDiskSystem(D, B)
-    run = StripedRun.from_sorted_keys(sys, np.arange(n) * 2, 0, start)
+    run = write_run(sys, np.arange(n) * 2, 0, start)
     return sys, run
 
 
@@ -68,6 +69,6 @@ class TestScanning:
 
     def test_partial_final_block(self):
         sys = ParallelDiskSystem(3, 4)
-        run = StripedRun.from_sorted_keys(sys, np.arange(13), 0, 0)
+        run = write_run(sys, np.arange(13), 0, 0)
         out = RunScanner(sys, run).read_remaining()
         assert np.array_equal(out, np.arange(13))

@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.disks.files import StripedRun
 from repro.disks.system import BlockAddress, ParallelDiskSystem
 from repro.errors import ConfigError, DiskDeadError
 from repro.faults import DiskDeath, FaultPlan
+from tests.oracles import write_run
 
 
 def _system(D=4, B=8, plan=None):
@@ -21,7 +21,7 @@ def _run(system, rng, n_blocks=12, run_id=0, start_disk=0):
     keys = np.sort(
         rng.choice(10**9, size=n_blocks * system.block_size, replace=False)
     )
-    return StripedRun.from_sorted_keys(system, keys, run_id, start_disk)
+    return write_run(system, keys, run_id, start_disk)
 
 
 class TestKillDisk:

@@ -11,6 +11,12 @@
 
 Both must match the data plane bit for bit: output records and
 payloads, ``ParRead``/flush schedule, I/O counters and engine clock.
+
+:func:`attach_forecasts` implants the paper's forecast keys (§4) into a
+whole run's block list at once; the blocks
+:class:`~repro.core.writer.RunWriter` streams out must carry the same.
+:func:`write_run` writes one sorted run through ``RunWriter``, as run
+formation does, for tests that need runs on disk.
 """
 
 from __future__ import annotations
@@ -25,11 +31,39 @@ import pytest
 import repro.core.merge as merge_mod
 from repro.core.layout import LayoutStrategy
 from repro.core.run_formation import _chunk_reader, _start_disk_stream
-from repro.disks.block import NO_KEY
+from repro.core.writer import RunWriter
+from repro.disks.block import NO_KEY, Block
 from repro.disks.files import StripedRun
 from repro.errors import ScheduleError
 from repro.telemetry import TELEMETRY_OFF
 from repro.telemetry.schema import H_DRAIN_BATCH, MERGE_DRAIN_CYCLES, batch_edges
+
+
+def attach_forecasts(blocks: list[Block], n_disks: int) -> list[Block]:
+    """Implant forecast keys per the paper's run format (§4).
+
+    Mutates (and returns) *blocks*, which must be the complete ordered
+    block list of one sorted run.
+    """
+    n = len(blocks)
+    if n == 0:
+        return blocks
+    first_keys = [b.first_key for b in blocks]
+
+    def key_of(i: int) -> float:
+        return int(first_keys[i]) if i < n else NO_KEY
+
+    blocks[0].forecast = tuple(key_of(j) for j in range(n_disks))
+    for i in range(1, n):
+        blocks[i].forecast = (key_of(i + n_disks),)
+    return blocks
+
+
+def write_run(system, keys, run_id: int, start_disk: int, payloads=None) -> StripedRun:
+    """Write sorted *keys* (and aligned *payloads*) as one forecast run."""
+    writer = RunWriter(system, run_id, start_disk)
+    writer.append(keys, payloads)
+    return writer.finalize()
 
 
 def merge_loop_heapq(
@@ -174,12 +208,12 @@ def replacement_selection_record(
         if not out:
             return
         runs.append(
-            StripedRun.from_sorted_keys(
+            write_run(
                 system,
                 np.asarray(out, dtype=np.int64),
-                run_id=run_id,
-                start_disk=next(disk_stream),
-                payloads=np.asarray(out_pay, dtype=np.int64) if has_payloads else None,
+                run_id,
+                next(disk_stream),
+                np.asarray(out_pay, dtype=np.int64) if has_payloads else None,
             )
         )
         run_id += 1

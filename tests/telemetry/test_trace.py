@@ -28,7 +28,6 @@ from repro.core import SRMConfig, srm_sort
 from repro.core.config import OverlapConfig
 from repro.core.parallel_merge import parallel_merge_runs
 from repro.disks import ParallelDiskSystem
-from repro.disks.files import StripedRun
 from repro.telemetry import Telemetry
 from repro.telemetry.report import RunReport
 from repro.telemetry.schema import (
@@ -37,6 +36,7 @@ from repro.telemetry.schema import (
 )
 from repro.telemetry.trace import TraceCollector, chrome_trace
 from repro.workloads import uniform_permutation
+from tests.oracles import write_run
 
 
 def trace_blob(events: list[dict]) -> bytes:
@@ -142,7 +142,7 @@ class TestPmergeWorkerSpans:
         system = ParallelDiskSystem(4, 8)
         rng = np.random.default_rng(0)
         runs = [
-            StripedRun.from_sorted_keys(
+            write_run(
                 system, np.sort(rng.integers(0, 2**40, 200)),
                 run_id=r, start_disk=r % 4,
             )

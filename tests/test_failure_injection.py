@@ -11,10 +11,10 @@ from repro import (
     ParallelDiskSystem,
     SRMConfig,
     StripedFile,
-    StripedRun,
 )
 from repro.core import merge_runs, srm_mergesort
 from repro.errors import DataError, ScheduleError
+from tests.oracles import write_run
 
 
 class TestCapacityExhaustion:
@@ -31,7 +31,7 @@ class TestCapacityExhaustion:
         system = ParallelDiskSystem(1, 4, capacity_blocks_per_disk=3)
         for i in range(3):
             a = system.allocate(0)
-            system.write_block(a, __import__("repro").Block(keys=np.array([i])))
+            system.write_stripe([(a, __import__("repro").Block(keys=np.array([i])))])
         with pytest.raises(DiskFullError):
             system.allocate(0)
 
@@ -40,7 +40,7 @@ class TestCorruptedData:
     def _runs(self, system, rng, R=3, L=24):
         perm = rng.permutation(R * L)
         return [
-            StripedRun.from_sorted_keys(
+            write_run(
                 system, np.sort(perm[i * L : (i + 1) * L]), i, i % system.n_disks
             )
             for i in range(R)

@@ -11,12 +11,12 @@ from repro import (
     ParallelDiskSystem,
     SRMConfig,
     StripedFile,
-    StripedRun,
     dsm_sort,
     external_sort_records,
 )
 from repro.core import RunWriter, srm_sort
 from repro.errors import ConfigError, DataError
+from tests.oracles import write_run
 
 
 class TestBlockPayloads:
@@ -49,7 +49,7 @@ class TestRunsWithPayloads:
         sys = ParallelDiskSystem(3, 4)
         keys = np.arange(0, 40, 2)
         pays = keys * 7 + 1
-        run = StripedRun.from_sorted_keys(sys, keys, 0, 1, payloads=pays)
+        run = write_run(sys, keys, 0, 1, payloads=pays)
         k, p = run.read_all_records(sys)
         assert np.array_equal(k, keys)
         assert np.array_equal(p, pays)
@@ -65,7 +65,7 @@ class TestRunsWithPayloads:
 
     def test_keys_only_run_reports_none(self):
         sys = ParallelDiskSystem(2, 4)
-        run = StripedRun.from_sorted_keys(sys, np.arange(10), 0, 0)
+        run = write_run(sys, np.arange(10), 0, 0)
         _, p = run.read_all_records(sys)
         assert p is None
 

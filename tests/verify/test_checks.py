@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.disks import ParallelDiskSystem, StripedRun
+from repro.disks import ParallelDiskSystem
 from repro.errors import DataError
 from repro.verify import (
     assert_sorted_permutation,
@@ -13,6 +13,7 @@ from repro.verify import (
     is_permutation_of,
     is_sorted,
 )
+from tests.oracles import write_run
 
 
 class TestPredicates:
@@ -42,7 +43,7 @@ class TestPredicates:
 class TestCheckStripedRun:
     def test_valid_run_passes(self):
         system = ParallelDiskSystem(3, 4)
-        run = StripedRun.from_sorted_keys(system, np.arange(0, 60, 2), 0, 1)
+        run = write_run(system, np.arange(0, 60, 2), 0, 1)
         check_striped_run(system, run)  # no exception
 
     def test_writer_output_passes(self):
@@ -56,21 +57,21 @@ class TestCheckStripedRun:
 
     def test_detects_broken_cyclic_layout(self):
         system = ParallelDiskSystem(3, 4)
-        run = StripedRun.from_sorted_keys(system, np.arange(24), 0, 0)
+        run = write_run(system, np.arange(24), 0, 0)
         run.start_disk = 1  # lie about the layout
         with pytest.raises(DataError):
             check_striped_run(system, run)
 
     def test_detects_corrupted_metadata(self):
         system = ParallelDiskSystem(3, 4)
-        run = StripedRun.from_sorted_keys(system, np.arange(24), 0, 0)
+        run = write_run(system, np.arange(24), 0, 0)
         run.first_keys[2] += 1
         with pytest.raises(DataError):
             check_striped_run(system, run)
 
     def test_detects_bad_forecast(self):
         system = ParallelDiskSystem(2, 4)
-        run = StripedRun.from_sorted_keys(system, np.arange(32), 0, 0)
+        run = write_run(system, np.arange(32), 0, 0)
         addr = run.addresses[1]
         blk = system.disks[addr.disk].read(addr.slot)
         blk.forecast = (123.0,)
@@ -79,7 +80,7 @@ class TestCheckStripedRun:
 
     def test_detects_wrong_record_count(self):
         system = ParallelDiskSystem(2, 4)
-        run = StripedRun.from_sorted_keys(system, np.arange(32), 0, 0)
+        run = write_run(system, np.arange(32), 0, 0)
         run.n_records = 99
         with pytest.raises(DataError):
             check_striped_run(system, run)
