@@ -40,7 +40,7 @@ Subpackages
 """
 
 from ._version import __version__
-from .baselines import DSMSortResult, dsm_mergesort, dsm_sort, single_disk_sort
+from .baselines import DSMSortResult, dsm_mergesort, dsm_sort
 from .core import (
     DSMConfig,
     LayoutStrategy,
@@ -81,7 +81,6 @@ from .telemetry import (
     TELEMETRY_OFF,
 )
 from .errors import (
-    ChecksumError,
     ConfigError,
     DataError,
     DiskDeadError,
@@ -97,7 +96,6 @@ __all__ = [
     "DSMSortResult",
     "dsm_mergesort",
     "dsm_sort",
-    "single_disk_sort",
     "DSMConfig",
     "LayoutStrategy",
     "MergeJob",
@@ -117,7 +115,6 @@ __all__ = [
     "ParallelDiskSystem",
     "StripedFile",
     "StripedRun",
-    "ChecksumError",
     "ConfigError",
     "DataError",
     "DiskDeadError",

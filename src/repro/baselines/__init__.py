@@ -17,7 +17,6 @@ from .psv import (
     psv_mergesort,
     write_single_disk_runs_parallel,
 )
-from .single_disk import single_disk_config, single_disk_sort
 
 __all__ = [
     "DSMPassStats",
@@ -26,8 +25,6 @@ __all__ = [
     "dsm_sort",
     "merge_superblock_runs",
     "write_superblock_run",
-    "single_disk_config",
-    "single_disk_sort",
     "DSMCost",
     "dsm_exact_cost",
     "PSVMergeResult",

@@ -29,7 +29,7 @@ from ..disks.files import StripedFile, StripeWriter
 from ..disks.system import ParallelDiskSystem
 from ..errors import ConfigError, DataError
 from ..core.config import DSMConfig
-from ..core.mergesort import PeekSorted, _sort_on_fresh_system
+from ..core.mergesort import PeekSorted, _close_sort, _sort_on_fresh_system
 from ..core.run_formation import sorted_loads
 from ..telemetry import TELEMETRY_OFF
 from ..telemetry.schema import (
@@ -340,15 +340,15 @@ def dsm_mergesort(
         runs = out_runs
 
     result.output = runs[0]
-    from ..faults.degraded import scrub_sort_output  # faults imports the drivers
-
-    scrub_sort_output(system, result.output.addresses)
-    result.system = system
-    result.io = system.stats.since(start_stats)
-    sort_span.set(
-        runs_formed=result.runs_formed, n_merge_passes=result.n_merge_passes
+    _close_sort(
+        tel,
+        sort_span,
+        system,
+        result,
+        start_stats,
+        runs_formed=result.runs_formed,
+        n_merge_passes=result.n_merge_passes,
     )
-    sort_span.close()
     return result
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.mergesort import PeekSorted
+from ..core.mergesort import PeekSorted, _close_sort
 from ..core.run_formation import sorted_loads
 from ..disks.block import split_into_blocks
 from ..disks.counters import IOStats
@@ -329,15 +329,14 @@ def psv_mergesort(
         writer = StripeWriter(system)
         writer.append(*level[0])
         result.output = writer.finish()
-    from ..faults.degraded import scrub_sort_output  # faults imports the drivers
-
-    scrub_sort_output(system, result.output.addresses)
-    result.io = system.stats.since(start)
-    result.system = system
-    sort_span.set(
+    _close_sort(
+        tel,
+        sort_span,
+        system,
+        result,
+        start,
         runs_formed=result.runs_formed,
         n_merge_passes=result.n_merge_passes,
         n_transpositions=result.n_transpositions,
     )
-    sort_span.close()
     return result

@@ -13,7 +13,6 @@ Usage::
     python -m repro inspect run.jsonl [--check] [--attribution]
     python -m repro trace run.jsonl [--out run.trace.json]
     python -m repro chaos [--quick] [--check] [--out chaos.jsonl]
-    python -m repro cliff [--quick] [--check] [--out cliff_grid.jsonl]
     python -m repro demo
 
 ``--full`` switches Table 3/4 to paper-scale run lengths (slow).
@@ -340,43 +339,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cliff(args: argparse.Namespace) -> int:
-    from .analysis.cliff import CliffSweepConfig, render_cliff, run_cliff
-
-    common = dict(
-        n_records=args.n,
-        n_disks=args.disks,
-        k=args.k,
-        block_size=args.block,
-        seed=args.seed,
-        cpu_us_per_record=args.cpu_us,
-    )
-    if args.quick:
-        cfg = CliffSweepConfig.quick(**common)
-    else:
-        cfg = CliffSweepConfig(
-            **common,
-            modes=tuple(args.modes.split(",")),
-            depths=tuple(int(d) for d in args.depths.split(",")),
-            factors=tuple(float(f) for f in args.factors.split(",")),
-            stalls=tuple(int(s) for s in args.stall_densities.split(",")),
-        )
-    report = run_cliff(cfg)
-    print(render_cliff(report))
-    if args.out is not None:
-        report.write_jsonl(args.out)
-        print(f"wrote {args.out}")
-    if args.check:
-        failures = report.failures()
-        if failures:
-            print("\ncliff check FAILED:", file=sys.stderr)
-            for f in failures:
-                print(f"  - {f}", file=sys.stderr)
-            return 1
-        print("\ncliff check passed")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro",
@@ -505,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ch = sub.add_parser(
         "chaos",
-        help="fault-injection sweep: every plan must sort bit-identically",
+        help="fault and latency sweep: every plan must sort bit-identically",
     )
     ch.add_argument("--n", type=int, default=20_000,
                     help="records per sort (default: %(default)s)")
@@ -518,47 +480,13 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--quick", action="store_true",
                     help="core scenarios only: transient/corrupt/death plus "
                          "write storm, torn writes, parity rebuild, and "
-                         "double death (CI smoke)")
+                         "double death; no latency or cliff-grid scenarios "
+                         "(CI smoke)")
     ch.add_argument("--check", action="store_true",
                     help="exit 1 unless every resilience property holds")
     ch.add_argument("--out", metavar="PATH", default=None,
                     help="write the scenario results as JSONL to PATH")
     ch.set_defaults(func=_cmd_chaos)
-
-    cl = sub.add_parser(
-        "cliff",
-        help="sweep straggler factors / stall densities to map where "
-             "overlap stops hiding latency",
-    )
-    cl.add_argument("--n", type=int, default=20_000,
-                    help="records per sort (default: %(default)s)")
-    cl.add_argument("--disks", type=int, default=4)
-    cl.add_argument("--k", type=int, default=2, help="merge order R = kD")
-    cl.add_argument("--block", type=int, default=16)
-    cl.add_argument("--seed", type=int, default=1996,
-                    help="root seed for data, layout, and fault streams")
-    cl.add_argument("--cpu-us", type=float, default=1000.0,
-                    help="merge cost per record in us; the default puts "
-                         "compute and block service in the same regime "
-                         "so the cliff falls inside the sweep")
-    cl.add_argument("--modes", default="none,full",
-                    help="comma-separated overlap modes to sweep")
-    cl.add_argument("--depths", default="0,1,2",
-                    help="comma-separated prefetch depths to sweep")
-    cl.add_argument("--factors", default="1,2,4,8",
-                    help="comma-separated straggler latency factors")
-    cl.add_argument("--stall-densities", default="0,4",
-                    help="comma-separated stall-window counts on the "
-                         "victim disk")
-    cl.add_argument("--quick", action="store_true",
-                    help="CI-sized grid: full mode, depths 0/2, factors "
-                         "1/4, stall densities 0/2")
-    cl.add_argument("--check", action="store_true",
-                    help="exit 1 unless every point sorts identically and "
-                         "its critical path tiles the makespan exactly")
-    cl.add_argument("--out", metavar="PATH", default=None,
-                    help="write the grid as JSONL to PATH")
-    cl.set_defaults(func=_cmd_cliff)
     return p
 
 

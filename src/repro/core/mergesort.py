@@ -20,7 +20,17 @@ from ..disks.timing import DISK_1996
 from ..errors import ConfigError
 from ..rng import RngLike, ensure_rng
 from ..telemetry import TELEMETRY_OFF
-from ..telemetry.schema import SPAN_MERGE_PASS, SPAN_RUN_FORMATION, SPAN_SORT
+from ..telemetry.schema import (
+    BACKEND_BLOCKS_READ,
+    BACKEND_BLOCKS_WRITTEN,
+    BACKEND_BYTES_READ,
+    BACKEND_BYTES_WRITTEN,
+    BACKEND_FILE_BYTES,
+    BACKEND_FILE_GROWS,
+    SPAN_MERGE_PASS,
+    SPAN_RUN_FORMATION,
+    SPAN_SORT,
+)
 from .config import OverlapConfig, SRMConfig
 from .events import OverlapReport
 from .layout import LayoutStrategy, choose_start_disks
@@ -275,52 +285,51 @@ def srm_mergesort(
         runs = out_runs
 
     result.output = runs[0]
+    _close_sort(
+        tel,
+        sort_span,
+        system,
+        result,
+        start_stats,
+        runs_formed=result.runs_formed,
+        n_merge_passes=result.n_merge_passes,
+        heap_cycles=result.heap_cycles,
+    )
+    return result
+
+
+def _close_sort(tel, sort_span, system: ParallelDiskSystem, result, start_stats,
+                **attrs) -> None:
+    """The one close of SRM, DSM and PSV once ``result.output`` is set.
+
+    Scrubs the output (repairing torn writes the final pass left), sets
+    ``result.io`` to the sort's I/O delta and ``result.system``, and
+    closes *sort_span* with *attrs*.  A storage backend other than the
+    in-memory one also publishes its ``backend.*`` counters, which
+    accumulate across sorts sharing a registry (like every other
+    counter), and the sort span carries this system's absolute numbers.
+    """
     from ..faults.degraded import scrub_sort_output  # faults imports the drivers
 
     scrub_sort_output(system, result.output.addresses)
     result.io = system.stats.since(start_stats)
     result.system = system
-    sort_span.set(
-        runs_formed=result.runs_formed,
-        n_merge_passes=result.n_merge_passes,
-        heap_cycles=result.heap_cycles,
-    )
-    _record_backend_stats(tel, sort_span, system)
-    sort_span.close()
-    return result
-
-
-def _record_backend_stats(tel, sort_span, system: ParallelDiskSystem) -> None:
-    """Publish storage-backend counters (``backend.*``) at sort end.
-
-    Counters accumulate across sorts sharing a registry (like every
-    other counter); the sort span additionally carries this system's
-    absolute numbers.  The in-memory backend reports no counters.
-    """
+    sort_span.set(**attrs)
     stats = system.backend.stats()
-    if stats.get("kind") == "memory":
-        return
-    from ..telemetry.schema import (
-        BACKEND_BLOCKS_READ,
-        BACKEND_BLOCKS_WRITTEN,
-        BACKEND_BYTES_READ,
-        BACKEND_BYTES_WRITTEN,
-        BACKEND_FILE_BYTES,
-        BACKEND_FILE_GROWS,
-    )
-
-    tel.counter(BACKEND_BLOCKS_WRITTEN).inc(stats.get("blocks_written", 0))
-    tel.counter(BACKEND_BLOCKS_READ).inc(stats.get("blocks_read", 0))
-    tel.counter(BACKEND_BYTES_WRITTEN).inc(stats.get("bytes_written", 0))
-    tel.counter(BACKEND_BYTES_READ).inc(stats.get("bytes_read", 0))
-    tel.counter(BACKEND_FILE_GROWS).inc(stats.get("file_grows", 0))
-    tel.gauge(BACKEND_FILE_BYTES).set(stats.get("file_bytes", 0))
-    sort_span.set(
-        backend=stats["kind"],
-        backend_file_bytes=stats.get("file_bytes", 0),
-        backend_blocks_written=stats.get("blocks_written", 0),
-        backend_blocks_read=stats.get("blocks_read", 0),
-    )
+    if stats["kind"] != "memory":
+        tel.counter(BACKEND_BLOCKS_WRITTEN).inc(stats.get("blocks_written", 0))
+        tel.counter(BACKEND_BLOCKS_READ).inc(stats.get("blocks_read", 0))
+        tel.counter(BACKEND_BYTES_WRITTEN).inc(stats.get("bytes_written", 0))
+        tel.counter(BACKEND_BYTES_READ).inc(stats.get("bytes_read", 0))
+        tel.counter(BACKEND_FILE_GROWS).inc(stats.get("file_grows", 0))
+        tel.gauge(BACKEND_FILE_BYTES).set(stats.get("file_bytes", 0))
+        sort_span.set(
+            backend=stats["kind"],
+            backend_file_bytes=stats.get("file_bytes", 0),
+            backend_blocks_written=stats.get("blocks_written", 0),
+            backend_blocks_read=stats.get("blocks_read", 0),
+        )
+    sort_span.close()
 
 
 def srm_sort(

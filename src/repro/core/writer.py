@@ -98,6 +98,10 @@ class RunWriter:
         keys = np.asarray(keys, dtype=np.int64)
         if keys.size == 0:
             return
+        if self._last_appended is not None and keys[0] < self._last_appended:
+            raise DataError("output records appended out of order")
+        if (keys[1:] < keys[:-1]).any():
+            raise DataError("appended slice is not sorted")
         rows = 1 if payloads is None else 2
         if self._rows is None:
             self._rows = rows
@@ -108,8 +112,6 @@ class RunWriter:
             payloads = np.asarray(payloads, dtype=np.int64)
             if payloads.shape != keys.shape:
                 raise DataError("payloads must align with keys")
-        if self._last_appended is not None and keys[0] < self._last_appended:
-            raise DataError("output records appended out of order")
         self._last_appended = int(keys[-1])
         self._n_records += keys.size
 

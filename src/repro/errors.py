@@ -38,15 +38,6 @@ class InvalidIOError(DiskError):
     """
 
 
-class ChecksumError(DiskError):
-    """A block read back from disk failed its checksum verification.
-
-    Raised only when corruption survives every retry the
-    :class:`~repro.faults.retry.RetryPolicy` allows; a single corrupted
-    transfer is retried, not raised.
-    """
-
-
 class DiskDeadError(DiskError):
     """An operation targets a disk that has permanently failed.
 

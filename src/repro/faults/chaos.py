@@ -9,7 +9,11 @@ applies), and checks the resilience contract:
 * every injected corruption is caught by a block checksum
   (``undetected_corruptions == 0``);
 * the fault telemetry (``faults.*`` counters, the backoff histogram,
-  ``disk_death`` events) actually recorded what the plan injected.
+  ``disk_death`` events) actually recorded what the plan injected;
+* every SRM run is traced, and its critical path tiles the simulated
+  makespan exactly; a latency plan (straggler, stall window, and the
+  makespan-cliff grid) must cost makespan over the fault-free run
+  under the same overlap-engine configuration.
 
 Because every plan is seeded, a failing scenario is a *repro*, not a
 flake: re-running the same ``(scenario, seed, geometry)`` replays the
@@ -59,9 +63,9 @@ class ChaosScenario:
     plan:
         The seeded fault plan to arm.
     overlap:
-        Drive the SRM merges through the overlap engine so latency
-        faults (stragglers, stalls, drained backoff) show up in the
-        simulated makespan.  Ignored for DSM.
+        Overlap-engine configuration the SRM merges run under, so
+        latency faults (stragglers, stalls, drained backoff) show up in
+        the simulated makespan (``None``: no engine).  Ignored for DSM.
     retry:
         Retry-policy override (default :data:`~repro.faults.retry.DEFAULT_RETRY`).
     dsm:
@@ -76,14 +80,14 @@ class ChaosScenario:
         ``"torn"`` (torn writes injected and every one detected),
         ``"recovery_reads"`` (charged parity reconstruction reads > 0),
         ``"double_death"`` (at least two disks died),
-        ``"latency"`` (the simulated makespan must exceed the
-        fault-free traced reference's; needs ``overlap=True``).
+        ``"latency"`` (the simulated makespan must exceed that of the
+        fault-free traced reference under the same ``overlap``).
     """
 
     name: str
     description: str
     plan: FaultPlan
-    overlap: bool = False
+    overlap: OverlapConfig | None = None
     retry: RetryPolicy | None = None
     dsm: bool = True
     expect: frozenset = frozenset()
@@ -238,7 +242,7 @@ class ChaosReport:
     def render(self) -> str:
         """Fixed-width table for the CLI."""
         header = (
-            f"{'scenario':<12} {'algo':<4} {'ok':<3} {'ios':>6} "
+            f"{'scenario':<14} {'algo':<4} {'ok':<3} {'ios':>6} "
             f"{'io+%':>7} {'retries':>7} {'detect':>6} {'deaths':>6} "
             f"{'recov':>6} {'makespan_ms':>12}"
         )
@@ -247,7 +251,7 @@ class ChaosReport:
             s = r.stats
             mk = "-" if r.makespan_ms is None else f"{r.makespan_ms:.1f}"
             lines.append(
-                f"{r.scenario:<12} {r.algorithm:<4} "
+                f"{r.scenario:<14} {r.algorithm:<4} "
                 f"{'yes' if r.ok else 'NO':<3} {r.parallel_ios:>6} "
                 f"{r.io_overhead_pct:>6.1f}% {s.get('retries', 0):>7} "
                 f"{s.get('checksum_detected', 0):>6} "
@@ -271,14 +275,15 @@ def default_scenarios(
 ) -> list[ChaosScenario]:
     """The standard sweep: transient, corrupt, write storm, torn writes,
     death (replica and parity rebuild), double death, stragglers, stalls,
-    breaker escalation, death during rebuild, and a combined plan.
+    breaker escalation, death during rebuild, a combined plan, and the
+    makespan-cliff grid (:func:`_cliff_scenarios`).
 
     *death_after* positions permanent failures mid-sort (callers derive
     it from the fault-free run's per-disk operation count).  *quick*
     keeps the scenarios that exercise distinct code paths — transient
     retry, checksum detection, degraded mode, the write-fault ladder,
     torn-write repair, parity rebuild, and a two-death plan — and drops
-    the latency/escalation variants.
+    the latency/escalation variants and the cliff grid.
     """
     victim = n_disks - 1
     second = 0 if victim != 0 else 1
@@ -354,6 +359,7 @@ def default_scenarios(
         )
     if quick:
         return scenarios
+    engine = OverlapConfig(mode="full", prefetch_depth=2)
     if n_disks >= 3:
         scenarios.append(
             ChaosScenario(
@@ -380,7 +386,7 @@ def default_scenarios(
             name="straggler",
             description="disk 1 serves 4x slower (overlap engine)",
             plan=FaultPlan(seed=seed + 3, latency_factors={1 % n_disks: 4.0}),
-            overlap=True,
+            overlap=engine,
             dsm=False,
             expect=frozenset({"latency"}),
         ),
@@ -391,7 +397,7 @@ def default_scenarios(
                 seed=seed + 4,
                 stalls=(StallWindow(disk=0, start_ms=5.0, duration_ms=40.0),),
             ),
-            overlap=True,
+            overlap=engine,
             dsm=False,
             expect=frozenset({"latency"}),
         ),
@@ -418,10 +424,58 @@ def default_scenarios(
                 latency_factors={1 % n_disks: 3.0},
                 deaths=(DiskDeath(disk=victim, after_ops=death_after),),
             ),
-            overlap=True,
+            overlap=engine,
             expect=frozenset({"retries", "death"}),
         ),
     ]
+    return scenarios + _cliff_scenarios(n_disks, seed)
+
+
+def _cliff_scenarios(n_disks: int, seed: int) -> list[ChaosScenario]:
+    """The makespan-cliff grid: where overlap stops hiding latency.
+
+    Full overlap at read-ahead depths 0 and 2, with disk ``1 % D``
+    serving 1x or 4x slower and stalling in 0 or 2 recurring windows.
+    The merge costs 1000 us per record, which puts compute and a fast
+    disk's block service in the same regime, so overlap has latency to
+    hide.  The fault-free point of each depth is that depth's traced
+    reference, so the grid adds its six faulted points.
+    """
+    slow = 1 % n_disks
+    scenarios = []
+    for depth in (0, 2):
+        engine = OverlapConfig(
+            mode="full", prefetch_depth=depth, cpu_us_per_record=1000.0
+        )
+        for factor in (1, 4):
+            for n_stalls in (0, 2):
+                if factor == 1 and n_stalls == 0:
+                    continue
+                # Windows early in the merge, each covering several
+                # block services, spaced so the disk recovers between.
+                stalls = tuple(
+                    StallWindow(slow, 1_000.0 + 3_000.0 * i, 500.0)
+                    for i in range(n_stalls)
+                )
+                scenarios.append(
+                    ChaosScenario(
+                        name=f"cliff_d{depth}_x{factor}_s{n_stalls}",
+                        description=(
+                            f"disk {slow} {factor}x slower with {n_stalls} "
+                            f"stall windows (depth {depth}, 1000 us/record)"
+                        ),
+                        plan=FaultPlan(
+                            seed=seed + 12 + len(scenarios),
+                            latency_factors=(
+                                {slow: float(factor)} if factor != 1 else {}
+                            ),
+                            stalls=stalls,
+                        ),
+                        overlap=engine,
+                        dsm=False,
+                        expect=frozenset({"latency"}),
+                    )
+                )
     return scenarios
 
 
@@ -493,9 +547,8 @@ def run_chaos(
     # a given disk at most once, so half the parallel I/O count lands
     # the death inside the merge phase.
     death_after = max(1, ref_res.total_parallel_ios // 2)
-    overlap_cfg = OverlapConfig(mode="full", prefetch_depth=2)
-    ref_overlap_ms: float | None = None
-    ref_attr: dict | None = None
+    # Traced fault-free (makespan, attribution), one per engine config.
+    overlap_refs: dict[OverlapConfig, tuple[float, dict]] = {}
     # Lazy: analysis pulls in the whole package graph.
     from ..analysis.critical_path import analyze_collector, combine_attribution
 
@@ -514,33 +567,34 @@ def run_chaos(
             makespan = overhead = None
             try:
                 if algo == "srm":
-                    if sc.overlap and ref_overlap_ms is None:
+                    if sc.overlap is not None and sc.overlap not in overlap_refs:
                         # The fault-free reference run is traced too, so
                         # each scenario's attribution reads as a *delta*
                         # against an undisturbed timeline.
                         ref_tel = Telemetry(harness="chaos", scenario="reference")
                         ref_col = ref_tel.attach_trace()
                         _, ro = srm_sort(
-                            keys, srm_cfg, rng=seed + 17, overlap=overlap_cfg,
+                            keys, srm_cfg, rng=seed + 17, overlap=sc.overlap,
                             telemetry=ref_tel,
                         )
-                        ref_overlap_ms = ro.simulated_merge_ms
-                        ref_attr = combine_attribution(
-                            analyze_collector(ref_col).values()
+                        overlap_refs[sc.overlap] = (
+                            ro.simulated_merge_ms,
+                            combine_attribution(analyze_collector(ref_col).values()),
                         )
                     col = tel.attach_trace()
                     out, res = srm_sort(
                         keys,
                         srm_cfg,
                         rng=seed + 17,
-                        overlap=overlap_cfg if sc.overlap else None,
+                        overlap=sc.overlap,
                         telemetry=tel,
                         faults=_armed(sc, n_disks, tel),
                     )
-                    if sc.overlap:
+                    if sc.overlap is not None:
                         makespan = res.simulated_merge_ms
-                        if ref_overlap_ms:
-                            overhead = 100.0 * (makespan / ref_overlap_ms - 1.0)
+                        ref_ms = overlap_refs[sc.overlap][0]
+                        if ref_ms:
+                            overhead = 100.0 * (makespan / ref_ms - 1.0)
                 else:
                     out, res = dsm_sort(
                         keys, dsm_cfg, telemetry=tel, faults=_armed(sc, n_disks, tel)
@@ -557,10 +611,13 @@ def run_chaos(
                     stats["trace_exact"] = all(
                         a.exact for a in analyses.values()
                     )
-                    if sc.overlap and ref_attr is not None:
+                    if sc.overlap is not None:
+                        ref_attr = overlap_refs[sc.overlap][1]
+                        # Sorted, not set order: str hashing is salted
+                        # per process, and the JSONL must replay.
                         stats["attribution_delta"] = {
                             c: round(attr.get(c, 0.0) - ref_attr.get(c, 0.0), 3)
-                            for c in set(attr) | set(ref_attr)
+                            for c in sorted(set(attr) | set(ref_attr))
                             if attr.get(c, 0.0) != ref_attr.get(c, 0.0)
                         }
                 ref_keys, ref_ios = refs[algo]

@@ -156,16 +156,14 @@ class TestDSMSort:
 
 
 class TestSingleDisk:
-    def test_sorts(self, rng):
-        from repro.baselines import single_disk_sort
+    """``D = 1``: DSM is the classical one-disk external mergesort."""
 
+    def test_sorts(self, rng):
         keys = rng.permutation(2000)
-        out, res = single_disk_sort(keys, memory_records=128, block_size=4)
+        out, res = dsm_sort(keys, DSMConfig.from_memory(128, 1, 4))
         assert np.array_equal(out, np.sort(keys))
         assert res.config.n_disks == 1
 
-    def test_memory_too_small(self, rng):
-        from repro.baselines import single_disk_sort
-
+    def test_memory_too_small(self):
         with pytest.raises(ConfigError):
-            single_disk_sort(rng.permutation(100), memory_records=8, block_size=4)
+            DSMConfig.from_memory(8, 1, 4)

@@ -51,6 +51,15 @@ class TestBasics:
         with pytest.raises(DataError):
             w.append(np.array([3]))
 
+    def test_unsorted_slice_rejected(self):
+        system = ParallelDiskSystem(2, 2)
+        w = RunWriter(system, 0, 0)
+        with pytest.raises(DataError, match="not sorted"):
+            w.append(np.array([5, 1, 4, 2, 3]))
+        # The rejected slice left nothing behind.
+        w.append(np.array([1, 2]))
+        assert w.finalize().n_records == 2
+
     def test_append_after_finalize_rejected(self):
         system, _, w = write_run()
         with pytest.raises(ScheduleError):

@@ -343,3 +343,46 @@ class TestBackendStats:
         s = sys_.backend.stats()
         assert s["kind"] == "memory"
         assert s["live_blocks"] == 1
+
+    @pytest.mark.parametrize("algo", ["srm", "dsm", "psv"])
+    @pytest.mark.parametrize("backend", ["memory", "mmap"])
+    def test_every_sort_publishes_backend_counters(self, algo, backend):
+        # SRM, DSM and PSV close through one helper, so each publishes
+        # the six backend.* metrics on mmap and none in memory.
+        from repro import DSMConfig, SRMConfig
+        from repro.baselines import dsm_mergesort, psv_mergesort
+        from repro.core.mergesort import srm_mergesort
+        from repro.disks import StripedFile
+        from repro.telemetry import Telemetry
+
+        keys = np.random.default_rng(3).integers(0, 10**6, 2_000)
+        tel = Telemetry()
+        with ParallelDiskSystem(4, 8, backend=backend) as system:
+            infile = StripedFile.from_records(system, keys)
+            if algo == "srm":
+                res = srm_mergesort(
+                    system, infile, SRMConfig.from_k(2, 4, 8), rng=1,
+                    telemetry=tel,
+                )
+            elif algo == "dsm":
+                res = dsm_mergesort(
+                    system, infile, DSMConfig(n_disks=4, block_size=8,
+                                              merge_order=3),
+                    run_length=256, telemetry=tel,
+                )
+            else:
+                res = psv_mergesort(system, infile, 256, telemetry=tel)
+            assert np.array_equal(res.peek_sorted(), np.sort(keys))
+            written = system.backend.stats().get("blocks_written")
+        metrics = tel.finish()[-1]["metrics"]
+        backend_metrics = sorted(m for m in metrics if m.startswith("backend."))
+        sort_span = next(
+            e for e in tel.events if e["type"] == "span" and e["name"] == "sort"
+        )
+        if backend == "memory":
+            assert backend_metrics == []
+            assert "backend" not in sort_span["attrs"]
+        else:
+            assert len(backend_metrics) == 6
+            assert metrics["backend.blocks_written"]["value"] == written
+            assert sort_span["attrs"]["backend"] == "mmap"

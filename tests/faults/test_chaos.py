@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,14 @@ class TestDSMBitIdentity:
         assert res.system.faults.stats.undetected_corruptions == 0
 
 
+@pytest.fixture(scope="module")
+def full():
+    """The full sweep, latency and makespan-cliff scenarios included."""
+    return run_chaos(
+        n_records=3_000, n_disks=4, k=2, block_size=8, seed=77, quick=False
+    )
+
+
 class TestChaosHarness:
     @pytest.fixture(scope="class")
     def report(self):
@@ -201,10 +211,7 @@ class TestChaosHarness:
         assert by_name[("parity_death", "srm")]["recovery_read_ios"] > 0
         assert by_name[("double_death", "srm")]["disk_deaths"] == 2
 
-    def test_full_sweep_passes(self):
-        full = run_chaos(
-            n_records=3_000, n_disks=4, k=2, block_size=8, seed=77, quick=False
-        )
+    def test_full_sweep_passes(self, full):
         assert full.failures() == []
         names = {r.scenario for r in full.results}
         assert {"straggler", "stall", "breaker", "combo"} <= names
@@ -244,3 +251,107 @@ class TestChaosHarness:
         )
         assert rc == 0
         assert "chaos check passed" in capsys.readouterr().out
+
+    def test_full_jsonl_replays_across_hash_seeds(self, tmp_path):
+        # str hashing is salted per process: two processes with
+        # different salts must write the same bytes.
+        import os
+        import subprocess
+        import sys
+
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        procs = []
+        for salt in ("1", "2"):
+            out = tmp_path / f"chaos-{salt}.jsonl"
+            env = {**os.environ, "PYTHONHASHSEED": salt, "PYTHONPATH": src}
+            cmd = [sys.executable, "-m", "repro", "chaos", "--check", "--n",
+                   "3000", "--block", "8", "--seed", "77", "--out", str(out)]
+            procs.append((out, subprocess.Popen(
+                cmd, env=env, stdout=subprocess.PIPE, text=True
+            )))
+        for _, proc in procs:
+            stdout, _ = proc.communicate(timeout=120)
+            assert proc.returncode == 0
+            assert "chaos check passed" in stdout
+        first, second = (out.read_bytes() for out, _ in procs)
+        assert first == second
+        assert b'"scenario": "cliff_d2_x4_s2"' in first
+
+
+#: The six faulted points of the cliff grid (full overlap, depths 0/2,
+#: straggler factor 1/4, 0/2 stall windows; x1/s0 is the reference).
+CLIFF = [
+    f"cliff_d{d}_x{x}_s{s}"
+    for d in (0, 2)
+    for x in (1, 4)
+    for s in (0, 2)
+    if (x, s) != (1, 0)
+]
+
+
+class TestCliffScenarios:
+    @pytest.fixture(scope="class")
+    def rows(self, full):
+        return {r.scenario: r for r in full.results if r.scenario in CLIFF}
+
+    def test_grid_shape(self, full, rows):
+        assert [r.scenario for r in full.results[-len(CLIFF):]] == CLIFF
+        assert all(r.algorithm == "srm" for r in rows.values())
+        assert len(rows) == len(CLIFF)
+
+    def test_every_point_sorted_and_exact(self, rows):
+        for r in rows.values():
+            assert r.ok and r.identical, r.scenario
+            assert r.stats["trace_exact"] is True, r.scenario
+            assert r.stats["_expect"] == ["latency"]
+            assert r.makespan_ms > 0.0
+
+    def test_straggler_moves_makespan(self, rows):
+        for r in rows.values():
+            assert r.makespan_overhead_pct > 0.0, r.scenario
+        # At equal depth and stalls, a 4x straggler costs real time.
+        for d in (0, 2):
+            assert (
+                rows[f"cliff_d{d}_x4_s2"].makespan_ms
+                > rows[f"cliff_d{d}_x1_s2"].makespan_ms
+            )
+
+    def test_attribution_delta_keys_sorted(self, full):
+        for r in full.results:
+            delta = r.stats.get("attribution_delta")
+            if delta is not None:
+                assert list(delta) == sorted(delta), r.scenario
+
+    def test_jsonl_roundtrip(self, full, tmp_path):
+        import json
+
+        path = tmp_path / "chaos.jsonl"
+        full.write_jsonl(str(path))
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert rows[0]["passed"]
+        by_name = {r["scenario"]: r for r in rows[1:]}
+        for name in CLIFF:
+            row = by_name[name]
+            assert row["ok"] and row["faults"]["trace_exact"]
+            assert row["makespan_overhead_pct"] > 0.0
+
+    def test_render_mentions_every_point(self, full):
+        text = full.render()
+        for name in CLIFF:
+            assert f"{name} srm  yes" in text
+
+    def test_failures_catch_regressions(self):
+        result = ScenarioResult(
+            scenario="cliff_d2_x4_s0", algorithm="srm", description="",
+            identical=False, stats={"_expect": ["latency"], "trace_exact": False},
+            parallel_ios=1, io_overhead_pct=0.0, makespan_ms=10.0,
+            makespan_overhead_pct=5.0,
+        )
+        report = ChaosReport(
+            n_records=1, n_disks=4, block_size=8, merge_order=8, seed=0,
+            results=[result],
+        )
+        fails = report.failures()
+        assert any("differs from fault-free reference" in f for f in fails)
+        assert any("did not decompose exactly" in f for f in fails)
+        assert "FAIL" in report.render()

@@ -94,33 +94,3 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "lower" in out and "upper" in out
-
-
-class TestCliff:
-    def test_parses(self):
-        args = build_parser().parse_args(["cliff", "--quick", "--check"])
-        assert callable(args.func)
-        assert args.quick and args.check
-
-    def test_quick_check_and_jsonl(self, tmp_path, capsys):
-        out = tmp_path / "cliff.jsonl"
-        rc = main(["cliff", "--quick", "--check", "--n", "3000",
-                   "--out", str(out)])
-        assert rc == 0
-        stdout = capsys.readouterr().out
-        assert "cliff map" in stdout
-        assert "cliff check passed" in stdout
-        import json
-
-        rows = [json.loads(line) for line in out.read_text().splitlines()]
-        assert rows[0]["type"] == "meta"
-        points = [r for r in rows if r["type"] == "point"]
-        assert len(points) == 8  # quick grid: 1 mode x 2 depths x 2 x 2
-        assert all(p["sorted_ok"] and p["exact"] for p in points)
-
-    def test_custom_axes(self, capsys):
-        rc = main(["cliff", "--n", "2000", "--modes", "full", "--depths", "0",
-                   "--factors", "1,4", "--stall-densities", "0"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert out.count("full") >= 2
