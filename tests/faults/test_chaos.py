@@ -299,6 +299,24 @@ class TestCliffScenarios:
         assert all(r.algorithm == "srm" for r in rows.values())
         assert len(rows) == len(CLIFF)
 
+    def test_all_gates_pass(self, full, rows):
+        cliff_only = ChaosReport(
+            n_records=full.n_records, n_disks=full.n_disks,
+            block_size=full.block_size, merge_order=full.merge_order,
+            seed=full.seed, results=list(rows.values()),
+        )
+        assert cliff_only.failures() == []
+        assert cliff_only.passed
+
+    def test_deterministic(self, rows):
+        again = run_chaos(
+            n_records=3_000, n_disks=4, k=2, block_size=8, seed=77,
+            quick=False, algorithms=("srm",),
+        )
+        assert [r.row() for r in again.results if r.scenario in CLIFF] == [
+            rows[name].row() for name in CLIFF
+        ]
+
     def test_every_point_sorted_and_exact(self, rows):
         for r in rows.values():
             assert r.ok and r.identical, r.scenario

@@ -94,3 +94,22 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "lower" in out and "upper" in out
+
+
+class TestChaosCliff:
+    def test_full_check_and_jsonl_has_cliff_rows(self, tmp_path, capsys):
+        import json
+
+        out = tmp_path / "chaos.jsonl"
+        rc = main(["chaos", "--check", "--n", "3000", "--block", "8",
+                   "--seed", "77", "--out", str(out)])
+        assert rc == 0
+        assert "chaos check passed" in capsys.readouterr().out
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert rows[0]["type"] == "meta" and rows[0]["passed"]
+        cliff = [r for r in rows[1:] if r["scenario"].startswith("cliff_")]
+        assert len(cliff) == 6  # depths 0/2 x (1x,4x) x (0,2 stalls) - refs
+        for row in cliff:
+            assert row["ok"] and row["identical"], row["scenario"]
+            assert row["faults"]["trace_exact"] is True, row["scenario"]
+            assert row["makespan_overhead_pct"] > 0.0, row["scenario"]
